@@ -28,7 +28,6 @@ from .errors import (  # noqa: F401
     DegenerateDataError,
     DomainError,
     PreconditionError,
-    QuadratureError,
     ScaleMismatchError,
     TrainingError,
 )

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import gof
-from .distributions import DistSpec, Family, SampleBatch
+from .distributions import DistSpec, Family, SampleBatch, normal_max_quantile, uniform_open
 from .errors import BelldistError
 from .gumbel_algebra import kl_bound
 from .losses import LN4, LossConfig, l_loss, mse_loss
@@ -39,7 +39,7 @@ def _write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace,
         "subcommand": subcommand,
         "argv": sys.argv[1:],
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "version": __version__,
         "outputs": sorted(outputs),
         "wall_time_s": time.monotonic() - started,
@@ -50,7 +50,7 @@ def _write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace,
 
 
 def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", ".") or ".")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -148,15 +148,10 @@ def cmd_normal_max(args) -> list[str]:
     params = normal_max_gumbel(args.n)
     payload = json.loads(params.to_json())
     if args.mc:
-        from scipy.special import ndtri
-
-        from .distributions import uniform_open
-        from .gof import ks_statistic
-
         if params.a_n > 0:
-            u = uniform_open(args.seed, args.mc)
-            draws = -ndtri(-np.expm1(np.log(u) / float(args.n)))
-            ks = ks_statistic(SampleBatch(draws), DistSpec(Family.GUMBEL, params.b_n, params.a_n))
+            draws = normal_max_quantile(uniform_open(args.seed, args.mc), float(args.n))
+            law = DistSpec(Family.GUMBEL, params.b_n, params.a_n)
+            ks = gof.ks_statistic(SampleBatch(draws), law)
             payload["mc"] = {"replicates": args.mc, "seed": args.seed, "ks": ks}
         else:
             # the correction series degrades below n ~ 90 and can return a
@@ -300,8 +295,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reward-scale", type=float, default=1.0)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--approximator", choices=["tabular", "mlp"], default="tabular")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,65 +304,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # --seed and --out on every subcommand, so every run has both in its manifest
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0,
+                        help="RNG seed; subcommands with deterministic output accept it for "
+                        "interface uniformity")
+    common.add_argument("--out", default=".", help="output directory")
 
-    p = sub.add_parser("example1", help="error rows of the five-state benchmark + family fits")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("example1", parents=[common],
+                       help="error rows of the five-state benchmark + family fits")
     p.add_argument("--iters", type=int, default=4)
     p.add_argument("--init", choices=["normal", "gumbel"], default="normal")
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_example1)
 
-    p = sub.add_parser("fit", help="fit all three families to a value CSV")
+    p = sub.add_parser("fit", parents=[common], help="fit all three families to a value CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface uniformity; output is deterministic")
     p.add_argument("--bins", default="50")
     p.add_argument("--ks-mode", choices=[gof.KS_TWO_SIDED, gof.KS_ONE_SIDED],
                    default=gof.KS_TWO_SIDED)
     p.add_argument("--format", choices=["json", "csv", "both"], default="both")
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("klbound", help="discount-mismatch KL bound and numeric KL")
+    p = sub.add_parser("klbound", parents=[common],
+                       help="discount-mismatch KL bound and the exact KL")
     p.add_argument("--astar", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface uniformity; output is deterministic")
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_klbound)
 
-    p = sub.add_parser("normal-max", help="Gumbel approximation of max of N Normals")
+    p = sub.add_parser("normal-max", parents=[common],
+                       help="Gumbel approximation of max of N Normals")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mc", type=int, default=0, help="Monte Carlo replicates for a KS check")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_normal_max)
 
-    p = sub.add_parser("sampling-error", help="expected-empirical-CDF sampling error per batch size")
+    p = sub.add_parser("sampling-error", parents=[common],
+                       help="expected-empirical-CDF sampling error per batch size")
     p.add_argument("--n", required=True, help="comma-separated batch sizes")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface uniformity; output is deterministic")
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_sampling_error)
 
-    p = sub.add_parser("scaling", help="expected error along a reward-scaling grid")
+    p = sub.add_parser("scaling", parents=[common],
+                       help="expected error along a reward-scaling grid")
     p.add_argument("--rewards", required=True, help="single-column CSV of rewards")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface uniformity; output is deterministic")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--phi-grid", default="1:3:41")
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_scaling)
 
-    p = sub.add_parser("losscheck", help="Logistic loss vs log4 + mse/2 along a grid")
+    p = sub.add_parser("losscheck", parents=[common],
+                       help="Logistic loss vs log4 + mse/2 along a grid")
     p.add_argument("--t-grid", default="-0.5:0.5:101")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface uniformity; output is deterministic")
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_losscheck)
 
-    p = sub.add_parser("train", help="one training run")
+    p = sub.add_parser("train", parents=[common], help="one training run")
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("compare", help="mse vs lloss arms over seeds")
+    p = sub.add_parser("compare", parents=[common], help="mse vs lloss arms over seeds")
     _add_train_flags(p)
     p.add_argument("--seeds", default="0,1")
     p.set_defaults(func=cmd_compare)

@@ -164,6 +164,16 @@ def uniform_open(seed: int, n: int, stream: int = 0) -> np.ndarray:
     return (gen.integers(0, 1 << 53, size=n).astype(float) + 0.5) / _TWO53
 
 
+def normal_max_quantile(u, n: float) -> np.ndarray:
+    """Quantile of the max of n i.i.d. standard Normals at probability u.
+
+    P(max <= x) = Phi(x)^n, so the quantile is Phi^-1(u^(1/n)).  It is
+    evaluated as -Phi^-1(1 - u^(1/n)) with the complement formed by expm1,
+    which keeps its digits when u^(1/n) is close to 1 (large n).
+    """
+    return -ndtri(-np.expm1(np.log(u) / n))
+
+
 def sample(d: DistSpec, n: int, seed: int) -> SampleBatch:
     """Draw n values from ``d`` by inverse CDF; deterministic per (d, n, seed)."""
     if n < 1:

@@ -29,10 +29,6 @@ class ConvergenceError(BelldistError, RuntimeError):
     """An iterative solver exhausted its budget without converging."""
 
 
-class QuadratureError(BelldistError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class TrainingError(BelldistError, RuntimeError):
     """Training diverged; carries the last finite snapshot for post-mortem."""
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import logsumexp
 
-from .distributions import DistSpec, Family, quantile, uniform_open
+from .distributions import DistSpec, Family, normal_max_quantile, quantile, uniform_open
 from .errors import ConvergenceError, DomainError
 
 TERMINAL = -1
@@ -376,8 +376,7 @@ def example1_row_errors(
         u = uniform_open(seed, n_actions, stream=stream)
         n_total = float(n_actions) ** level
         if init.family is Family.NORMAL:
-            q = -np.expm1(np.log(u) / n_total)
-            max_draw = init.location - init.scale * ndtri(q)
+            max_draw = init.location + init.scale * normal_max_quantile(u, n_total)
         else:
             # max-stability: max of m i.i.d. Gumbel(l, e) ~ Gumbel(l + e*log(m), e)
             max_draw = init.location + init.scale * (np.log(n_total) - np.log(-np.log(u)))

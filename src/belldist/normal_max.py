@@ -17,66 +17,11 @@ returned values against a Monte Carlo reference, e.g. via the CLI's
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
+from scipy.special import gamma, lambertw
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function on [-1/e, inf).
-
-    Halley iteration with tolerance 1e-14 and at most 50 steps; the starting
-    guess is log1p(x) for x >= 0 and a branch-point series otherwise.
-    """
-    if math.isnan(x):
-        raise DomainError("lambert_w0 requires a real argument")
-    min_x = -math.exp(-1.0)
-    if x < min_x:
-        raise DomainError(f"lambert_w0 requires x >= -1/e, got {x}")
-    if x == 0.0:
-        return 0.0
-    if abs(x - min_x) < 1e-16:
-        return -1.0
-    if x >= 0.0:
-        w = math.log1p(x)
-    else:
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    for _ in range(50):
-        ew = math.exp(w)
-        f = w * ew - x
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        step = f / denom
-        w -= step
-        if abs(step) <= 1e-14 * max(1.0, abs(w)):
-            return w
-    raise ConvergenceError(f"lambert_w0 did not converge for x={x}")
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0 via a 9-term Lanczos approximation (g = 7)."""
-    if not x > 0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -118,12 +63,14 @@ def normal_max_gumbel(n: int, nu: float = 2.0) -> NormalMaxParams:
     if not nu > 1:
         raise DomainError(f"nu must exceed 1, got {nu}")
     theta = nu - 1.0
-    c = (gamma_fn(3.0 / nu) / gamma_fn(1.0 / nu)) ** (nu / 2.0)
-    d0 = c ** ((1.0 - nu) / nu) / (2.0 * gamma_fn(1.0 / nu))
+    gamma_1, gamma_3 = float(gamma(1.0 / nu)), float(gamma(3.0 / nu))
+    c = (gamma_3 / gamma_1) ** (nu / 2.0)
+    d0 = c ** ((1.0 - nu) / nu) / (2.0 * gamma_1)
     d1 = -(1.0 - 1.0 / nu) / c
     d2 = (1.0 - 1.0 / nu) * (2.0 - 1.0 / nu) / (c * c)
     w_arg = (nu * c / theta) * (d0 * n) ** (nu / theta)
-    beta = (theta / (nu * c)) * lambert_w0(w_arg) ** (1.0 / nu)
+    # w_arg > 0, so W0 is real and away from its branch point at -1/e
+    beta = (theta / (nu * c)) * float(lambertw(w_arg).real) ** (1.0 / nu)
 
     b2, b4, b6 = beta**2, beta**4, beta**6
     a_n = (

@@ -62,6 +62,15 @@ class TrainConfig:
             raise DomainError("reward_scale must be positive")
         if self.approximator not in ("tabular", "mlp"):
             raise DomainError("approximator must be 'tabular' or 'mlp'")
+        for name in ("epochs", "steps_per_epoch", "replay_capacity", "early_stop_patience",
+                     "hidden"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.updates_per_epoch < 0:
+            raise DomainError(f"updates_per_epoch must be >= 0, got {self.updates_per_epoch}")
+        for name in ("epsilon_start", "epsilon_final"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise DomainError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from belldist import (
     DistSpec,
@@ -23,7 +23,7 @@ from belldist import (
     sample,
 )
 from belldist.cli import main as cli_main
-from belldist.distributions import uniform_open
+from belldist.distributions import normal_max_quantile, uniform_open
 from belldist.gof import ks_statistic
 from belldist.gumbel_algebra import (
     gumbel_difference,
@@ -151,8 +151,7 @@ def test_criterion_05_moment_bounds_and_normal_max():
         scale = p.a_n if p.a_n > 0 else 1e-9
         xs = np.linspace(p.b_n - 12 * abs(scale) - 3, p.b_n + 30 * abs(scale) + 3, 400_001)
         exact = float(np.abs(ndtr(xs) ** n - np.exp(-np.exp(-(xs - p.b_n) / scale))).max())
-        u = uniform_open(777, 100_000)
-        draws = -ndtri(-np.expm1(np.log(u) / n))
+        draws = normal_max_quantile(uniform_open(777, 100_000), n)
         mc = ks_statistic(SampleBatch(draws), DistSpec(Family.GUMBEL, p.b_n, abs(scale)))
         # the KS of the approximating law is its sup distance; the 1e5-draw
         # Monte Carlo value must corroborate it within sampling noise

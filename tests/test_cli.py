@@ -29,6 +29,16 @@ def test_domain_error_exit_code_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["klbound", "--astar", "1000", "--gamma", "0.1"],  # the KL overflows float64
+    ["klbound", "--astar", "nan", "--gamma", "0.9"],
+    ["train", "--env", "chain:3", "--epochs", "0"],
+])
+def test_contract_violation_exit_code_one(tmp_path, capsys, argv):
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_help_on_every_subcommand():
     parser = build_parser()
     subcommands = [

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_func
 
 from belldist import DistSpec, DomainError, EULER_MASCHERONI, Family, ScaleMismatchError, sample
 from belldist.gumbel_algebra import (
@@ -22,16 +21,24 @@ from conftest import ks_against
 EXP_MOMENT_CONST_REFERENCE = 4.945722399626181958
 
 
-def kl_exact(a_star: float, g: float) -> float:
-    # Independent closed form via the Gumbel moment generating function:
-    # E[exp(-g Z)] = Gamma(1+g) for standard Gumbel Z, giving
-    # KL = log(1/g) - (1-g)(a* + v) + exp((1-g) a*) Gamma(1+g) - 1.
-    return (
-        math.log(1.0 / g)
-        - (1.0 - g) * (a_star + EULER_MASCHERONI)
-        + math.exp((1.0 - g) * a_star) * float(gamma_func(1.0 + g))
-        - 1.0
-    )
+def kl_quadrature(a_star: float, g: float) -> float:
+    # Independent oracle: integrate the log density ratio of
+    # Gumbel(g*a*, g) to Gumbel(a*, 1) against the first law.  After
+    # u = (x - g*a*)/g the weight is standard Gumbel, and u in [-15, 40]
+    # holds all but 1e-16 of its mass.
+    def integrand(u):
+        weight = math.exp(-(u + math.exp(-u)))
+        if weight == 0.0:
+            return 0.0
+        log_ratio = (
+            -math.log(g)
+            - (1.0 - g) * (u + a_star)
+            - math.exp(-u)
+            + math.exp((1.0 - g) * a_star - g * u)
+        )
+        return weight * log_ratio
+
+    return quad(integrand, -15.0, 40.0, points=[0.0], epsabs=1e-13, epsrel=1e-12)[0]
 
 
 def test_shift_scale_identity_and_shift():
@@ -150,7 +157,12 @@ def test_kl_numeric_near_one_vanishes():
 @pytest.mark.parametrize("a_star", [-10.0, -1.0, 0.0, 1.0, 10.0, 100.0])
 @pytest.mark.parametrize("g", [0.9, 0.95, 0.99, 0.999])
 def test_kl_numeric_matches_closed_form(a_star, g):
-    assert kl_numeric(a_star, 1.0, g) == pytest.approx(kl_exact(a_star, g), rel=1e-8, abs=1e-9)
+    assert kl_numeric(a_star, 1.0, g) == pytest.approx(kl_quadrature(a_star, g), rel=1e-8, abs=1e-9)
+
+
+def test_kl_numeric_large_mismatch_matches_quadrature():
+    # (1-g)*a* = 25, where the KL is about 6e10
+    assert kl_numeric(50.0, 1.0, 0.5) == pytest.approx(kl_quadrature(50.0, 0.5), rel=1e-8, abs=1e-9)
 
 
 def test_kl_numeric_scale_invariance():
@@ -164,6 +176,15 @@ def test_kl_numeric_domain():
         kl_numeric(0.0, -1.0, 0.9)
     with pytest.raises(DomainError):
         kl_numeric(0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, 1.0), (1e308, 1e-10), (1000.0, 1.0)])
+def test_kl_numeric_nonfinite_raises_domain_error(a, b):
+    # a non-finite a/b, or a KL beyond float64 ((1-g)*a/b = 900 at g = 0.1)
+    with pytest.raises(DomainError):
+        kl_numeric(a, b, 0.1)
+    with pytest.raises(DomainError):
+        kl_bound(a / b, 0.1)
 
 
 def test_kl_bound_nonpositive_branch_formula():

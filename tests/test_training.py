@@ -52,6 +52,21 @@ def test_config_validation():
         TrainConfig(batch_size=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0),
+    ("steps_per_epoch", 0),
+    ("replay_capacity", 0),
+    ("early_stop_patience", 0),
+    ("hidden", 0),
+    ("updates_per_epoch", -1),
+    ("epsilon_start", 1.5),
+    ("epsilon_final", -0.1),
+])
+def test_config_rejects_out_of_range_counts_and_epsilons(field, value):
+    with pytest.raises(DomainError):
+        TrainConfig(**{field: value})
+
+
 def test_bit_reproducible_per_seed():
     env = make_chain(4)
     cfg = TrainConfig(lr=0.5, epochs=40, seed=7)
