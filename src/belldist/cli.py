@@ -62,17 +62,36 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _int_list(text: str, what: str) -> list[int]:
+    """Comma-separated integers; anything else is a BelldistError naming ``what``."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise BelldistError(f"{what} must be comma-separated integers, got {text!r}") from exc
+
+
 def parse_env(spec: str, seed: int) -> TabularMdp:
     """'example1' | 'chain:N' | 'dag:S,A' | a path to an MDP JSON file."""
     if spec == "example1":
         return make_example1()
-    if spec.startswith("chain:"):
-        return make_chain(int(spec.split(":", 1)[1]))
-    if spec.startswith("dag:"):
-        s, a = spec.split(":", 1)[1].split(",")
-        return make_random_dag(int(s), int(a), seed=seed)
+    if spec.startswith(("chain:", "dag:")):
+        kind, params = spec.split(":", 1)
+        try:
+            sizes = [int(x) for x in params.split(",")]
+        except ValueError:
+            sizes = []
+        if kind == "chain" and len(sizes) == 1:
+            return make_chain(sizes[0])
+        if kind == "dag" and len(sizes) == 2:
+            return make_random_dag(sizes[0], sizes[1], seed=seed)
+        raise BelldistError(f"environment spec must be chain:N or dag:S,A with integer "
+                            f"sizes, got {spec!r}")
     if spec.endswith(".json"):
-        return TabularMdp.from_json(Path(spec).read_text())
+        try:
+            text = Path(spec).read_text()
+        except OSError as exc:
+            raise BelldistError(f"{spec}: cannot read: {exc.strerror}") from exc
+        return TabularMdp.from_json(text)
     raise BelldistError(f"unknown environment spec {spec!r}")
 
 
@@ -111,7 +130,13 @@ def cmd_example1(args) -> list[str]:
 def cmd_fit(args) -> list[str]:
     out = _out_dir(args)
     data = SampleBatch.from_csv(args.input)
-    bins = args.bins if args.bins == "fd" else int(args.bins)
+    if args.bins == "fd":
+        bins = "fd"
+    else:
+        try:
+            bins = int(args.bins)
+        except ValueError as exc:
+            raise BelldistError(f"--bins must be 'fd' or an integer, got {args.bins!r}") from exc
     reports = gof.rank_families(data, n_bins=bins, ks_mode=args.ks_mode)
     outputs = []
     if args.format in ("json", "both"):
@@ -144,6 +169,8 @@ def cmd_klbound(args) -> list[str]:
 
 
 def cmd_normal_max(args) -> list[str]:
+    if args.mc < 0:
+        raise BelldistError(f"--mc must be >= 0, got {args.mc}")
     out = _out_dir(args)
     params = normal_max_gumbel(args.n)
     payload = json.loads(params.to_json())
@@ -171,7 +198,7 @@ def cmd_normal_max(args) -> list[str]:
 
 def cmd_sampling_error(args) -> list[str]:
     out = _out_dir(args)
-    sizes = [int(x) for x in args.n.split(",")]
+    sizes = _int_list(args.n, "--n")
     rows = [(n, sampling_error(n, args.a, args.b).s_e) for n in sizes]
     path = out / "sampling_error.csv"
     _write_csv(path, ["n", "s_e"], rows)
@@ -262,7 +289,7 @@ def cmd_train(args) -> list[str]:
 def cmd_compare(args) -> list[str]:
     out = _out_dir(args)
     env = parse_env(args.env, seed=args.seed)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = _int_list(args.seeds, "--seeds")
     base = _train_config(args)
     result = compare_losses(env, base, seeds)
     payload = {

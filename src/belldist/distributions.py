@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit, logit, ndtr, ndtri
 
-from .errors import DegenerateDataError, DomainError
+from .errors import BelldistError, DegenerateDataError, DomainError
 
 # Euler-Mascheroni constant; the mean of a standard Gumbel is exactly this.
 EULER_MASCHERONI = 0.57721566490153286061
@@ -103,11 +103,18 @@ class SampleBatch:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SampleBatch":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        try:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+        except OSError as exc:
+            raise BelldistError(f"{path}: cannot read: {exc.strerror}") from exc
         if not rows or rows[0] != ["value"]:
             raise DomainError(f"{path}: expected a single-column CSV with header 'value'")
-        return cls(np.array([float(r[0]) for r in rows[1:]]))
+        try:
+            values = np.array([float(r[0]) for r in rows[1:]])
+        except (ValueError, IndexError) as exc:
+            raise DomainError(f"{path}: every row after the header must hold one number") from exc
+        return cls(values)
 
 
 # ---------------------------------------------------------------------------

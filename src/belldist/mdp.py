@@ -70,14 +70,21 @@ class TabularMdp:
 
     @classmethod
     def from_json(cls, text: str) -> "TabularMdp":
-        obj = json.loads(text)
-        return cls(
-            n_states=int(obj["n_states"]),
-            n_actions=int(obj["n_actions"]),
-            transition=np.array(obj["transitions"], dtype=np.int64),
-            reward=np.array(obj["rewards"], dtype=float),
-            gamma=float(obj["gamma"]),
-        )
+        try:
+            obj = json.loads(text)
+            fields = dict(
+                n_states=int(obj["n_states"]),
+                n_actions=int(obj["n_actions"]),
+                transition=np.array(obj["transitions"], dtype=np.int64),
+                reward=np.array(obj["rewards"], dtype=float),
+                gamma=float(obj["gamma"]),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DomainError(
+                "MDP JSON needs numeric n_states, n_actions, transitions, rewards and gamma"
+                f" ({type(exc).__name__}: {exc})"
+            ) from exc
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

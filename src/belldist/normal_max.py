@@ -17,11 +17,15 @@ returned values against a Monte Carlo reference, e.g. via the CLI's
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 from scipy.special import gamma, lambertw
 
 from .errors import DomainError
+
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,13 @@ def normal_max_gumbel(n: int, nu: float = 2.0) -> NormalMaxParams:
     d0 = c ** ((1.0 - nu) / nu) / (2.0 * gamma_1)
     d1 = -(1.0 - 1.0 / nu) / c
     d2 = (1.0 - 1.0 / nu) * (2.0 - 1.0 / nu) / (c * c)
+    # for nu near 1 the exponent nu/theta is huge: refuse a w_arg (or its
+    # power factor) beyond float64 instead of letting the power overflow
+    log_power = (nu / theta) * math.log(d0 * n)
+    if max(log_power, log_power + math.log(nu * c / theta)) > _LOG_DBL_MAX:
+        raise DomainError(
+            f"normal_max_gumbel(n={n}, nu={nu}): the Lambert-W argument exceeds float64"
+        )
     w_arg = (nu * c / theta) * (d0 * n) ** (nu / theta)
     # w_arg > 0, so W0 is real and away from its branch point at -1/e
     beta = (theta / (nu * c)) * float(lambertw(w_arg).real) ** (1.0 / nu)

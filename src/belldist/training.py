@@ -73,15 +73,6 @@ class TrainConfig:
                 raise DomainError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class Transition:
-    s: int
-    a: int
-    r: float
-    s_next: int  # TERMINAL when the episode ended
-    terminal: bool
-
-
 @dataclass
 class TrainLog:
     config: TrainConfig
@@ -120,9 +111,9 @@ class TabularQ:
         return self.values.copy()
 
     def apply_output_grad(self, states, actions, grad_out, lr):
-        delta = np.zeros_like(self.values)
-        np.add.at(delta, (states, actions), grad_out)
-        self.values -= lr * delta
+        n_s, n_a = self.values.shape
+        delta = np.bincount(states * n_a + actions, weights=grad_out, minlength=n_s * n_a)
+        self.values -= lr * delta.reshape(n_s, n_a)
 
     def get_flat(self) -> np.ndarray:
         return self.values.reshape(-1).copy()
@@ -174,8 +165,9 @@ class MlpQ:
         g_b2 = dq.sum(axis=0)
         dh = dq @ self.w2.T
         dpre = dh * (1.0 - h * h)
-        g_w1 = np.zeros_like(self.w1)
-        np.add.at(g_w1, states, dpre)
+        n_s, n_h = self.w1.shape
+        flat = (states[:, None] * n_h + np.arange(n_h)).ravel()
+        g_w1 = np.bincount(flat, weights=dpre.ravel(), minlength=n_s * n_h).reshape(n_s, n_h)
         g_b1 = dpre.sum(axis=0)
         return g_w1, g_b1, g_w2, g_b2
 
@@ -209,16 +201,17 @@ def make_qfunc(env: TabularMdp, cfg: TrainConfig, rng: np.random.Generator):
     return MlpQ(env.n_states, env.n_actions, cfg.hidden, rng)
 
 
-def td_errors(qnet, target_net, batch: list[Transition], cfg: TrainConfig) -> np.ndarray:
-    """Target-minus-estimate residuals for a batch (rewards pre-scaled)."""
-    states = np.array([tr.s for tr in batch])
-    actions = np.array([tr.a for tr in batch])
-    rewards = np.array([tr.r for tr in batch]) * cfg.reward_scale
-    next_states = np.array([max(tr.s_next, 0) for tr in batch])
-    live = np.array([0.0 if tr.terminal else 1.0 for tr in batch])
+def td_errors(qnet, target_net, states, actions, rewards, next_states, live,
+              cfg: TrainConfig) -> np.ndarray:
+    """Target-minus-estimate residuals for a batch given as replay columns.
+
+    ``rewards`` are raw environment rewards; ``cfg.reward_scale`` is applied
+    here.  ``next_states`` are clamped to valid states (terminal steps carry
+    state 0) and ``live`` is 0.0 for terminal steps, 1.0 otherwise.
+    """
     next_max = target_net.q_values(next_states).max(axis=1)
-    targets = rewards + cfg.gamma * live * next_max
-    preds = qnet.q_values(states)[np.arange(len(batch)), actions]
+    targets = rewards * cfg.reward_scale + cfg.gamma * live * next_max
+    preds = qnet.q_values(states)[np.arange(len(states)), actions]
     return targets - preds
 
 
@@ -253,8 +246,14 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     qnet = make_qfunc(env, cfg, rng)
     target_net = qnet.clone()
-    replay: list[Transition] = []
-    replay_pos = 0
+    # replay ring buffer: one preallocated column per transition field
+    capacity = cfg.replay_capacity
+    replay_s = np.zeros(capacity, dtype=np.int64)
+    replay_a = np.zeros(capacity, dtype=np.int64)
+    replay_r = np.zeros(capacity)
+    replay_next = np.zeros(capacity, dtype=np.int64)  # successor, 0 when terminal
+    replay_live = np.zeros(capacity)  # 0.0 when the episode ended, else 1.0
+    written = 0
     cap = cfg.max_episode_steps or 4 * env.n_states
 
     state = 0
@@ -269,25 +268,22 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     for epoch in range(cfg.epochs):
         frac = epoch / max(cfg.epochs - 1, 1)
         epsilon = cfg.epsilon_start + (cfg.epsilon_final - cfg.epsilon_start) * frac
+        # the net only changes in the update phase, so one greedy table per epoch
+        greedy = np.argmax(qnet.all_values(), axis=1)
 
         for _ in range(cfg.steps_per_epoch):
             if rng.random() < epsilon:
                 action = int(rng.integers(env.n_actions))
             else:
-                action = int(np.argmax(qnet.q_values(np.array([state]))[0]))
+                action = int(greedy[state])
             nxt = int(env.transition[state, action])
-            tr = Transition(
-                s=state,
-                a=action,
-                r=float(env.reward[state, action]),
-                s_next=nxt,
-                terminal=nxt == TERMINAL,
-            )
-            if len(replay) < cfg.replay_capacity:
-                replay.append(tr)
-            else:
-                replay[replay_pos] = tr
-                replay_pos = (replay_pos + 1) % cfg.replay_capacity
+            pos = written % capacity
+            replay_s[pos] = state
+            replay_a[pos] = action
+            replay_r[pos] = env.reward[state, action]
+            replay_next[pos] = max(nxt, 0)
+            replay_live[pos] = 0.0 if nxt == TERMINAL else 1.0
+            written += 1
             episode_steps += 1
             if nxt == TERMINAL or episode_steps >= cap:
                 state, episode_steps = 0, 0
@@ -295,16 +291,16 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
                 state = nxt
 
         epoch_errors = np.zeros(0)
-        if len(replay) >= cfg.batch_size:
+        fill = min(written, capacity)
+        if fill >= cfg.batch_size:
             for _ in range(cfg.updates_per_epoch):
-                idx = rng.integers(len(replay), size=cfg.batch_size)
-                batch = [replay[i] for i in idx]
-                errs = td_errors(qnet, target_net, batch, cfg)
+                idx = rng.integers(fill, size=cfg.batch_size)
+                states, actions = replay_s[idx], replay_a[idx]
+                errs = td_errors(qnet, target_net, states, actions, replay_r[idx],
+                                 replay_next[idx], replay_live[idx], cfg)
                 if not np.all(np.isfinite(errs)):
                     raise TrainingError("training diverged (non-finite errors)", last_good)
                 grad_out = loss_output_grad(errs, cfg)
-                states = np.array([tr.s for tr in batch])
-                actions = np.array([tr.a for tr in batch])
                 qnet.apply_output_grad(states, actions, grad_out, cfg.lr)
                 target_net.mix_from(qnet, cfg.tau)
                 epoch_errors = errs

@@ -39,6 +39,34 @@ def test_contract_violation_exit_code_one(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sampling-error", "--n", "2,abc"],
+    ["train", "--env", "chain:x"],
+    ["train", "--env", "dag:12"],
+    ["normal-max", "--n", "4096", "--mc", "-5"],
+    ["fit", "--input", "{missing}"],
+    ["compare", "--env", "chain:3", "--seeds", "0,x"],
+    ["train", "--env", "{missing}.json"],
+    ["train", "--env", "{partial}"],
+], ids=["sampling-error-n", "train-chain", "train-dag", "normal-max-mc", "fit-input",
+        "compare-seeds", "train-json-missing", "train-json-fields"])
+def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
+    missing = str(tmp_path / "no-such-file")
+    partial = tmp_path / "partial.json"
+    partial.write_text('{"n_states": 2}')
+    argv = [a.replace("{missing}", missing).replace("{partial}", str(partial)) for a in argv]
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_fit_bins_must_be_integer(tmp_path, capsys):
+    data_path = tmp_path / "values.csv"
+    sample(DistSpec(Family.NORMAL, 0.0, 1.0), 200, seed=1).to_csv(data_path)
+    argv = ["fit", "--input", str(data_path), "--bins", "abc", "--out", str(tmp_path)]
+    assert run_cli(argv) == 1
+    assert "--bins" in capsys.readouterr().err
+
+
 def test_help_on_every_subcommand():
     parser = build_parser()
     subcommands = [

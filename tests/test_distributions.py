@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from belldist import (
     EULER_MASCHERONI,
+    BelldistError,
     DegenerateDataError,
     DistSpec,
     DomainError,
@@ -198,6 +199,20 @@ def test_sample_batch_csv_roundtrip(tmp_path):
     assert text.splitlines()[0] == "value"
     loaded = SampleBatch.from_csv(path)
     assert np.array_equal(loaded.values, batch.values)
+
+
+@pytest.mark.parametrize("body", ["value\n1.5\nabc\n", "value\n1.5\n\n2.5\n"],
+                         ids=["non-numeric", "empty-row"])
+def test_sample_batch_csv_malformed_rows_raise_domain_error(tmp_path, body):
+    path = tmp_path / "values.csv"
+    path.write_text(body)
+    with pytest.raises(DomainError):
+        SampleBatch.from_csv(path)
+
+
+def test_sample_batch_csv_missing_file_raises_belldist_error(tmp_path):
+    with pytest.raises(BelldistError):
+        SampleBatch.from_csv(tmp_path / "missing.csv")
 
 
 def test_distspec_json_roundtrip():

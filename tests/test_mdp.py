@@ -72,6 +72,18 @@ def test_mdp_json_roundtrip():
     assert loaded.gamma == mdp.gamma
 
 
+@pytest.mark.parametrize("text", [
+    "not json",
+    '{"n_states": 2}',
+    '{"n_states": 2, "n_actions": 1, "transitions": [[1], [-1]], "rewards": [[0], ["x"]],'
+    ' "gamma": 0.9}',
+    "[]",
+], ids=["syntax", "missing-keys", "non-numeric", "not-an-object"])
+def test_mdp_from_json_malformed_raises_domain_error(text):
+    with pytest.raises(DomainError):
+        TabularMdp.from_json(text)
+
+
 def test_make_example1_shape_and_rewards():
     mdp = make_example1()
     assert (mdp.n_states, mdp.n_actions) == (5, 5000)

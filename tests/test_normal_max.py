@@ -37,6 +37,19 @@ def test_domain():
         normal_max_gumbel(1)
 
 
+@pytest.mark.parametrize("n, nu", [(1000, 1.001), (10**300, 2.0)])
+def test_lambert_argument_beyond_float64_raises_domain_error(n, nu):
+    # (d0*n)**(nu/theta) would overflow the float power
+    with pytest.raises(DomainError):
+        normal_max_gumbel(n, nu=nu)
+
+
+def test_nu_near_one_within_float64_still_finite():
+    params = normal_max_gumbel(1000, nu=1.01)
+    assert math.isfinite(params.a_n) and params.a_n > 0
+    assert math.isfinite(params.b_n)
+
+
 def exact_sup_distance(n: int, loc: float, scale: float) -> float:
     # noiseless KS: sup |Phi(x)^n - Gumbel CDF| on a dense grid
     xs = np.linspace(loc - 12 * scale, loc + 30 * scale, 600_001)

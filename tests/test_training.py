@@ -1,3 +1,4 @@
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -10,8 +11,8 @@ from belldist.training import (
     LOSS_LLOSS,
     LOSS_MSE,
     MlpQ,
+    TabularQ,
     TrainConfig,
-    Transition,
     compare_losses,
     greedy_return,
     loss_output_grad,
@@ -75,6 +76,60 @@ def test_bit_reproducible_per_seed():
     assert a.equals(b)
     c = run_training(env, TrainConfig(lr=0.5, epochs=40, seed=8))
     assert not a.equals(c)
+
+
+# SHA-256 over rewards, final Q, final policy and every Bellman-error batch of
+# the runs in test_replay_ring_wrap_matches_pinned_digest, taken from the
+# list-of-transitions replay this ring buffer replaced.  Tabular only: those
+# runs make no BLAS call, so the bytes do not depend on the BLAS build.
+RING_WRAP_DIGEST = "3bf2bb868c1c2b22f20d205351ee3ea1132d951d2310507a6bff40fe057f6cde"
+
+
+def test_replay_ring_wrap_matches_pinned_digest():
+    # 30 epochs x 64 steps = 1920 transitions: the 256- and 300-slot buffers
+    # wrap several times, at and off a multiple of the batch size
+    h = hashlib.sha256()
+    for env in (make_chain(5), make_random_dag(12, 4, seed=0)):
+        for capacity in (256, 300):
+            for loss in (LOSS_MSE, LOSS_LLOSS):
+                cfg = TrainConfig(loss=loss, lr=0.5, epochs=30, early_stop_patience=30,
+                                  reward_scale=2.5, replay_capacity=capacity, seed=0)
+                log = run_training(env, cfg)
+                assert log.epochs_run == 30
+                h.update(np.asarray(log.rewards, dtype="<f8").tobytes())
+                h.update(np.asarray(log.final_q, dtype="<f8").tobytes())
+                h.update(np.asarray(log.final_policy, dtype="<i8").tobytes())
+                for errs in log.bellman_errors:
+                    h.update(np.asarray(errs, dtype="<f8").tobytes())
+    assert h.hexdigest() == RING_WRAP_DIGEST
+
+
+def test_scatters_equal_unbuffered_add_at():
+    # the bincount scatters must sum each bin in input order, exactly as
+    # np.add.at does, so updates stay bit-identical
+    rng = np.random.Generator(np.random.Philox(key=5))
+    n_states, n_actions, n = 7, 3, 200
+    states = rng.integers(n_states, size=n)
+    actions = rng.integers(n_actions, size=n)
+    grad_out = rng.standard_normal(n)
+
+    table = TabularQ(n_states, n_actions, rng)
+    expected = table.values.copy()
+    delta = np.zeros_like(expected)
+    np.add.at(delta, (states, actions), grad_out)
+    expected -= 0.3 * delta
+    table.apply_output_grad(states, actions, grad_out, 0.3)
+    assert np.array_equal(table.values, expected)
+
+    net = MlpQ(n_states, n_actions, hidden=5, rng=rng)
+    g_w1 = net.output_grad_params(states, actions, grad_out)[0]
+    h = np.tanh(net.w1[states] + net.b1)
+    dq = np.zeros((n, n_actions))
+    dq[np.arange(n), actions] = grad_out
+    dpre = (dq @ net.w2.T) * (1.0 - h * h)
+    expected_w1 = np.zeros_like(net.w1)
+    np.add.at(expected_w1, states, dpre)
+    assert np.array_equal(g_w1, expected_w1)
 
 
 def test_chain_mse_recovers_optimal_policy():
@@ -154,24 +209,22 @@ def test_mlp_gradient_matches_finite_differences():
     net = MlpQ(n_states=1, n_actions=1, hidden=1, rng=rng)
     target_net = net.clone()
     cfg = TrainConfig(loss=LOSS_LLOSS, sigma=0.8, batch_size=4, lr=0.1)
-    batch = [
-        Transition(s=0, a=0, r=0.5, s_next=TERMINAL, terminal=True),
-        Transition(s=0, a=0, r=-0.25, s_next=0, terminal=False),
-        Transition(s=0, a=0, r=1.0, s_next=TERMINAL, terminal=True),
-        Transition(s=0, a=0, r=0.1, s_next=0, terminal=False),
-    ]
-    states = np.array([t.s for t in batch])
-    actions = np.array([t.a for t in batch])
+    states = np.zeros(4, dtype=np.int64)
+    actions = np.zeros(4, dtype=np.int64)
+    rewards = np.array([0.5, -0.25, 1.0, 0.1])
+    next_states = np.zeros(4, dtype=np.int64)  # terminal successors clamp to 0 too
+    live = np.array([0.0, 1.0, 0.0, 1.0])
+    batch = (states, actions, rewards, next_states, live)
 
     def batch_loss(flat):
         probe = net.clone()
         probe.set_flat(flat)
-        errs = td_errors(probe, target_net, batch, cfg)
+        errs = td_errors(probe, target_net, *batch, cfg)
         return l_loss(errs, LossConfig(sigma=cfg.sigma))
 
     flat0 = net.get_flat()
     assert flat0.size == 4
-    errs0 = td_errors(net, target_net, batch, cfg)
+    errs0 = td_errors(net, target_net, *batch, cfg)
     grad_out = loss_output_grad(errs0, cfg)
     analytic = np.concatenate(
         [g.ravel() for g in net.output_grad_params(states, actions, grad_out)]
