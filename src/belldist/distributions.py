@@ -167,6 +167,8 @@ def uniform_open(seed: int, n: int, stream: int = 0) -> np.ndarray:
     The (seed, stream) pair fully determines the output; distinct streams from
     one seed are independent.
     """
+    if n < 0:
+        raise DomainError(f"number of uniforms must be >= 0, got {n}")
     gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, stream]))
     return (gen.integers(0, 1 << 53, size=n).astype(float) + 0.5) / _TWO53
 
@@ -285,7 +287,8 @@ def fit_mle(family: Family, data: SampleBatch) -> DistSpec:
     Gumbel and Logistic use Newton iterations from moment-matched starting
     values (step tolerance 1e-10, at most 200 iterations); the returned
     log-likelihood is never below the starting value.  Normal is closed-form
-    (sample mean, population standard deviation).
+    (sample mean, population standard deviation).  Data whose standard
+    deviation overflows or underflows float64 raise ``DomainError``.
     """
     family = Family(family)
     x = data.values
@@ -293,7 +296,11 @@ def fit_mle(family: Family, data: SampleBatch) -> DistSpec:
         raise DegenerateDataError("fit_mle requires at least 2 distinct values")
     # Standardize so the solver sees O(1) numbers; this also makes the fit
     # exactly equivariant under affine maps of the data.
-    m, sd = float(np.mean(x)), float(np.std(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, sd = float(np.mean(x)), float(np.std(x))
+    if not (math.isfinite(sd) and sd > 0):
+        raise DomainError(f"fit_mle needs a standard deviation that is finite and positive "
+                          f"in float64, got {sd}")
     z = (x - m) / sd
     if family is Family.NORMAL:
         return DistSpec(family, m, sd)

@@ -3,9 +3,11 @@
 One training run is single-threaded and fully determined by its seed: every
 random draw (exploration, replay sampling, network init) comes from one
 Philox stream consumed sequentially.  The Q-function is either a plain table
-or a two-layer perceptron (one-hot state -> tanh hidden -> per-action heads)
-with a hand-written backward pass so the loss-to-parameter gradient path can
-be checked by finite differences.
+or a two-layer perceptron (one-hot state -> tanh hidden -> per-action heads).
+Both expose their full (states x actions) Q table; the training loop folds a
+batch's loss gradient into one table of the same shape, and each approximator
+backpropagates that table by hand, so the gradient path can be checked by
+finite differences.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from .errors import DomainError, TrainingError
 from .gof import ks_statistic
 from .distributions import Family, SampleBatch, fit_mle
+from .losses import LossConfig, l_loss_grad
 from .mdp import TERMINAL, TabularMdp
 
 LOSS_MSE = "mse"
@@ -30,7 +33,6 @@ class TrainConfig:
     sigma: float = 1.0
     batch_size: int = 256
     lr: float = 3e-4
-    gamma: float = 0.99
     tau: float = 0.005
     reward_scale: float = 1.0
     epochs: int = 200
@@ -54,8 +56,6 @@ class TrainConfig:
             raise DomainError("lr must be positive")
         if not 0.0 < self.tau <= 1.0:
             raise DomainError("tau must lie in (0, 1]")
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError("gamma must lie in (0, 1)")
         if not self.sigma > 0:
             raise DomainError("sigma must be positive")
         if not self.reward_scale > 0:
@@ -100,127 +100,102 @@ class TrainLog:
 # Q-function approximators
 # ---------------------------------------------------------------------------
 
-class TabularQ:
-    def __init__(self, n_states: int, n_actions: int, rng: np.random.Generator):
-        self.values = 0.01 * rng.standard_normal((n_states, n_actions))
+class QFunction:
+    """A parameterisation of the (states x actions) Q table.
 
-    def q_values(self, states: np.ndarray) -> np.ndarray:
-        return self.values[states]
+    Parameters live in one list, so copying, Polyak mixing and the descent
+    step are shared; each approximator defines ``table()`` and ``grads(dq)``,
+    the gradient of ``sum(dq * table())`` for each parameter.
+    """
 
-    def all_values(self) -> np.ndarray:
-        return self.values.copy()
+    params: list[np.ndarray]
 
-    def apply_output_grad(self, states, actions, grad_out, lr):
-        n_s, n_a = self.values.shape
-        delta = np.bincount(states * n_a + actions, weights=grad_out, minlength=n_s * n_a)
-        self.values -= lr * delta.reshape(n_s, n_a)
+    def descend(self, dq: np.ndarray, lr: float) -> None:
+        for p, g in zip(self.params, self.grads(dq)):
+            p -= lr * g
 
-    def get_flat(self) -> np.ndarray:
-        return self.values.reshape(-1).copy()
+    def mix_from(self, other: "QFunction", tau: float) -> None:
+        self.params = [(1.0 - tau) * p + tau * q for p, q in zip(self.params, other.params)]
 
-    def set_flat(self, flat: np.ndarray) -> None:
-        self.values = flat.reshape(self.values.shape).copy()
-
-    def mix_from(self, other: "TabularQ", tau: float) -> None:
-        self.values = (1.0 - tau) * self.values + tau * other.values
-
-    def clone(self) -> "TabularQ":
-        out = object.__new__(TabularQ)
-        out.values = self.values.copy()
+    def clone(self) -> "QFunction":
+        out = object.__new__(type(self))
+        out.params = [p.copy() for p in self.params]
         return out
 
 
-class MlpQ:
-    """One-hot state -> hidden tanh layer -> linear per-action outputs."""
+class TabularQ(QFunction):
+    def __init__(self, n_states: int, n_actions: int, rng: np.random.Generator):
+        self.params = [0.01 * rng.standard_normal((n_states, n_actions))]
+
+    def table(self) -> np.ndarray:
+        """The live parameter array, not a copy."""
+        return self.params[0]
+
+    def grads(self, dq: np.ndarray) -> list[np.ndarray]:
+        return [dq]
+
+
+class MlpQ(QFunction):
+    """One-hot state -> hidden tanh layer -> linear per-action outputs.
+
+    With a one-hot input the pre-activation of state s is row s of w1 plus b1,
+    so the forward and backward passes run over the S rows of w1.
+    """
 
     def __init__(self, n_states: int, n_actions: int, hidden: int, rng: np.random.Generator):
-        self.n_states = n_states
-        self.w1 = rng.standard_normal((n_states, hidden)) / math.sqrt(n_states)
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.standard_normal((hidden, n_actions)) / math.sqrt(hidden)
-        self.b2 = np.zeros(n_actions)
+        self.params = [
+            rng.standard_normal((n_states, hidden)) / math.sqrt(n_states),
+            np.zeros(hidden),
+            rng.standard_normal((hidden, n_actions)) / math.sqrt(hidden),
+            np.zeros(n_actions),
+        ]
 
-    def _hidden(self, states: np.ndarray) -> np.ndarray:
-        return np.tanh(self.w1[states] + self.b1)
+    def table(self) -> np.ndarray:
+        w1, b1, w2, b2 = self.params
+        return np.tanh(w1 + b1) @ w2 + b2
 
-    def q_values(self, states: np.ndarray) -> np.ndarray:
-        return self._hidden(states) @ self.w2 + self.b2
-
-    def all_values(self) -> np.ndarray:
-        return self.q_values(np.arange(self.n_states))
-
-    def apply_output_grad(self, states, actions, grad_out, lr):
-        g_w1, g_b1, g_w2, g_b2 = self.output_grad_params(states, actions, grad_out)
-        self.w1 -= lr * g_w1
-        self.b1 -= lr * g_b1
-        self.w2 -= lr * g_w2
-        self.b2 -= lr * g_b2
-
-    def output_grad_params(self, states, actions, grad_out):
-        """Backprop of sum_n grad_out[n] * Q(s_n, a_n) through the network."""
-        h = self._hidden(states)  # (n, H)
-        dq = np.zeros((len(states), self.b2.size))
-        dq[np.arange(len(states)), actions] = grad_out
-        g_w2 = h.T @ dq
-        g_b2 = dq.sum(axis=0)
-        dh = dq @ self.w2.T
-        dpre = dh * (1.0 - h * h)
-        n_s, n_h = self.w1.shape
-        flat = (states[:, None] * n_h + np.arange(n_h)).ravel()
-        g_w1 = np.bincount(flat, weights=dpre.ravel(), minlength=n_s * n_h).reshape(n_s, n_h)
-        g_b1 = dpre.sum(axis=0)
-        return g_w1, g_b1, g_w2, g_b2
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([self.w1.ravel(), self.b1, self.w2.ravel(), self.b2])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        sizes = [self.w1.size, self.b1.size, self.w2.size, self.b2.size]
-        parts = np.split(np.asarray(flat, dtype=float), np.cumsum(sizes)[:-1])
-        self.w1 = parts[0].reshape(self.w1.shape).copy()
-        self.b1 = parts[1].copy()
-        self.w2 = parts[2].reshape(self.w2.shape).copy()
-        self.b2 = parts[3].copy()
-
-    def mix_from(self, other: "MlpQ", tau: float) -> None:
-        for name in ("w1", "b1", "w2", "b2"):
-            mixed = (1.0 - tau) * getattr(self, name) + tau * getattr(other, name)
-            setattr(self, name, mixed)
-
-    def clone(self) -> "MlpQ":
-        out = object.__new__(MlpQ)
-        out.n_states = self.n_states
-        for name in ("w1", "b1", "w2", "b2"):
-            setattr(out, name, getattr(self, name).copy())
-        return out
+    def grads(self, dq: np.ndarray) -> list[np.ndarray]:
+        w1, b1, w2, _ = self.params
+        h = np.tanh(w1 + b1)
+        dpre = (dq @ w2.T) * (1.0 - h * h)
+        # the one-hot input makes the w1 gradient dpre itself
+        return [dpre, dpre.sum(axis=0), h.T @ dq, dq.sum(axis=0)]
 
 
-def make_qfunc(env: TabularMdp, cfg: TrainConfig, rng: np.random.Generator):
+def make_qfunc(env: TabularMdp, cfg: TrainConfig, rng: np.random.Generator) -> QFunction:
     if cfg.approximator == "tabular":
         return TabularQ(env.n_states, env.n_actions, rng)
     return MlpQ(env.n_states, env.n_actions, cfg.hidden, rng)
 
 
-def td_errors(qnet, target_net, states, actions, rewards, next_states, live,
-              cfg: TrainConfig) -> np.ndarray:
+def table_grad(states, actions, grad_out, shape: tuple[int, int]) -> np.ndarray:
+    """Fold per-sample d(loss)/dQ(s_n, a_n) into an (S, A) table.
+
+    Each cell sums its samples in batch order, exactly as ``np.add.at`` does.
+    """
+    n_s, n_a = shape
+    return np.bincount(states * n_a + actions, weights=grad_out, minlength=n_s * n_a).reshape(shape)
+
+
+def td_errors(qnet: QFunction, target_net: QFunction, states, actions, rewards, next_states,
+              live, gamma: float, cfg: TrainConfig) -> np.ndarray:
     """Target-minus-estimate residuals for a batch given as replay columns.
 
     ``rewards`` are raw environment rewards; ``cfg.reward_scale`` is applied
     here.  ``next_states`` are clamped to valid states (terminal steps carry
     state 0) and ``live`` is 0.0 for terminal steps, 1.0 otherwise.
+    ``gamma`` is the environment's discount.
     """
-    next_max = target_net.q_values(next_states).max(axis=1)
-    targets = rewards * cfg.reward_scale + cfg.gamma * live * next_max
-    preds = qnet.q_values(states)[np.arange(len(states)), actions]
-    return targets - preds
+    next_max = target_net.table().max(axis=1)[next_states]
+    targets = rewards * cfg.reward_scale + gamma * live * next_max
+    return targets - qnet.table()[states, actions]
 
 
 def loss_output_grad(errors: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """d(loss)/d(prediction) per batch element; errors are target - estimate."""
-    n = errors.size
     if cfg.loss == LOSS_MSE:
-        return -errors / n
-    return -np.tanh(errors / (2.0 * cfg.sigma)) / (n * cfg.sigma)
+        return -errors / errors.size
+    return -l_loss_grad(errors, LossConfig(sigma=cfg.sigma))
 
 
 def greedy_return(env: TabularMdp, q_table: np.ndarray, start: int = 0, cap: int | None = None) -> float:
@@ -255,6 +230,7 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     replay_live = np.zeros(capacity)  # 0.0 when the episode ended, else 1.0
     written = 0
     cap = cfg.max_episode_steps or 4 * env.n_states
+    q_shape = (env.n_states, env.n_actions)
 
     state = 0
     episode_steps = 0
@@ -269,7 +245,7 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
         frac = epoch / max(cfg.epochs - 1, 1)
         epsilon = cfg.epsilon_start + (cfg.epsilon_final - cfg.epsilon_start) * frac
         # the net only changes in the update phase, so one greedy table per epoch
-        greedy = np.argmax(qnet.all_values(), axis=1)
+        greedy = np.argmax(qnet.table(), axis=1)
 
         for _ in range(cfg.steps_per_epoch):
             if rng.random() < epsilon:
@@ -297,15 +273,15 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
                 idx = rng.integers(fill, size=cfg.batch_size)
                 states, actions = replay_s[idx], replay_a[idx]
                 errs = td_errors(qnet, target_net, states, actions, replay_r[idx],
-                                 replay_next[idx], replay_live[idx], cfg)
+                                 replay_next[idx], replay_live[idx], env.gamma, cfg)
                 if not np.all(np.isfinite(errs)):
                     raise TrainingError("training diverged (non-finite errors)", last_good)
                 grad_out = loss_output_grad(errs, cfg)
-                qnet.apply_output_grad(states, actions, grad_out, cfg.lr)
+                qnet.descend(table_grad(states, actions, grad_out, q_shape), cfg.lr)
                 target_net.mix_from(qnet, cfg.tau)
                 epoch_errors = errs
 
-        table = qnet.all_values()
+        table = qnet.table().copy()  # a tabular table() is the live array
         ret = greedy_return(env, table, cap=cap)
         rewards_log.append(ret)
         errors_log.append(epoch_errors)
@@ -319,13 +295,12 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
             if stale >= cfg.early_stop_patience:
                 break
 
-    final_q = qnet.all_values()
     return TrainLog(
         config=cfg,
         rewards=np.array(rewards_log),
         bellman_errors=errors_log,
-        final_policy=np.argmax(final_q, axis=1),
-        final_q=final_q,
+        final_policy=np.argmax(last_good, axis=1),
+        final_q=last_good,
         epochs_run=epochs_run,
     )
 

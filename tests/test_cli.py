@@ -59,6 +59,13 @@ def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fit_spread_beyond_float64_exit_code_one(tmp_path, capsys):
+    data_path = tmp_path / "huge.csv"
+    SampleBatch(np.array([1e300, -1e300, 0.0])).to_csv(data_path)
+    assert run_cli(["fit", "--input", str(data_path), "--out", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_fit_bins_must_be_integer(tmp_path, capsys):
     data_path = tmp_path / "values.csv"
     sample(DistSpec(Family.NORMAL, 0.0, 1.0), 200, seed=1).to_csv(data_path)

@@ -20,6 +20,7 @@ from belldist import (
     quantile,
     sample,
 )
+from belldist.distributions import uniform_open
 from conftest import ks_against
 
 PARAM_GRID = [
@@ -117,6 +118,12 @@ def test_sample_size_domain():
         sample(DistSpec(Family.NORMAL, 0, 1), 0, seed=1)
 
 
+def test_uniform_open_negative_count_raises_domain_error():
+    assert uniform_open(0, 0).size == 0
+    with pytest.raises(DomainError):
+        uniform_open(0, -5)
+
+
 def test_sample_mean_clt_bounds():
     n = 100_000
     logi = sample(DistSpec(Family.LOGISTIC, 0, 1), n, seed=11)
@@ -156,6 +163,17 @@ def test_fit_gumbel_consistency():
 def test_fit_degenerate_data():
     with pytest.raises(DegenerateDataError):
         fit_mle(Family.GUMBEL, SampleBatch(np.ones(10)))
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("values", [
+    [1e300, -1e300, 0.0],  # the variance overflows
+    [1.7e308, 1.7e308, 1e308],  # the mean overflows
+    [1e-320, 2e-320, 3e-320],  # the variance underflows to 0
+], ids=["variance-overflow", "mean-overflow", "variance-underflow"])
+def test_fit_spread_beyond_float64_raises_domain_error(family, values):
+    with pytest.raises(DomainError):
+        fit_mle(family, SampleBatch(np.array(values)))
 
 
 @pytest.mark.parametrize("family", [Family.GUMBEL, Family.LOGISTIC])

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 
 from belldist import DomainError, TrainingError
-from belldist.losses import LossConfig, l_loss
+from belldist.losses import LossConfig, l_loss, mse_loss
 from belldist.mdp import TERMINAL, TabularMdp, make_chain, make_random_dag, solve_qstar
 from belldist.training import (
     LOSS_LLOSS,
     LOSS_MSE,
     MlpQ,
-    TabularQ,
     TrainConfig,
     compare_losses,
     greedy_return,
     loss_output_grad,
     optimal_return,
     run_training,
+    table_grad,
     td_errors,
 )
 
@@ -104,32 +104,27 @@ def test_replay_ring_wrap_matches_pinned_digest():
     assert h.hexdigest() == RING_WRAP_DIGEST
 
 
-def test_scatters_equal_unbuffered_add_at():
-    # the bincount scatters must sum each bin in input order, exactly as
+def test_table_grad_equals_unbuffered_add_at():
+    # the bincount scatter must sum each bin in input order, exactly as
     # np.add.at does, so updates stay bit-identical
     rng = np.random.Generator(np.random.Philox(key=5))
     n_states, n_actions, n = 7, 3, 200
     states = rng.integers(n_states, size=n)
     actions = rng.integers(n_actions, size=n)
     grad_out = rng.standard_normal(n)
+    expected = np.zeros((n_states, n_actions))
+    np.add.at(expected, (states, actions), grad_out)
+    assert np.array_equal(table_grad(states, actions, grad_out, (n_states, n_actions)), expected)
 
-    table = TabularQ(n_states, n_actions, rng)
-    expected = table.values.copy()
-    delta = np.zeros_like(expected)
-    np.add.at(delta, (states, actions), grad_out)
-    expected -= 0.3 * delta
-    table.apply_output_grad(states, actions, grad_out, 0.3)
-    assert np.array_equal(table.values, expected)
 
-    net = MlpQ(n_states, n_actions, hidden=5, rng=rng)
-    g_w1 = net.output_grad_params(states, actions, grad_out)[0]
-    h = np.tanh(net.w1[states] + net.b1)
-    dq = np.zeros((n, n_actions))
-    dq[np.arange(n), actions] = grad_out
-    dpre = (dq @ net.w2.T) * (1.0 - h * h)
-    expected_w1 = np.zeros_like(net.w1)
-    np.add.at(expected_w1, states, dpre)
-    assert np.array_equal(g_w1, expected_w1)
+def test_training_discounts_with_env_gamma():
+    # Q*(0, FORWARD) of chain:4 is 1.875 at gamma 0.5; a run that discounted
+    # at 0.99 instead ends near 3.94
+    env = make_chain(4, gamma=0.5)
+    log = run_training(env, TrainConfig(lr=0.5, epochs=200, early_stop_patience=200, seed=0))
+    qstar = solve_qstar(env).values
+    assert qstar[0, 0] == pytest.approx(1.875)
+    assert np.allclose(log.final_q, qstar, atol=1e-3)
 
 
 def test_chain_mse_recovers_optimal_policy():
@@ -177,6 +172,18 @@ def test_divergence_raises_training_error():
     assert err.value.last_good is not None
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_tabular_divergence_keeps_last_good_finite():
+    # a tabular table() is the live parameter array: the per-epoch snapshot
+    # must be a copy, or the updates that diverge would overwrite it
+    cfg = TrainConfig(loss=LOSS_MSE, lr=1e18, epochs=50, seed=3)
+    with pytest.raises(TrainingError) as err:
+        run_training(make_chain(4), cfg)
+    assert err.value.last_good is not None
+    assert np.all(np.isfinite(err.value.last_good))
+
+
 def test_enhancement_zero_when_arms_tie():
     env = make_chain(4)
     cfg = TrainConfig(lr=0.5, epochs=150, seed=0)
@@ -203,39 +210,38 @@ def test_compare_losses_needs_two_seeds():
         compare_losses(make_chain(3), TrainConfig(), seeds=[1])
 
 
-def test_mlp_gradient_matches_finite_differences():
-    # 1 state, 1 action, 1 hidden unit: exactly 4 parameters
+@pytest.mark.parametrize("loss", [LOSS_MSE, LOSS_LLOSS])
+def test_mlp_gradient_matches_finite_differences(loss):
+    # 4 states, 3 actions, 5 hidden units: no parameter shape is square or
+    # shared with another, so a transposed or mis-scattered gradient fails
     rng = np.random.Generator(np.random.Philox(key=11))
-    net = MlpQ(n_states=1, n_actions=1, hidden=1, rng=rng)
+    n_states, n_actions, n = 4, 3, 12
+    net = MlpQ(n_states, n_actions, hidden=5, rng=rng)
     target_net = net.clone()
-    cfg = TrainConfig(loss=LOSS_LLOSS, sigma=0.8, batch_size=4, lr=0.1)
-    states = np.zeros(4, dtype=np.int64)
-    actions = np.zeros(4, dtype=np.int64)
-    rewards = np.array([0.5, -0.25, 1.0, 0.1])
-    next_states = np.zeros(4, dtype=np.int64)  # terminal successors clamp to 0 too
-    live = np.array([0.0, 1.0, 0.0, 1.0])
-    batch = (states, actions, rewards, next_states, live)
+    target_net.mix_from(MlpQ(n_states, n_actions, hidden=5, rng=rng), 0.5)
+    cfg = TrainConfig(loss=loss, sigma=0.8, batch_size=n, lr=0.1, reward_scale=1.5)
+    states = rng.integers(n_states, size=n)
+    actions = rng.integers(n_actions, size=n)
+    rewards = rng.standard_normal(n)
+    next_states = rng.integers(n_states, size=n)
+    live = (rng.random(n) < 0.7).astype(float)
+    batch = (states, actions, rewards, next_states, live, 0.9, cfg)
 
-    def batch_loss(flat):
-        probe = net.clone()
-        probe.set_flat(flat)
-        errs = td_errors(probe, target_net, *batch, cfg)
-        return l_loss(errs, LossConfig(sigma=cfg.sigma))
+    def batch_loss(probe):
+        errs = td_errors(probe, target_net, *batch)
+        return mse_loss(errs) if loss == LOSS_MSE else l_loss(errs, LossConfig(sigma=cfg.sigma))
 
-    flat0 = net.get_flat()
-    assert flat0.size == 4
-    errs0 = td_errors(net, target_net, *batch, cfg)
-    grad_out = loss_output_grad(errs0, cfg)
-    analytic = np.concatenate(
-        [g.ravel() for g in net.output_grad_params(states, actions, grad_out)]
-    )
+    grad_out = loss_output_grad(td_errors(net, target_net, *batch), cfg)
+    analytic = net.grads(table_grad(states, actions, grad_out, (n_states, n_actions)))
+    assert [g.shape for g in analytic] == [p.shape for p in net.params]
     h = 1e-6
-    for i in range(4):
-        up, dn = flat0.copy(), flat0.copy()
-        up[i] += h
-        dn[i] -= h
-        numeric = (batch_loss(up) - batch_loss(dn)) / (2.0 * h)
-        assert abs(numeric - analytic[i]) < 1e-5
+    for k, param in enumerate(net.params):
+        for i in range(param.size):
+            up, dn = net.clone(), net.clone()
+            up.params[k].flat[i] += h
+            dn.params[k].flat[i] -= h
+            numeric = (batch_loss(up) - batch_loss(dn)) / (2.0 * h)
+            assert abs(numeric - analytic[k].flat[i]) < 1e-5
 
 
 def test_mlp_trains_chain():
