@@ -1,21 +1,27 @@
 """Command-line front end: every experiment is a seeded subcommand.
 
-Exit codes: 0 success, 1 domain/contract errors, 2 usage errors.  Each run
-writes a ``run_manifest.json`` next to its outputs (atomically, tmp+rename)
-recording the subcommand, the fully resolved arguments (defaults included),
-the tool version, the produced files and the wall time.  Output CSVs use '.'
-decimals, '\\n' newlines and always carry a header row; JSON is emitted with
-sorted keys so reruns diff cleanly.  No environment variables are consulted;
-output is plain text, so NO_COLOR holds trivially.
+Exit codes: 0 success, 1 domain/contract errors, 2 usage errors.  This module
+is the only one in the package that touches files.  Each handler computes its
+result, prints its summary to stdout and returns its output files as
+``{file name: text}``; only once the handler has succeeded does ``main``
+create ``--out`` and write each file, then ``run_manifest.json``, every one
+atomically (tmp+rename), so a failed command leaves nothing behind.  The
+manifest records the subcommand, the fully resolved arguments (defaults
+included), the tool version, the produced files and the wall time.  Output
+CSVs use '.' decimals, '\\n' newlines and always carry a header row; JSON is
+emitted with sorted keys so reruns diff cleanly.  No environment variables are
+consulted; output is plain text, so NO_COLOR holds trivially.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +29,7 @@ import numpy as np
 from . import __version__
 from . import gof
 from .distributions import DistSpec, Family, SampleBatch, normal_max_quantile, uniform_open
-from .errors import BelldistError
+from .errors import BelldistError, DomainError
 from .gumbel_algebra import kl_bound
 from .losses import LN4, LossConfig, l_loss, mse_loss
 from .mdp import TabularMdp, example1_row_errors, make_chain, make_example1, make_random_dag
@@ -33,33 +39,39 @@ from .scaling import RewardSample, scaling_curve
 from .training import TrainConfig, compare_losses, run_training
 
 
-def _write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace,
-                    outputs: list[str], started: float) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "argv": sys.argv[1:],
-        "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "seed": args.seed,
-        "version": __version__,
-        "outputs": sorted(outputs),
-        "wall_time_s": time.monotonic() - started,
-    }
-    tmp = out_dir / "run_manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2, default=str) + "\n")
-    os.replace(tmp, out_dir / "run_manifest.json")
+def _write(path: Path, text: str) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _json(obj, indent: int | None = 2) -> str:
+    return json.dumps(obj, sort_keys=True, indent=indent)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _csv(header: list[str], rows) -> str:
+    """CSV text with a header row; floats (numpy's too) are written as
+    ``repr(float(v))``, the shortest text that reads back to the same bits."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _read_values(path: str) -> SampleBatch:
+    """A single-column CSV with header 'value', as ``_csv(["value"], ...)`` writes it."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise BelldistError(f"{path}: cannot read: {exc.strerror}") from exc
+    if not rows or rows[0] != ["value"]:
+        raise DomainError(f"{path}: expected a single-column CSV with header 'value'")
+    try:
+        values = np.array([float(r[0]) for r in rows[1:]])
+    except (ValueError, IndexError) as exc:
+        raise DomainError(f"{path}: every row after the header must hold one number") from exc
+    return SampleBatch(values)
 
 
 def _int_list(text: str, what: str) -> list[int]:
@@ -104,32 +116,33 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers (each returns the list of files it wrote)
+# Subcommand handlers (each returns its output files as {file name: text})
 # ---------------------------------------------------------------------------
 
-def cmd_example1(args) -> list[str]:
-    out = _out_dir(args)
+def cmd_example1(args) -> dict[str, str]:
     init = DistSpec(Family(args.init), 0.0, 1.0)
-    outputs = []
+    files = {}
     for t in range(1, args.iters + 1):
         snap = example1_row_errors(t, seed=args.seed, init=init)
-        csv_path = out / f"errors_t{t}.csv"
-        snap.to_csv(csv_path)
-        outputs.append(str(csv_path))
+        files[f"errors_t{t}.csv"] = _csv(
+            ["t", "state", "action", "eps_gap", "bellman_err"],
+            (
+                (snap.t, int(state), a, gap, err)
+                for state, gap_row, err_row in zip(snap.state_ids, snap.eps_gap, snap.bellman_err)
+                for a, (gap, err) in enumerate(zip(gap_row, err_row))
+            ),
+        )
         fits = {
             "eps_gap": [r.to_dict() for r in gof.rank_families(SampleBatch(snap.eps_gap_flat))],
             "bellman_err": [r.to_dict() for r in gof.rank_families(SampleBatch(snap.bellman_err_flat))],
         }
-        json_path = out / f"fits_t{t}.json"
-        json_path.write_text(json.dumps(fits, sort_keys=True, indent=2) + "\n")
-        outputs.append(str(json_path))
-    print(f"wrote {len(outputs)} files to {out}")
-    return outputs
+        files[f"fits_t{t}.json"] = _json(fits) + "\n"
+    print(f"wrote {len(files)} files to {Path(args.out)}")
+    return files
 
 
-def cmd_fit(args) -> list[str]:
-    out = _out_dir(args)
-    data = SampleBatch.from_csv(args.input)
+def cmd_fit(args) -> dict[str, str]:
+    data = _read_values(args.input)
     if args.bins == "fd":
         bins = "fd"
     else:
@@ -138,15 +151,12 @@ def cmd_fit(args) -> list[str]:
         except ValueError as exc:
             raise BelldistError(f"--bins must be 'fd' or an integer, got {args.bins!r}") from exc
     reports = gof.rank_families(data, n_bins=bins, ks_mode=args.ks_mode)
-    outputs = []
+    text = _json([r.to_dict() for r in reports])
+    files = {}
     if args.format in ("json", "both"):
-        path = out / "fit_reports.json"
-        path.write_text(gof.reports_to_json(reports) + "\n")
-        outputs.append(str(path))
+        files["fit_reports.json"] = text + "\n"
     if args.format in ("csv", "both"):
-        path = out / "fit_summary.csv"
-        _write_csv(
-            path,
+        files["fit_summary.csv"] = _csv(
             ["family", "r2", "sse", "rmse", "ks", "location", "scale", "n_bins", "n_samples"],
             [
                 (r.family.value, r.r2, r.sse, r.rmse, r.ks, r.params.location,
@@ -154,26 +164,21 @@ def cmd_fit(args) -> list[str]:
                 for r in reports
             ],
         )
-        outputs.append(str(path))
-    print(gof.reports_to_json(reports))
-    return outputs
+    print(text)
+    return files
 
 
-def cmd_klbound(args) -> list[str]:
-    out = _out_dir(args)
-    report = kl_bound(args.astar, args.gamma)
-    path = out / "klbound.json"
-    path.write_text(report.to_json() + "\n")
-    print(report.to_json())
-    return [str(path)]
+def cmd_klbound(args) -> dict[str, str]:
+    text = kl_bound(args.astar, args.gamma).to_json()
+    print(text)
+    return {"klbound.json": text + "\n"}
 
 
-def cmd_normal_max(args) -> list[str]:
+def cmd_normal_max(args) -> dict[str, str]:
     if args.mc < 0:
         raise BelldistError(f"--mc must be >= 0, got {args.mc}")
-    out = _out_dir(args)
     params = normal_max_gumbel(args.n)
-    payload = json.loads(params.to_json())
+    payload = asdict(params)
     if args.mc:
         if params.a_n > 0:
             draws = normal_max_quantile(uniform_open(args.seed, args.mc), float(args.n))
@@ -189,64 +194,53 @@ def cmd_normal_max(args) -> list[str]:
                 "ks": None,
                 "note": "scale is non-positive at this n; approximation invalid",
             }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    path = out / "normal_max.json"
-    path.write_text(text + "\n")
+    text = _json(payload)
     print(text)
-    return [str(path)]
+    return {"normal_max.json": text + "\n"}
 
 
-def cmd_sampling_error(args) -> list[str]:
-    out = _out_dir(args)
+def cmd_sampling_error(args) -> dict[str, str]:
     sizes = _int_list(args.n, "--n")
     rows = [(n, sampling_error(n, args.a, args.b).s_e) for n in sizes]
-    path = out / "sampling_error.csv"
-    _write_csv(path, ["n", "s_e"], rows)
     for n, se in rows:
         print(f"{n},{se:.6e}")
-    return [str(path)]
+    return {"sampling_error.csv": _csv(["n", "s_e"], rows)}
 
 
-def cmd_scaling(args) -> list[str]:
-    out = _out_dir(args)
-    rewards = SampleBatch.from_csv(args.rewards).values
+def cmd_scaling(args) -> dict[str, str]:
+    rewards = _read_values(args.rewards).values
     sample = RewardSample(rewards, args.beta)
     grid = _parse_grid(args.phi_grid)
     curve = scaling_curve(sample, grid)
-    csv_path = out / "scaling_curve.csv"
-    _write_csv(
-        csv_path,
-        ["phi", "expected_error", "below_regime"],
-        [
-            (float(p), float(e), int(b))
-            for p, e, b in zip(curve.phi_grid, curve.expectations, curve.below_regime)
-        ],
-    )
     summary = {
         "cond1": curve.cond1,
         "cond2": curve.cond2,
         "phi_star": curve.phi_star,
         "beta": args.beta,
     }
-    json_path = out / "scaling_summary.json"
-    json_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    print(json.dumps(summary, sort_keys=True))
-    return [str(csv_path), str(json_path)]
+    print(_json(summary, indent=None))
+    return {
+        "scaling_curve.csv": _csv(
+            ["phi", "expected_error", "below_regime"],
+            [
+                (p, e, int(b))
+                for p, e, b in zip(curve.phi_grid, curve.expectations, curve.below_regime)
+            ],
+        ),
+        "scaling_summary.json": _json(summary) + "\n",
+    }
 
 
-def cmd_losscheck(args) -> list[str]:
-    out = _out_dir(args)
+def cmd_losscheck(args) -> dict[str, str]:
     grid = _parse_grid(args.t_grid)
     cfg = LossConfig(sigma=1.0)
     rows = []
     for t in grid:
         ll = l_loss(np.array([t]), cfg)
         mse_plus = LN4 + 0.5 * mse_loss(np.array([t]))
-        rows.append((float(t), ll, mse_plus, abs(ll - mse_plus)))
-    path = out / "losscheck.csv"
-    _write_csv(path, ["t", "lloss", "mse_plus_ln4", "gap"], rows)
-    print(f"wrote {path}")
-    return [str(path)]
+        rows.append((t, ll, mse_plus, abs(ll - mse_plus)))
+    print(f"wrote {Path(args.out) / 'losscheck.csv'}")
+    return {"losscheck.csv": _csv(["t", "lloss", "mse_plus_ln4", "gap"], rows)}
 
 
 def _train_config(args) -> TrainConfig:
@@ -263,31 +257,20 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def cmd_train(args) -> list[str]:
-    out = _out_dir(args)
+def cmd_train(args) -> dict[str, str]:
     env = parse_env(args.env, seed=args.seed)
     log = run_training(env, _train_config(args))
-    outputs = []
-    curve = out / "reward_curve.csv"
-    _write_csv(curve, ["epoch", "reward"], list(enumerate(map(float, log.rewards))))
-    outputs.append(str(curve))
+    files = {"reward_curve.csv": _csv(["epoch", "reward"], enumerate(log.rewards))}
     for epoch, errs in enumerate(log.bellman_errors):
         if errs.size:
-            path = out / f"bellman_errors_epoch{epoch}.csv"
-            SampleBatch(errs).to_csv(path)
-            outputs.append(str(path))
-    policy_path = out / "policy.json"
-    policy_path.write_text(
-        json.dumps({"greedy_policy": log.final_policy.tolist(),
-                    "epochs_run": log.epochs_run}, sort_keys=True) + "\n"
-    )
-    outputs.append(str(policy_path))
+            files[f"bellman_errors_epoch{epoch}.csv"] = _csv(["value"], zip(errs))
+    files["policy.json"] = _json({"greedy_policy": log.final_policy.tolist(),
+                                  "epochs_run": log.epochs_run}, indent=None) + "\n"
     print(f"trained {log.epochs_run} epochs; final return {log.rewards[-1]}")
-    return outputs
+    return files
 
 
-def cmd_compare(args) -> list[str]:
-    out = _out_dir(args)
+def cmd_compare(args) -> dict[str, str]:
     env = parse_env(args.env, seed=args.seed)
     seeds = _int_list(args.seeds, "--seeds")
     base = _train_config(args)
@@ -301,11 +284,9 @@ def cmd_compare(args) -> list[str]:
         "logistic_vs_normal_wins": result.logistic_vs_normal_wins,
         "comparisons": result.comparisons,
     }
-    path = out / "comparison.json"
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    path.write_text(text + "\n")
+    text = _json(payload)
     print(text)
-    return [str(path)]
+    return {"comparison.json": text + "\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +376,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _manifest(args, out: Path, files: dict[str, str], started: float) -> str:
+    manifest = {
+        "subcommand": args.subcommand,
+        "argv": sys.argv[1:],
+        "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "seed": args.seed,
+        "version": __version__,
+        "outputs": sorted(str(out / name) for name in files),
+        "wall_time_s": time.monotonic() - started,
+    }
+    return json.dumps(manifest, sort_keys=True, indent=2, default=str) + "\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        outputs = args.func(args)
+        files = args.func(args)
     except BelldistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(_out_dir(args), args.subcommand, args, outputs, started)
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            _write(out / name, text)
+        _write(out / "run_manifest.json", _manifest(args, out, files, started))
+    except OSError as exc:
+        print(f"error: {args.out}: cannot write: {exc.strerror}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,23 +1,21 @@
 """Gumbel, Logistic and Normal families: exact densities, sampling, MLE.
 
-Everything here is a pure function of its inputs.  Sampling is inverse-CDF
+Everything here is a pure function of its inputs and does no file I/O
+(reading and writing value CSVs is the CLI's job).  Sampling is inverse-CDF
 over a counter-based (Philox) generator keyed by the seed, so results are
 reproducible across platforms and thread counts.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit, logit, ndtr, ndtri
 
-from .errors import BelldistError, DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError
 
 # Euler-Mascheroni constant; the mean of a standard Gumbel is exactly this.
 EULER_MASCHERONI = 0.57721566490153286061
@@ -62,17 +60,6 @@ class DistSpec:
             return self.scale * math.pi / math.sqrt(3.0)
         return self.scale
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"family": self.family.value, "location": self.location, "scale": self.scale},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DistSpec":
-        obj = json.loads(text)
-        return cls(Family(obj["family"]), obj["location"], obj["scale"])
-
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -93,28 +80,6 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return self.values.size
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["value"])
-            for v in self.values:
-                writer.writerow([repr(float(v))])
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "SampleBatch":
-        try:
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-        except OSError as exc:
-            raise BelldistError(f"{path}: cannot read: {exc.strerror}") from exc
-        if not rows or rows[0] != ["value"]:
-            raise DomainError(f"{path}: expected a single-column CSV with header 'value'")
-        try:
-            values = np.array([float(r[0]) for r in rows[1:]])
-        except (ValueError, IndexError) as exc:
-            raise DomainError(f"{path}: every row after the header must hold one number") from exc
-        return cls(values)
 
 
 # ---------------------------------------------------------------------------

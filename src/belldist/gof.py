@@ -7,7 +7,6 @@ move with the bin count, which is why both are reported side by side.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +128,3 @@ def rank_families(
     reports = [fit_report(data, fam, n_bins, ks_mode) for fam in Family]
     return sorted(reports, key=lambda r: r.ks)
 
-
-def reports_to_json(reports: list[FitReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)

@@ -9,10 +9,8 @@ estimate).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp
@@ -173,23 +171,6 @@ class ErrorSnapshot:
     @property
     def bellman_err_flat(self) -> np.ndarray:
         return self.bellman_err.reshape(-1)
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "state", "action", "eps_gap", "bellman_err"])
-            n_actions = self.eps_gap.shape[1]
-            for row, state in enumerate(self.state_ids):
-                for a in range(n_actions):
-                    writer.writerow(
-                        [
-                            self.t,
-                            int(state),
-                            a,
-                            repr(float(self.eps_gap[row, a])),
-                            repr(float(self.bellman_err[row, a])),
-                        ]
-                    )
 
 
 def snapshot_errors(mdp: TabularMdp, q: QTable, qstar: QTable) -> ErrorSnapshot:

@@ -16,12 +16,11 @@ returned values against a Monte Carlo reference, e.g. via the CLI's
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 
-from scipy.special import gamma, lambertw
+from scipy.special import lambertw
 
 from .errors import DomainError
 
@@ -42,43 +41,26 @@ class NormalMaxParams:
     b_n: float
     intermediates: dict
 
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "nu": self.nu,
-            "a_n": self.a_n,
-            "b_n": self.b_n,
-            "intermediates": self.intermediates,
-        }
-        return json.dumps(payload, sort_keys=True)
 
-
-def normal_max_gumbel(n: int, nu: float = 2.0) -> NormalMaxParams:
+def normal_max_gumbel(n: int) -> NormalMaxParams:
     """Gumbel parameters approximating the law of max of n standard Normals.
 
-    At nu = 2 the constants reduce to theta = 1, C = 1/2, D0 = 1/sqrt(2*pi),
-    D1 = -1, D2 = 3, and the Lambert root satisfies
-    beta = sqrt(W0((D0*n)^2)), i.e. n * D0 * exp(-C*beta^2) / (2*C*beta) = 1.
-    Only nu = 2 is exercised by the tests; other nu values run through the
-    same formulas unchecked.
+    The constants are theta = 1, C = 1/2, D0 = 1/sqrt(2*pi), D1 = -1, D2 = 3,
+    and the Lambert root satisfies beta = sqrt(W0((D0*n)^2)), i.e.
+    n * D0 * exp(-C*beta^2) / (2*C*beta) = 1.  An n whose (D0*n)^2 exceeds
+    float64 raises ``DomainError``.
     """
     if n < 2:
         raise DomainError(f"normal_max_gumbel requires n >= 2, got {n}")
-    if not nu > 1:
-        raise DomainError(f"nu must exceed 1, got {nu}")
-    theta = nu - 1.0
-    gamma_1, gamma_3 = float(gamma(1.0 / nu)), float(gamma(3.0 / nu))
-    c = (gamma_3 / gamma_1) ** (nu / 2.0)
-    d0 = c ** ((1.0 - nu) / nu) / (2.0 * gamma_1)
-    d1 = -(1.0 - 1.0 / nu) / c
-    d2 = (1.0 - 1.0 / nu) * (2.0 - 1.0 / nu) / (c * c)
-    # for nu near 1 the exponent nu/theta is huge: refuse a w_arg (or its
-    # power factor) beyond float64 instead of letting the power overflow
-    log_power = (nu / theta) * math.log(d0 * n)
-    if max(log_power, log_power + math.log(nu * c / theta)) > _LOG_DBL_MAX:
-        raise DomainError(
-            f"normal_max_gumbel(n={n}, nu={nu}): the Lambert-W argument exceeds float64"
-        )
+    # the standard Normal density is D0 * exp(-C * |x|^nu) at nu = 2, with
+    # theta = nu - 1; D0 is C^((1 - nu)/nu) / (2 * Gamma(1/nu)) written so that
+    # it keeps that formula's bits (1/sqrt(2*pi) is one ulp below it)
+    nu, theta, c, d1, d2 = 2.0, 1.0, 0.5, -1.0, 3.0
+    d0 = 0.5**-0.5 / (2.0 * math.sqrt(math.pi))
+    # refuse a Lambert-W argument beyond float64 instead of letting the power
+    # overflow; log(n) also takes integers too large for a float
+    if 2.0 * (math.log(n) + math.log(d0)) > _LOG_DBL_MAX:
+        raise DomainError(f"normal_max_gumbel(n={n}): the Lambert-W argument exceeds float64")
     w_arg = (nu * c / theta) * (d0 * n) ** (nu / theta)
     # w_arg > 0, so W0 is real and away from its branch point at -1/e
     beta = (theta / (nu * c)) * float(lambertw(w_arg).real) ** (1.0 / nu)

@@ -44,7 +44,6 @@ class TrainConfig:
     early_stop_patience: int = 50
     approximator: str = "tabular"  # "tabular" | "mlp"
     hidden: int = 32
-    max_episode_steps: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -198,11 +197,11 @@ def loss_output_grad(errors: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     return -l_loss_grad(errors, LossConfig(sigma=cfg.sigma))
 
 
-def greedy_return(env: TabularMdp, q_table: np.ndarray, start: int = 0, cap: int | None = None) -> float:
-    """Undiscounted return of the greedy policy from ``start``."""
-    cap = cap if cap is not None else 4 * env.n_states
+def greedy_return(env: TabularMdp, q_table: np.ndarray, start: int = 0) -> float:
+    """Undiscounted return of the greedy policy from ``start``, over at most
+    4 * n_states steps (the episode cap of training)."""
     s, total = start, 0.0
-    for _ in range(cap):
+    for _ in range(4 * env.n_states):
         a = int(np.argmax(q_table[s]))
         total += env.reward[s, a]
         nxt = int(env.transition[s, a])
@@ -210,10 +209,6 @@ def greedy_return(env: TabularMdp, q_table: np.ndarray, start: int = 0, cap: int
             break
         s = nxt
     return total
-
-
-def optimal_return(env: TabularMdp, qstar: np.ndarray, start: int = 0) -> float:
-    return greedy_return(env, qstar, start=start, cap=4 * env.n_states)
 
 
 def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
@@ -229,7 +224,7 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     replay_next = np.zeros(capacity, dtype=np.int64)  # successor, 0 when terminal
     replay_live = np.zeros(capacity)  # 0.0 when the episode ended, else 1.0
     written = 0
-    cap = cfg.max_episode_steps or 4 * env.n_states
+    cap = 4 * env.n_states  # steps before an episode restarts from state 0
     q_shape = (env.n_states, env.n_actions)
 
     state = 0
@@ -282,7 +277,7 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
                 epoch_errors = errs
 
         table = qnet.table().copy()  # a tabular table() is the live array
-        ret = greedy_return(env, table, cap=cap)
+        ret = greedy_return(env, table)
         rewards_log.append(ret)
         errors_log.append(epoch_errors)
         epochs_run = epoch + 1

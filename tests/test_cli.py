@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -5,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from belldist import DistSpec, Family, SampleBatch, sample
-from belldist.cli import build_parser, main
+from belldist import DistSpec, Family, sample
+from belldist.cli import _csv, _read_values, build_parser, main
 
 
 def run_cli(args: list[str]) -> int:
@@ -15,6 +16,12 @@ def run_cli(args: list[str]) -> int:
 
 def read_json(path: Path):
     return json.loads(path.read_text())
+
+
+def write_values(path: Path, values) -> str:
+    """A single-column value CSV, the input format of ``fit`` and ``scaling``."""
+    path.write_text("value\n" + "".join(f"{float(v)!r}\n" for v in values))
+    return str(path)
 
 
 def test_usage_error_exit_code_two():
@@ -48,28 +55,63 @@ def test_contract_violation_exit_code_one(tmp_path, capsys, argv):
     ["compare", "--env", "chain:3", "--seeds", "0,x"],
     ["train", "--env", "{missing}.json"],
     ["train", "--env", "{partial}"],
+    ["fit", "--input", "{non-numeric}"],
+    ["fit", "--input", "{empty-row}"],
+    ["fit", "--input", "{no-header}"],
 ], ids=["sampling-error-n", "train-chain", "train-dag", "normal-max-mc", "fit-input",
-        "compare-seeds", "train-json-missing", "train-json-fields"])
+        "compare-seeds", "train-json-missing", "train-json-fields", "fit-input-non-numeric",
+        "fit-input-empty-row", "fit-input-no-header"])
 def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
-    missing = str(tmp_path / "no-such-file")
-    partial = tmp_path / "partial.json"
-    partial.write_text('{"n_states": 2}')
-    argv = [a.replace("{missing}", missing).replace("{partial}", str(partial)) for a in argv]
+    files = {
+        "{missing}": tmp_path / "no-such-file",
+        "{partial}": tmp_path / "partial.json",
+        "{non-numeric}": tmp_path / "non-numeric.csv",
+        "{empty-row}": tmp_path / "empty-row.csv",
+        "{no-header}": tmp_path / "no-header.csv",
+    }
+    files["{partial}"].write_text('{"n_states": 2}')
+    files["{non-numeric}"].write_text("value\n1.5\nabc\n")
+    files["{empty-row}"].write_text("value\n1.5\n\n2.5\n")
+    files["{no-header}"].write_text("1.5\n2.5\n")
+    for key, path in files.items():
+        argv = [a.replace(key, str(path)) for a in argv]
     assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_command_writes_nothing(tmp_path):
+    # the run fails in TrainConfig, after argument parsing: --out must not appear
+    out = tmp_path / "D"
+    assert run_cli(["train", "--env", "chain:3", "--epochs", "0", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_unwritable_out_exit_code_one(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")  # a file where the output directory should go
+    assert run_cli(["klbound", "--astar", "1", "--gamma", "0.9", "--out", str(taken)]) == 1
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_value_csv_roundtrip(tmp_path):
+    batch = sample(DistSpec(Family.LOGISTIC, 0.1, 0.9), 257, seed=3)
+    path = tmp_path / "values.csv"
+    path.write_text(_csv(["value"], zip(batch.values)))
+    assert path.read_text().splitlines()[0] == "value"
+    assert np.array_equal(_read_values(str(path)).values, batch.values)
 
 
 def test_fit_spread_beyond_float64_exit_code_one(tmp_path, capsys):
-    data_path = tmp_path / "huge.csv"
-    SampleBatch(np.array([1e300, -1e300, 0.0])).to_csv(data_path)
-    assert run_cli(["fit", "--input", str(data_path), "--out", str(tmp_path)]) == 1
+    data_path = write_values(tmp_path / "huge.csv", [1e300, -1e300, 0.0])
+    assert run_cli(["fit", "--input", data_path, "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
 
 
 def test_fit_bins_must_be_integer(tmp_path, capsys):
-    data_path = tmp_path / "values.csv"
-    sample(DistSpec(Family.NORMAL, 0.0, 1.0), 200, seed=1).to_csv(data_path)
-    argv = ["fit", "--input", str(data_path), "--bins", "abc", "--out", str(tmp_path)]
+    values = sample(DistSpec(Family.NORMAL, 0.0, 1.0), 200, seed=1).values
+    data_path = write_values(tmp_path / "values.csv", values)
+    argv = ["fit", "--input", data_path, "--bins", "abc", "--out", str(tmp_path)]
     assert run_cli(argv) == 1
     assert "--bins" in capsys.readouterr().err
 
@@ -122,12 +164,13 @@ def test_example1_outputs_and_byte_identical_rerun(tmp_path):
     assert manifest["seed"] == 7
     assert manifest["args"]["init"] == "normal"  # defaults echoed
     assert len(manifest["outputs"]) == 8
+    assert not list(out1.glob("*.tmp"))  # every write was renamed into place
 
 
 def test_fit_roundtrip(tmp_path):
-    data_path = tmp_path / "data.csv"
-    sample(DistSpec(Family.LOGISTIC, 1.0, 0.5), 20_000, seed=3).to_csv(data_path)
-    rc = run_cli(["fit", "--input", str(data_path), "--out", str(tmp_path)])
+    values = sample(DistSpec(Family.LOGISTIC, 1.0, 0.5), 20_000, seed=3).values
+    data_path = write_values(tmp_path / "data.csv", values)
+    rc = run_cli(["fit", "--input", data_path, "--out", str(tmp_path)])
     assert rc == 0
     reports = read_json(tmp_path / "fit_reports.json")
     assert reports[0]["family"] == "logistic"
@@ -149,10 +192,9 @@ def test_normal_max_with_mc(tmp_path):
 
 
 def test_scaling_outputs(tmp_path):
-    rewards_path = tmp_path / "rewards.csv"
-    SampleBatch(np.array([1.0] + [-1.0] * 10)).to_csv(rewards_path)
+    rewards_path = write_values(tmp_path / "rewards.csv", [1.0] + [-1.0] * 10)
     rc = run_cli([
-        "scaling", "--rewards", str(rewards_path), "--beta", "1.0",
+        "scaling", "--rewards", rewards_path, "--beta", "1.0",
         "--phi-grid", "0.5:3:26", "--out", str(tmp_path),
     ])
     assert rc == 0
@@ -226,13 +268,13 @@ def test_mdp_json_env_loading(tmp_path):
 
 
 def test_every_subcommand_accepts_seed_and_reruns_identically(tmp_path):
-    data_path = tmp_path / "vals.csv"
-    sample(DistSpec(Family.NORMAL, 0.0, 1.0), 500, seed=1).to_csv(data_path)
+    values = sample(DistSpec(Family.NORMAL, 0.0, 1.0), 500, seed=1).values
+    data_path = write_values(tmp_path / "vals.csv", values)
     invocations = [
         ["sampling-error", "--n", "4,8", "--seed", "3"],
         ["klbound", "--astar", "2", "--gamma", "0.95", "--seed", "3"],
         ["losscheck", "--t-grid", "0:0.5:5", "--seed", "3"],
-        ["fit", "--input", str(data_path), "--seed", "3"],
+        ["fit", "--input", data_path, "--seed", "3"],
     ]
     for i, argv in enumerate(invocations):
         d1, d2 = tmp_path / f"r{i}a", tmp_path / f"r{i}b"
@@ -241,3 +283,36 @@ def test_every_subcommand_accepts_seed_and_reruns_identically(tmp_path):
         for f in d1.iterdir():
             if f.name != "run_manifest.json":  # manifest records wall time
                 assert f.read_bytes() == (d2 / f.name).read_bytes(), f.name
+
+
+# SHA-256 over the output files (name and bytes, manifest excluded) of the
+# runs in test_outputs_match_pinned_digest, taken before the CLI's writes were
+# gathered into one place.  Tabular runs only, so no output depends on BLAS.
+PINNED_RUNS = [
+    ["klbound", "--astar", "100", "--gamma", "0.99"],
+    ["sampling-error", "--n", "2,16,256"],
+    ["scaling", "--rewards", "{rewards}", "--beta", "1.0", "--phi-grid", "0.5:3:26"],
+    ["losscheck", "--t-grid=-0.5:0.5:21"],
+    ["example1", "--seed", "7", "--iters", "2"],
+    ["fit", "--input", "{values}", "--bins", "fd"],
+    ["train", "--env", "chain:4", "--loss", "lloss", "--lr", "0.5", "--epochs", "30",
+     "--seed", "1"],
+    ["compare", "--env", "dag:8,3", "--lr", "0.5", "--epochs", "20", "--seeds", "0,1"],
+]
+OUTPUTS_DIGEST = "d7395b7f950eaff8acf39c69d06531ce85d2e1a7fba65181498a938a28722aaa"
+
+
+def test_outputs_match_pinned_digest(tmp_path):
+    inputs = {
+        "{rewards}": write_values(tmp_path / "rewards.csv", [1.0] + [-1.0] * 10),
+        "{values}": write_values(tmp_path / "values.csv",
+                                 sample(DistSpec(Family.LOGISTIC, 1.0, 0.5), 2000, seed=3).values),
+    }
+    h = hashlib.sha256()
+    for i, argv in enumerate(PINNED_RUNS):
+        out = tmp_path / f"run{i}"
+        assert run_cli([inputs.get(a, a) for a in argv] + ["--out", str(out)]) == 0
+        for f in sorted(out.iterdir()):
+            if f.name != "run_manifest.json":  # manifest records wall time
+                h.update(f.name.encode() + b"\0" + f.read_bytes())
+    assert h.hexdigest() == OUTPUTS_DIGEST

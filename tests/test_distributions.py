@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ from scipy.integrate import quad
 
 from belldist import (
     EULER_MASCHERONI,
-    BelldistError,
     DegenerateDataError,
     DistSpec,
     DomainError,
@@ -207,35 +205,3 @@ def test_sample_batch_validation():
         SampleBatch(np.array([1.0, math.inf]))
     with pytest.raises(DomainError):
         SampleBatch(np.array([[1.0, 2.0]]))
-
-
-def test_sample_batch_csv_roundtrip(tmp_path):
-    batch = sample(DistSpec(Family.LOGISTIC, 0.1, 0.9), 257, seed=3)
-    path = tmp_path / "values.csv"
-    batch.to_csv(path)
-    text = path.read_text()
-    assert text.splitlines()[0] == "value"
-    loaded = SampleBatch.from_csv(path)
-    assert np.array_equal(loaded.values, batch.values)
-
-
-@pytest.mark.parametrize("body", ["value\n1.5\nabc\n", "value\n1.5\n\n2.5\n"],
-                         ids=["non-numeric", "empty-row"])
-def test_sample_batch_csv_malformed_rows_raise_domain_error(tmp_path, body):
-    path = tmp_path / "values.csv"
-    path.write_text(body)
-    with pytest.raises(DomainError):
-        SampleBatch.from_csv(path)
-
-
-def test_sample_batch_csv_missing_file_raises_belldist_error(tmp_path):
-    with pytest.raises(BelldistError):
-        SampleBatch.from_csv(tmp_path / "missing.csv")
-
-
-def test_distspec_json_roundtrip():
-    d = DistSpec(Family.GUMBEL, -0.25, 7.5)
-    loaded = DistSpec.from_json(d.to_json())
-    assert loaded == d
-    obj = json.loads(d.to_json())
-    assert set(obj) == {"family", "location", "scale"}

@@ -217,17 +217,6 @@ def test_snapshot_sign_convention():
     assert np.allclose(snap.eps_gap[0], 1.0)
 
 
-def test_snapshot_csv_layout(tmp_path):
-    mdp = make_chain(3)
-    qstar = solve_qstar(mdp)
-    snap = snapshot_errors(mdp, qstar, qstar)
-    path = tmp_path / "snap.csv"
-    snap.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,state,action,eps_gap,bellman_err"
-    assert len(lines) == 1 + 3 * 2
-
-
 def test_snapshot_by_state():
     mdp = make_chain(3)
     qstar = solve_qstar(mdp)

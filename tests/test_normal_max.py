@@ -37,17 +37,11 @@ def test_domain():
         normal_max_gumbel(1)
 
 
-@pytest.mark.parametrize("n, nu", [(1000, 1.001), (10**300, 2.0)])
-def test_lambert_argument_beyond_float64_raises_domain_error(n, nu):
-    # (d0*n)**(nu/theta) would overflow the float power
+@pytest.mark.parametrize("n", [10**300, 10**400])
+def test_lambert_argument_beyond_float64_raises_domain_error(n):
+    # (d0*n)**2 would overflow the float power; 10**400 is beyond a float itself
     with pytest.raises(DomainError):
-        normal_max_gumbel(n, nu=nu)
-
-
-def test_nu_near_one_within_float64_still_finite():
-    params = normal_max_gumbel(1000, nu=1.01)
-    assert math.isfinite(params.a_n) and params.a_n > 0
-    assert math.isfinite(params.b_n)
+        normal_max_gumbel(n)
 
 
 def exact_sup_distance(n: int, loc: float, scale: float) -> float:

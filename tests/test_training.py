@@ -15,7 +15,6 @@ from belldist.training import (
     compare_losses,
     greedy_return,
     loss_output_grad,
-    optimal_return,
     run_training,
     table_grad,
     td_errors,
@@ -131,7 +130,7 @@ def test_chain_mse_recovers_optimal_policy():
     env = make_chain(5)
     log = run_training(env, TrainConfig(loss=LOSS_MSE, lr=0.5, epochs=200, seed=0))
     assert policy_optimal_on_reachable(env, log.final_policy)
-    assert log.rewards[-1] == optimal_return(env, solve_qstar(env).values)
+    assert log.rewards[-1] == greedy_return(env, solve_qstar(env).values)
 
 
 def test_chain_lloss_recovers_optimal_policy():
@@ -142,7 +141,7 @@ def test_chain_lloss_recovers_optimal_policy():
 
 def test_dag_best_return_near_optimal():
     env = make_random_dag(12, 4, seed=123)
-    opt = optimal_return(env, solve_qstar(env).values)
+    opt = greedy_return(env, solve_qstar(env).values)
     for seed in (0, 1, 2):
         log = run_training(env, TrainConfig(loss=LOSS_MSE, lr=0.5, epochs=300, seed=seed))
         assert max(log.rewards) >= 0.95 * opt
@@ -188,7 +187,7 @@ def test_enhancement_zero_when_arms_tie():
     env = make_chain(4)
     cfg = TrainConfig(lr=0.5, epochs=150, seed=0)
     result = compare_losses(env, cfg, seeds=[0, 1, 2])
-    opt = optimal_return(env, solve_qstar(env).values)
+    opt = greedy_return(env, solve_qstar(env).values)
     assert np.all(result.per_seed_mse == opt)
     assert np.all(result.per_seed_lloss == opt)
     assert result.enhancement == 0.0
@@ -250,7 +249,7 @@ def test_mlp_trains_chain():
         loss=LOSS_MSE, lr=0.05, epochs=400, seed=4, approximator="mlp", hidden=16
     )
     log = run_training(env, cfg)
-    assert max(log.rewards) >= 0.95 * optimal_return(env, solve_qstar(env).values)
+    assert max(log.rewards) >= 0.95 * greedy_return(env, solve_qstar(env).values)
 
 
 @pytest.mark.xfail(
