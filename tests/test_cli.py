@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from belldist import DistSpec, Family, sample
+from belldist import BelldistError, DistSpec, Family, sample
 from belldist.cli import _csv, _read_values, build_parser, main
 
 
@@ -100,6 +100,11 @@ def test_value_csv_roundtrip(tmp_path):
     path.write_text(_csv(["value"], zip(batch.values)))
     assert path.read_text().splitlines()[0] == "value"
     assert np.array_equal(_read_values(str(path)).values, batch.values)
+
+
+def test_value_csv_missing_file_raises_belldist_error(tmp_path):
+    with pytest.raises(BelldistError):
+        _read_values(str(tmp_path / "missing.csv"))
 
 
 def test_fit_spread_beyond_float64_exit_code_one(tmp_path, capsys):
