@@ -6,6 +6,10 @@ Q-iteration error tracking, the Gumbel approximation of Normal maxima,
 Logistic order-statistic sampling error, reward-scaling analysis, the
 Logistic likelihood loss, goodness-of-fit metrics, and a small seeded
 training harness.
+
+scipy.special is imported inside the functions that call it, never at module
+level: its import costs more than the rest of the package together, and most
+CLI commands never need it.
 """
 
 __version__ = "0.1.0"

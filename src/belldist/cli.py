@@ -6,11 +6,12 @@ result, prints its summary to stdout and returns its output files as
 ``{file name: text}``; only once the handler has succeeded does ``main``
 create ``--out`` and write each file, then ``run_manifest.json``, every one
 atomically (tmp+rename), so a failed command leaves nothing behind.  The
-manifest records the subcommand, the fully resolved arguments (defaults
-included), the tool version, the produced files and the wall time.  Output
-CSVs use '.' decimals, '\\n' newlines and always carry a header row; JSON is
-emitted with sorted keys so reruns diff cleanly.  No environment variables are
-consulted; output is plain text, so NO_COLOR holds trivially.
+manifest records the subcommand, the argument list ``main`` parsed, the fully
+resolved arguments (defaults included), the tool version, the produced files
+and the wall time.  Output CSVs use '.' decimals, '\\n' newlines and always
+carry a header row; JSON is emitted with sorted keys so reruns diff cleanly.
+No environment variables are consulted; output is plain text, so NO_COLOR
+holds trivially.
 """
 
 from __future__ import annotations
@@ -376,10 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest(args, out: Path, files: dict[str, str], started: float) -> str:
+def _manifest(argv: list[str], args, out: Path, files: dict[str, str], started: float) -> str:
     manifest = {
         "subcommand": args.subcommand,
-        "argv": sys.argv[1:],
+        "argv": argv,
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "seed": args.seed,
         "version": __version__,
@@ -390,6 +391,7 @@ def _manifest(args, out: Path, files: dict[str, str], started: float) -> str:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
@@ -403,7 +405,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             _write(out / name, text)
-        _write(out / "run_manifest.json", _manifest(args, out, files, started))
+        _write(out / "run_manifest.json", _manifest(argv, args, out, files, started))
     except OSError as exc:
         print(f"error: {args.out}: cannot write: {exc.strerror}", file=sys.stderr)
         return 1

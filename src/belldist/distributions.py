@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit, logit, ndtr, ndtri
 
 from .errors import DegenerateDataError, DomainError
 
@@ -102,6 +101,8 @@ def pdf(d: DistSpec, x):
 
 def cdf(d: DistSpec, x):
     """CDF of ``d`` at ``x`` (scalar or array)."""
+    from scipy.special import expit, ndtr
+
     z = (np.asarray(x, dtype=float) - d.location) / d.scale
     if d.family is Family.GUMBEL:
         out = np.exp(-np.exp(-z))
@@ -114,6 +115,8 @@ def cdf(d: DistSpec, x):
 
 def quantile(d: DistSpec, p):
     """Inverse CDF of ``d``; defined for p strictly inside (0, 1)."""
+    from scipy.special import logit, ndtri
+
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
         raise DomainError("quantile requires 0 < p < 1")
@@ -145,6 +148,8 @@ def normal_max_quantile(u, n: float) -> np.ndarray:
     evaluated as -Phi^-1(1 - u^(1/n)) with the complement formed by expm1,
     which keeps its digits when u^(1/n) is close to 1 (large n).
     """
+    from scipy.special import ndtri
+
     return -ndtri(-np.expm1(np.log(u) / n))
 
 

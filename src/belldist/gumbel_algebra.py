@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import EULER_MASCHERONI, DistSpec, Family
 from .errors import DomainError, ScaleMismatchError
@@ -44,6 +43,8 @@ def gumbel_max(locations, beta: float) -> DistSpec:
     The location is beta * logsumexp(locations / beta), computed with
     max-subtraction so large location/beta ratios cannot overflow.
     """
+    from scipy.special import logsumexp
+
     locs = np.asarray(locations, dtype=float)
     if locs.size == 0:
         raise DomainError("gumbel_max requires at least one location")

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import DistSpec, Family, normal_max_quantile, quantile, uniform_open
 from .errors import ConvergenceError, DomainError
@@ -228,6 +227,8 @@ def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPr
     Cells whose successor is terminal have no Gumbel law (their gap collapses
     to an exact constant) and are reported as NaN in the general path.
     """
+    from scipy.special import logsumexp
+
     if t < 1:
         raise DomainError(f"iteration index must be >= 1, got {t}")
     if not beta1 > 0:

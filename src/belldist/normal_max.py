@@ -20,8 +20,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from scipy.special import lambertw
-
 from .errors import DomainError
 
 _LOG_DBL_MAX = math.log(sys.float_info.max)
@@ -50,6 +48,8 @@ def normal_max_gumbel(n: int) -> NormalMaxParams:
     n * D0 * exp(-C*beta^2) / (2*C*beta) = 1.  An n whose (D0*n)^2 exceeds
     float64 raises ``DomainError``.
     """
+    from scipy.special import lambertw
+
     if n < 2:
         raise DomainError(f"normal_max_gumbel requires n >= 2, got {n}")
     # the standard Normal density is D0 * exp(-C * |x|^nu) at nu = 2, with

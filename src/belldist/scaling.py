@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, PreconditionError
 
@@ -45,6 +44,22 @@ class RewardSample:
         return int(np.sum(r > 0)), int(np.sum(r < 0)), int(np.sum(r == 0))
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D array, step for step as scipy 1.17's
+    ``scipy.special.logsumexp`` computes it, so the bits agree: the maxima
+    leave the sum as its count m, the rest is summed as exp(a - max), and a
+    result that is not finite falls back to the direct log(sum(exp(a)))."""
+    a_max = a.max()
+    is_max = a == a_max
+    m = float(np.count_nonzero(is_max))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max)) / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def expected_error(sample: RewardSample, phi: float) -> float:
     """Expected Bellman error -beta * logsumexp(phi * r / beta).
 
@@ -54,7 +69,7 @@ def expected_error(sample: RewardSample, phi: float) -> float:
     """
     if not phi > 0:
         raise DomainError(f"phi must be positive, got {phi}")
-    return -sample.beta * float(logsumexp(phi * sample.rewards / sample.beta))
+    return -sample.beta * _logsumexp(phi * sample.rewards / sample.beta)
 
 
 def check_conditions(sample: RewardSample) -> tuple[bool, bool, float]:

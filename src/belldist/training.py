@@ -236,59 +236,62 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     epochs_run = 0
     last_good = None
 
-    for epoch in range(cfg.epochs):
-        frac = epoch / max(cfg.epochs - 1, 1)
-        epsilon = cfg.epsilon_start + (cfg.epsilon_final - cfg.epsilon_start) * frac
-        # the net only changes in the update phase, so one greedy table per epoch
-        greedy = np.argmax(qnet.table(), axis=1)
+    # a diverging net overflows in its matmuls before the finite check on the
+    # TD errors sees it; that check, not a numpy warning, reports the divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            frac = epoch / max(cfg.epochs - 1, 1)
+            epsilon = cfg.epsilon_start + (cfg.epsilon_final - cfg.epsilon_start) * frac
+            # the net only changes in the update phase, so one greedy table per epoch
+            greedy = np.argmax(qnet.table(), axis=1)
 
-        for _ in range(cfg.steps_per_epoch):
-            if rng.random() < epsilon:
-                action = int(rng.integers(env.n_actions))
+            for _ in range(cfg.steps_per_epoch):
+                if rng.random() < epsilon:
+                    action = int(rng.integers(env.n_actions))
+                else:
+                    action = int(greedy[state])
+                nxt = int(env.transition[state, action])
+                pos = written % capacity
+                replay_s[pos] = state
+                replay_a[pos] = action
+                replay_r[pos] = env.reward[state, action]
+                replay_next[pos] = max(nxt, 0)
+                replay_live[pos] = 0.0 if nxt == TERMINAL else 1.0
+                written += 1
+                episode_steps += 1
+                if nxt == TERMINAL or episode_steps >= cap:
+                    state, episode_steps = 0, 0
+                else:
+                    state = nxt
+
+            epoch_errors = np.zeros(0)
+            fill = min(written, capacity)
+            if fill >= cfg.batch_size:
+                for _ in range(cfg.updates_per_epoch):
+                    idx = rng.integers(fill, size=cfg.batch_size)
+                    states, actions = replay_s[idx], replay_a[idx]
+                    errs = td_errors(qnet, target_net, states, actions, replay_r[idx],
+                                     replay_next[idx], replay_live[idx], env.gamma, cfg)
+                    if not np.all(np.isfinite(errs)):
+                        raise TrainingError("training diverged (non-finite errors)", last_good)
+                    grad_out = loss_output_grad(errs, cfg)
+                    qnet.descend(table_grad(states, actions, grad_out, q_shape), cfg.lr)
+                    target_net.mix_from(qnet, cfg.tau)
+                    epoch_errors = errs
+
+            table = qnet.table().copy()  # a tabular table() is the live array
+            ret = greedy_return(env, table)
+            rewards_log.append(ret)
+            errors_log.append(epoch_errors)
+            epochs_run = epoch + 1
+            last_good = table
+
+            if ret > best + 1e-12:
+                best, stale = ret, 0
             else:
-                action = int(greedy[state])
-            nxt = int(env.transition[state, action])
-            pos = written % capacity
-            replay_s[pos] = state
-            replay_a[pos] = action
-            replay_r[pos] = env.reward[state, action]
-            replay_next[pos] = max(nxt, 0)
-            replay_live[pos] = 0.0 if nxt == TERMINAL else 1.0
-            written += 1
-            episode_steps += 1
-            if nxt == TERMINAL or episode_steps >= cap:
-                state, episode_steps = 0, 0
-            else:
-                state = nxt
-
-        epoch_errors = np.zeros(0)
-        fill = min(written, capacity)
-        if fill >= cfg.batch_size:
-            for _ in range(cfg.updates_per_epoch):
-                idx = rng.integers(fill, size=cfg.batch_size)
-                states, actions = replay_s[idx], replay_a[idx]
-                errs = td_errors(qnet, target_net, states, actions, replay_r[idx],
-                                 replay_next[idx], replay_live[idx], env.gamma, cfg)
-                if not np.all(np.isfinite(errs)):
-                    raise TrainingError("training diverged (non-finite errors)", last_good)
-                grad_out = loss_output_grad(errs, cfg)
-                qnet.descend(table_grad(states, actions, grad_out, q_shape), cfg.lr)
-                target_net.mix_from(qnet, cfg.tau)
-                epoch_errors = errs
-
-        table = qnet.table().copy()  # a tabular table() is the live array
-        ret = greedy_return(env, table)
-        rewards_log.append(ret)
-        errors_log.append(epoch_errors)
-        epochs_run = epoch + 1
-        last_good = table
-
-        if ret > best + 1e-12:
-            best, stale = ret, 0
-        else:
-            stale += 1
-            if stale >= cfg.early_stop_patience:
-                break
+                stale += 1
+                if stale >= cfg.early_stop_patience:
+                    break
 
     return TrainLog(
         config=cfg,

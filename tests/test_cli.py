@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import belldist
 from belldist import BelldistError, DistSpec, Family, sample
 from belldist.cli import _csv, _read_values, build_parser, main
 
@@ -131,6 +135,47 @@ def test_help_on_every_subcommand():
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([name, "--help"])
         assert exc.value.code == 0
+
+
+def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host", "--x"])
+    argv = ["klbound", "--astar", "1", "--gamma", "0.9", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert read_json(tmp_path / "run_manifest.json")["argv"] == argv
+
+
+# Runs that must not import scipy: its import costs more than everything else
+# these commands do.  scipy.special is imported only inside the functions
+# that call it.
+SCIPY_FREE_RUNS = [
+    ["klbound", "--astar", "100", "--gamma", "0.99"],
+    ["sampling-error", "--n", "2,16,256"],
+    ["scaling", "--rewards", "{rewards}", "--beta", "1.0", "--phi-grid", "0.5:3:26"],
+    ["losscheck", "--t-grid=-0.5:0.5:21"],
+    ["train", "--env", "chain:4", "--lr", "0.5", "--epochs", "5"],
+    ["train", "--env", "chain:4", "--lr", "0.5", "--epochs", "5", "--approximator", "mlp"],
+]
+
+
+def test_light_commands_never_import_scipy(tmp_path):
+    rewards = write_values(tmp_path / "rewards.csv", [1.0] + [-1.0] * 10)
+    runs = [[rewards if a == "{rewards}" else a for a in argv] + ["--out", str(tmp_path / f"run{i}")]
+            for i, argv in enumerate(SCIPY_FREE_RUNS)]
+    # one interpreter for every run; its last stdout line is the exit codes
+    # and the scipy modules it ended up with
+    child = (
+        "import json, sys\n"
+        "from belldist.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    src = str(Path(belldist.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=True)
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert scipy_modules == []
 
 
 def test_klbound_json(tmp_path, capsys):

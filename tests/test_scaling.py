@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from belldist import DomainError, PreconditionError
 from belldist.distributions import uniform_open
@@ -50,6 +53,22 @@ def test_expected_error_single_reward_identity():
 def test_expected_error_logsumexp_value():
     s = sample_one_pos_ten_neg()
     assert expected_error(s, 1.0) == pytest.approx(NEG_LSE_REFERENCE, rel=1e-13)
+
+
+@st.composite
+def rewards_with_ties(draw):
+    """Finite rewards up to 1e3 in magnitude, n >= 1, with extra copies of the maximum."""
+    r = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
+    ties = draw(st.integers(0, 3))
+    return np.array(draw(st.permutations(r + [max(r)] * ties)))
+
+
+@given(rewards=rewards_with_ties(), beta=st.floats(1e-2, 1e2), phi=st.floats(1e-2, 10.0))
+def test_expected_error_bit_identical_to_scipy_logsumexp(rewards, beta, phi):
+    # scaling carries its own log-sum-exp so that it never imports scipy
+    sample = RewardSample(rewards, beta)
+    expected = -sample.beta * float(logsumexp(phi * sample.rewards / sample.beta))
+    assert expected_error(sample, phi) == expected
 
 
 def test_expected_error_domain():

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from collections import deque
 
 import numpy as np
@@ -161,8 +162,7 @@ def test_bellman_error_batches_logged():
     assert 256 in sizes  # default batch size once the buffer fills
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.filterwarnings("error")
 def test_divergence_raises_training_error():
     env = make_chain(4)
     cfg = TrainConfig(loss=LOSS_MSE, lr=1e18, epochs=50, seed=3, approximator="mlp")
@@ -171,8 +171,16 @@ def test_divergence_raises_training_error():
     assert err.value.last_good is not None
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
+def test_mlp_overflow_raises_training_error_not_a_warning():
+    # at lr=50 the perceptron's backprop overflows before its TD errors turn
+    # non-finite; the overflow must not escape as a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingError):
+            run_training(make_chain(5), TrainConfig(lr=50, epochs=30, approximator="mlp"))
+
+
+@pytest.mark.filterwarnings("error")
 def test_tabular_divergence_keeps_last_good_finite():
     # a tabular table() is the live parameter array: the per-epoch snapshot
     # must be a copy, or the updates that diverge would overwrite it
