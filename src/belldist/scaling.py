@@ -65,11 +65,18 @@ def expected_error(sample: RewardSample, phi: float) -> float:
 
     Any phi > 0 is accepted; values below 1 are outside the regime the
     phi* analysis covers but are still well defined (scaling curves plot
-    them), so flagging is left to ScalingCurve.
+    them), so flagging is left to ScalingCurve.  A phi * r / beta beyond
+    float64 (a tiny beta or a huge phi) raises DomainError.
     """
     if not phi > 0:
         raise DomainError(f"phi must be positive, got {phi}")
-    return -sample.beta * _logsumexp(phi * sample.rewards / sample.beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = phi * sample.rewards / sample.beta
+    if not np.all(np.isfinite(scaled)):
+        raise DomainError(
+            f"phi * r / beta overflows float64 at phi = {phi}, beta = {sample.beta}"
+        )
+    return -sample.beta * _logsumexp(scaled)
 
 
 def check_conditions(sample: RewardSample) -> tuple[bool, bool, float]:
@@ -78,13 +85,19 @@ def check_conditions(sample: RewardSample) -> tuple[bool, bool, float]:
     G'(1) = sum_i exp(r_i / beta) * r_i; zero rewards contribute nothing.
     """
     r = sample.rewards
-    gprime1 = float(np.sum(np.exp(r / sample.beta) * r))
+    gprime1 = _gprime(sample, 1.0)
     cond1 = bool(np.any(r > 0))
     return cond1, gprime1 < 0, gprime1
 
 
 def _gprime(sample: RewardSample, phi: float) -> float:
-    return float(np.sum(np.exp(phi * sample.rewards / sample.beta) * sample.rewards))
+    # Only a positive reward's term can overflow, and it overflows to +inf;
+    # a negative reward's term lies in [r, 0) and only underflows toward 0.
+    # So an overflowed G'(phi) = +inf still has the exact sign, which is all
+    # that check_conditions and find_phi_star's bracketing read from it.
+    r = sample.rewards
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.exp(phi * r / sample.beta) * r))
 
 
 def find_phi_star(sample: RewardSample, tol: float = 1e-10, max_iter: int = 200) -> float:

@@ -62,9 +62,10 @@ def test_contract_violation_exit_code_one(tmp_path, capsys, argv):
     ["fit", "--input", "{non-numeric}"],
     ["fit", "--input", "{empty-row}"],
     ["fit", "--input", "{no-header}"],
+    ["scaling", "--rewards", "{rewards}", "--beta", "1e-320"],  # phi * r / beta overflows
 ], ids=["sampling-error-n", "train-chain", "train-dag", "normal-max-mc", "fit-input",
         "compare-seeds", "train-json-missing", "train-json-fields", "fit-input-non-numeric",
-        "fit-input-empty-row", "fit-input-no-header"])
+        "fit-input-empty-row", "fit-input-no-header", "scaling-tiny-beta"])
 def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
     files = {
         "{missing}": tmp_path / "no-such-file",
@@ -72,11 +73,13 @@ def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
         "{non-numeric}": tmp_path / "non-numeric.csv",
         "{empty-row}": tmp_path / "empty-row.csv",
         "{no-header}": tmp_path / "no-header.csv",
+        "{rewards}": tmp_path / "rewards.csv",
     }
     files["{partial}"].write_text('{"n_states": 2}')
     files["{non-numeric}"].write_text("value\n1.5\nabc\n")
     files["{empty-row}"].write_text("value\n1.5\n\n2.5\n")
     files["{no-header}"].write_text("1.5\n2.5\n")
+    write_values(files["{rewards}"], [1.0, -1.0, -2.0])
     for key, path in files.items():
         argv = [a.replace(key, str(path)) for a in argv]
     assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1

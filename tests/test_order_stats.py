@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from belldist import DistSpec, DomainError, Family, cdf
 from belldist.distributions import uniform_open
 from belldist.order_stats import (
+    _harmonic_table,
     empirical_cdf_expectation,
     harmonic,
     order_stat_expectation,
@@ -28,6 +29,27 @@ SE_REFERENCE = {
     128: 5.0062106443580e-06,
     256: 1.2538587323936e-06,
 }
+
+
+# Exact float64 bits of the unblocked kernel (one expression over all n - 1
+# segments).  The kernels work in blocks of 2**14 elements: n - 1 = 2**14 and
+# 2**14 + 1 put the last segment on and just past the first block edge.
+SE_BITS = {
+    2: 0.018941421369995104,
+    3: 0.008668994221391585,
+    17: 0.00028087591236803375,
+    4096: 4.919541533741019e-09,
+    16385: 3.078343944535184e-10,
+    16386: 3.07796857806802e-10,
+    2**20: 7.535182857733846e-14,
+}
+
+
+def harmonic_oracle(n: int) -> np.ndarray:
+    """H_0..H_n from one extended-precision cumsum over 1/1..1/n."""
+    table = np.zeros(n + 1, dtype=np.longdouble)
+    table[1:] = np.cumsum(1.0 / np.arange(1, n + 1, dtype=np.longdouble))
+    return table.astype(float)
 
 
 def se_quadrature_oracle(n: int, a: float, b: float) -> float:
@@ -53,6 +75,14 @@ def test_harmonic_values():
     assert harmonic(4) == pytest.approx(25.0 / 12.0, rel=1e-15)
     with pytest.raises(DomainError):
         harmonic(-1)
+
+
+@pytest.mark.parametrize("n", [1, 16384, 16385, 32769, 2**20 + 7])
+def test_harmonic_table_bit_identical_to_one_shot_cumsum(n):
+    table = _harmonic_table(n)
+    assert table.dtype == np.float64
+    assert np.array_equal(table, harmonic_oracle(n))
+    assert not table.flags.writeable
 
 
 def test_expectation_single_draw_is_location():
@@ -106,6 +136,11 @@ def test_closed_form_matches_quadrature_oracle(n):
 @pytest.mark.parametrize("n,expected", sorted(SE_REFERENCE.items()))
 def test_frozen_reference_values(n, expected):
     assert sampling_error(n).s_e == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("n,expected", sorted(SE_BITS.items()))
+def test_sampling_error_bits_pinned(n, expected):
+    assert sampling_error(n).s_e == expected
 
 
 def test_monotone_decreasing_in_n():

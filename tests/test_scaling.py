@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ def test_expected_error_domain():
         expected_error(sample_one_pos_ten_neg(), 0.0)
 
 
+def test_expected_error_overflowing_exponent_raises_domain_error():
+    # phi * r / beta = 1 / 1e-320 is beyond float64: no -inf, no numpy warning
+    s = RewardSample(np.array([1.0, -1.0, -2.0]), beta=1e-320)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            expected_error(s, 1.0)
+
+
 def test_check_conditions_single_positive():
     cond1, cond2, g1 = check_conditions(RewardSample(np.array([1.0]), beta=1.0))
     assert cond1 and not cond2
@@ -106,6 +116,16 @@ def test_phi_star_analytic_fixture_two():
     s = RewardSample(np.array([2.0] + [-1.0] * 100), beta=1.0)
     phi = find_phi_star(s)
     assert phi == pytest.approx(math.log(50.0) / 3.0, abs=1e-10)
+
+
+def test_overflowing_gprime_keeps_its_sign():
+    # exp(1000) overflows; the positive reward's term is +inf, so G'(1) > 0
+    s = RewardSample(np.array([1000.0, -5.0, -5.0]), beta=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_conditions(s) == (True, False, math.inf)
+        with pytest.raises(PreconditionError, match="G'"):
+            find_phi_star(s)
 
 
 def test_phi_star_preconditions_named():
