@@ -115,10 +115,11 @@ def init_q(mdp: TabularMdp, init: DistSpec, seed: int) -> QTable:
 
 
 def successor_max(mdp: TabularMdp, values: np.ndarray) -> np.ndarray:
-    """max_a' Q(T(s, a), a') per (s, a); terminal successors contribute 0."""
-    row_max = values.max(axis=1)
-    safe = np.clip(mdp.transition, 0, mdp.n_states - 1)
-    return np.where(mdp.transition == TERMINAL, 0.0, row_max[safe])
+    """max_a' Q(T(s, a), a') per (s, a); terminal successors contribute 0.
+
+    TERMINAL (-1) indexes a real row; ``np.where`` discards what it reads.
+    """
+    return np.where(mdp.transition == TERMINAL, 0.0, values.max(axis=1)[mdp.transition])
 
 
 def bellman_step(mdp: TabularMdp, q: QTable) -> QTable:
@@ -176,11 +177,10 @@ def snapshot_errors(mdp: TabularMdp, q: QTable, qstar: QTable) -> ErrorSnapshot:
     """Full-table optimality gap and Bellman error for the iterate ``q``."""
     _check_shapes(mdp, q)
     _check_shapes(mdp, qstar)
-    target = mdp.reward + mdp.gamma * successor_max(mdp, q.values)
     return ErrorSnapshot(
         t=q.iteration,
         eps_gap=q.values - qstar.values,
-        bellman_err=target - q.values,
+        bellman_err=bellman_step(mdp, q).values - q.values,
         state_ids=np.arange(mdp.n_states),
     )
 
@@ -247,10 +247,9 @@ def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPr
 
     c_prev = np.full((mdp.n_states, mdp.n_actions), float(c1))
     beta = beta1
-    safe = np.clip(mdp.transition, 0, mdp.n_states - 1)
     for _ in range(2, t + 1):
         per_state = mdp.gamma * beta * logsumexp((mdp.reward + c_prev) / beta, axis=1)
-        c_prev = np.where(mdp.transition == TERMINAL, np.nan, per_state[safe])
+        c_prev = np.where(mdp.transition == TERMINAL, np.nan, per_state[mdp.transition])
         beta *= mdp.gamma
     return GumbelPrediction(t=t, c_t=c_prev, beta_t=beta_t, degenerate=False)
 

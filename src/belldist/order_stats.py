@@ -14,7 +14,6 @@ and it depends on N only: both A and B cancel exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,28 +26,39 @@ from .errors import DomainError
 _BLOCK = 1 << 14
 
 
-@lru_cache(maxsize=64)
+# H_0..H_m for the largest m asked so far (read-only), and the extended
+# partial sum H_m from which the next block's cumsum continues.
+_HARMONIC = (np.zeros(1), np.zeros(1, dtype=np.longdouble))
+_HARMONIC[0].setflags(write=False)
+
+
 def _harmonic_table(n: int) -> np.ndarray:
     """H_0..H_n computed by cumulative summation in extended precision.
 
     Extended (80-bit) accumulation keeps the absolute error near 1e-13 even
-    at n = 2**20, where plain float64 accumulation would lose ~1e-9.  Each
-    block's cumsum starts from the previous block's last extended partial
-    sum, so the additions run in the same order as one cumsum over 1/1..1/n
-    and the table is bit-identical to it.  The cached table is read-only.
+    at n = 2**20, where plain float64 accumulation would lose ~1e-9.  One
+    table is kept, for the largest n asked so far; a larger n extends it
+    block by block, each block's cumsum starting from the previous block's
+    last extended partial sum.  The additions therefore run in the same order
+    as one cumsum over 1/1..1/n, and every prefix is bit-identical to it.
+    The returned prefix is a read-only view.
     """
-    table = np.empty(n + 1)
-    table[0] = 0.0
-    carry = np.zeros(1, dtype=np.longdouble)
-    for start in range(1, n + 1, _BLOCK):
-        stop = min(start + _BLOCK, n + 1)
-        partial = np.cumsum(
-            np.concatenate([carry, 1.0 / np.arange(start, stop, dtype=np.longdouble)])
-        )
-        table[start:stop] = partial[1:]
-        carry = partial[-1:]
-    table.setflags(write=False)
-    return table
+    global _HARMONIC
+    table, carry = _HARMONIC
+    if n >= table.size:
+        grown = np.empty(n + 1)
+        grown[: table.size] = table
+        for start in range(table.size, n + 1, _BLOCK):
+            stop = min(start + _BLOCK, n + 1)
+            partial = np.cumsum(
+                np.concatenate([carry, 1.0 / np.arange(start, stop, dtype=np.longdouble)])
+            )
+            grown[start:stop] = partial[1:]
+            carry = partial[-1:]
+        grown.setflags(write=False)
+        table = grown
+        _HARMONIC = (table, carry)
+    return table[: n + 1]
 
 
 def harmonic(m: int) -> float:

@@ -166,7 +166,6 @@ def scaling_curve(sample: RewardSample, phi_grid) -> ScalingCurve:
         cond1=cond1,
         cond2=cond2,
         phi_star=phi_star,
-        below_regime=grid < 1.0,
     )
 
 

@@ -167,27 +167,27 @@ def make_qfunc(env: TabularMdp, cfg: TrainConfig, rng: np.random.Generator) -> Q
     return MlpQ(env.n_states, env.n_actions, cfg.hidden, rng)
 
 
-def table_grad(states, actions, grad_out, shape: tuple[int, int]) -> np.ndarray:
-    """Fold per-sample d(loss)/dQ(s_n, a_n) into an (S, A) table.
+def table_grad(cells, grad_out, shape: tuple[int, int]) -> np.ndarray:
+    """Fold per-sample d(loss)/dQ at flat cells ``s * A + a`` into an (S, A) table.
 
     Each cell sums its samples in batch order, exactly as ``np.add.at`` does.
     """
-    n_s, n_a = shape
-    return np.bincount(states * n_a + actions, weights=grad_out, minlength=n_s * n_a).reshape(shape)
+    return np.bincount(cells, weights=grad_out, minlength=shape[0] * shape[1]).reshape(shape)
 
 
-def td_errors(qnet: QFunction, target_net: QFunction, states, actions, rewards, next_states,
-              live, gamma: float, cfg: TrainConfig) -> np.ndarray:
-    """Target-minus-estimate residuals for a batch given as replay columns.
+def td_errors(qnet: QFunction, target_net: QFunction, env: TabularMdp, cells,
+              cfg: TrainConfig) -> np.ndarray:
+    """Target-minus-estimate residuals at flat cells ``s * A + a`` of ``env``.
 
-    ``rewards`` are raw environment rewards; ``cfg.reward_scale`` is applied
-    here.  ``next_states`` are clamped to valid states (terminal steps carry
-    state 0) and ``live`` is 0.0 for terminal steps, 1.0 otherwise.
-    ``gamma`` is the environment's discount.
+    The MDP is deterministic, so the reward and successor of a cell are read
+    from ``env``; ``cfg.reward_scale`` scales the reward and ``env.gamma``
+    discounts.  A TERMINAL successor (-1) indexes a real row, whose value
+    ``np.where`` replaces with 0.
     """
-    next_max = target_net.table().max(axis=1)[next_states]
-    targets = rewards * cfg.reward_scale + gamma * live * next_max
-    return targets - qnet.table()[states, actions]
+    nxt = env.transition.reshape(-1)[cells]
+    next_max = np.where(nxt == TERMINAL, 0.0, target_net.table().max(axis=1)[nxt])
+    targets = env.reward.reshape(-1)[cells] * cfg.reward_scale + env.gamma * next_max
+    return targets - qnet.table().reshape(-1)[cells]
 
 
 def loss_output_grad(errors: np.ndarray, cfg: TrainConfig) -> np.ndarray:
@@ -216,13 +216,10 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     qnet = make_qfunc(env, cfg, rng)
     target_net = qnet.clone()
-    # replay ring buffer: one preallocated column per transition field
+    # replay ring buffer of visited flat cells s * A + a: the MDP is
+    # deterministic, so a cell fixes its reward, successor and termination
     capacity = cfg.replay_capacity
-    replay_s = np.zeros(capacity, dtype=np.int64)
-    replay_a = np.zeros(capacity, dtype=np.int64)
-    replay_r = np.zeros(capacity)
-    replay_next = np.zeros(capacity, dtype=np.int64)  # successor, 0 when terminal
-    replay_live = np.zeros(capacity)  # 0.0 when the episode ended, else 1.0
+    replay = np.zeros(capacity, dtype=np.int64)
     written = 0
     cap = 4 * env.n_states  # steps before an episode restarts from state 0
     q_shape = (env.n_states, env.n_actions)
@@ -251,12 +248,7 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
                 else:
                     action = int(greedy[state])
                 nxt = int(env.transition[state, action])
-                pos = written % capacity
-                replay_s[pos] = state
-                replay_a[pos] = action
-                replay_r[pos] = env.reward[state, action]
-                replay_next[pos] = max(nxt, 0)
-                replay_live[pos] = 0.0 if nxt == TERMINAL else 1.0
+                replay[written % capacity] = state * env.n_actions + action
                 written += 1
                 episode_steps += 1
                 if nxt == TERMINAL or episode_steps >= cap:
@@ -268,14 +260,12 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
             fill = min(written, capacity)
             if fill >= cfg.batch_size:
                 for _ in range(cfg.updates_per_epoch):
-                    idx = rng.integers(fill, size=cfg.batch_size)
-                    states, actions = replay_s[idx], replay_a[idx]
-                    errs = td_errors(qnet, target_net, states, actions, replay_r[idx],
-                                     replay_next[idx], replay_live[idx], env.gamma, cfg)
+                    cells = replay[rng.integers(fill, size=cfg.batch_size)]
+                    errs = td_errors(qnet, target_net, env, cells, cfg)
                     if not np.all(np.isfinite(errs)):
                         raise TrainingError("training diverged (non-finite errors)", last_good)
                     grad_out = loss_output_grad(errs, cfg)
-                    qnet.descend(table_grad(states, actions, grad_out, q_shape), cfg.lr)
+                    qnet.descend(table_grad(cells, grad_out, q_shape), cfg.lr)
                     target_net.mix_from(qnet, cfg.tau)
                     epoch_errors = errs
 

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from belldist import DistSpec, DomainError, Family, cdf
+from belldist import DistSpec, DomainError, Family, cdf, order_stats
 from belldist.distributions import uniform_open
 from belldist.order_stats import (
     _harmonic_table,
@@ -83,6 +84,23 @@ def test_harmonic_table_bit_identical_to_one_shot_cumsum(n):
     assert table.dtype == np.float64
     assert np.array_equal(table, harmonic_oracle(n))
     assert not table.flags.writeable
+
+
+def test_harmonic_keeps_one_table(monkeypatch):
+    # ten distinct n near 2**20 keep one 8 MB table for the largest, not one
+    # table per n; start from an empty table so the build is traced
+    empty = np.zeros(1)
+    empty.setflags(write=False)
+    monkeypatch.setattr(order_stats, "_HARMONIC", (empty, np.zeros(1, dtype=np.longdouble)))
+    tracemalloc.start()
+    try:
+        for k in range(10):
+            harmonic(2**20 + k)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 9_000_000
+    assert harmonic(2**20 + 9) == harmonic_oracle(2**20 + 9)[-1]
 
 
 def test_expectation_single_draw_is_location():

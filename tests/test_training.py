@@ -7,7 +7,15 @@ import pytest
 
 from belldist import DomainError, TrainingError
 from belldist.losses import LossConfig, l_loss, mse_loss
-from belldist.mdp import TERMINAL, TabularMdp, make_chain, make_random_dag, solve_qstar
+from belldist.mdp import (
+    TERMINAL,
+    QTable,
+    TabularMdp,
+    make_chain,
+    make_random_dag,
+    snapshot_errors,
+    solve_qstar,
+)
 from belldist.training import (
     LOSS_LLOSS,
     LOSS_MSE,
@@ -16,6 +24,7 @@ from belldist.training import (
     compare_losses,
     greedy_return,
     loss_output_grad,
+    make_qfunc,
     run_training,
     table_grad,
     td_errors,
@@ -109,12 +118,36 @@ def test_table_grad_equals_unbuffered_add_at():
     # np.add.at does, so updates stay bit-identical
     rng = np.random.Generator(np.random.Philox(key=5))
     n_states, n_actions, n = 7, 3, 200
-    states = rng.integers(n_states, size=n)
-    actions = rng.integers(n_actions, size=n)
+    cells = rng.integers(n_states * n_actions, size=n)
     grad_out = rng.standard_normal(n)
-    expected = np.zeros((n_states, n_actions))
-    np.add.at(expected, (states, actions), grad_out)
-    assert np.array_equal(table_grad(states, actions, grad_out, (n_states, n_actions)), expected)
+    expected = np.zeros(n_states * n_actions)
+    np.add.at(expected, cells, grad_out)
+    assert np.array_equal(table_grad(cells, grad_out, (n_states, n_actions)),
+                          expected.reshape(n_states, n_actions))
+
+
+def cyclic_mdp_with_terminal() -> TabularMdp:
+    # 3 states whose successors loop back, plus one TERMINAL entry in the
+    # last row: the row that TERMINAL (-1) indexes is a live one
+    trans = np.array([[1, 2], [2, 0], [0, TERMINAL]])
+    rew = np.array([[0.3, -1.2], [2.0, 0.5], [-0.7, 1.1]])
+    return TabularMdp(3, 2, trans, rew, 0.9)
+
+
+@pytest.mark.parametrize("env", [make_chain(5), make_random_dag(9, 4, seed=3),
+                                 cyclic_mdp_with_terminal()],
+                         ids=["chain", "dag", "cyclic"])
+@pytest.mark.parametrize("approximator", ["tabular", "mlp"])
+def test_td_errors_equal_mdp_bellman_error(env, approximator):
+    # the training loop and Q-iteration read one Bellman error: at every
+    # cell, with reward_scale 1, the TD error is the snapshot's, bit for bit
+    cfg = TrainConfig(approximator=approximator, hidden=6, reward_scale=1.0)
+    rng = np.random.Generator(np.random.Philox(key=2))
+    q = make_qfunc(env, cfg, rng)
+    q.params = [p + rng.standard_normal(p.shape) for p in q.params]
+    errs = td_errors(q, q, env, np.arange(env.n_states * env.n_actions), cfg)
+    snap = snapshot_errors(env, QTable(q.table()), solve_qstar(env))
+    assert np.array_equal(errs, snap.bellman_err.ravel())
 
 
 def test_training_discounts_with_env_gamma():
@@ -227,19 +260,18 @@ def test_mlp_gradient_matches_finite_differences(loss):
     target_net = net.clone()
     target_net.mix_from(MlpQ(n_states, n_actions, hidden=5, rng=rng), 0.5)
     cfg = TrainConfig(loss=loss, sigma=0.8, batch_size=n, lr=0.1, reward_scale=1.5)
-    states = rng.integers(n_states, size=n)
-    actions = rng.integers(n_actions, size=n)
-    rewards = rng.standard_normal(n)
-    next_states = rng.integers(n_states, size=n)
-    live = (rng.random(n) < 0.7).astype(float)
-    batch = (states, actions, rewards, next_states, live, 0.9, cfg)
+    # random successors, with a TERMINAL entry in every state's row
+    trans = rng.integers(n_states, size=(n_states, n_actions))
+    trans[np.arange(n_states), rng.integers(n_actions, size=n_states)] = TERMINAL
+    env = TabularMdp(n_states, n_actions, trans, rng.standard_normal((n_states, n_actions)), 0.9)
+    cells = rng.integers(n_states * n_actions, size=n)
 
     def batch_loss(probe):
-        errs = td_errors(probe, target_net, *batch)
+        errs = td_errors(probe, target_net, env, cells, cfg)
         return mse_loss(errs) if loss == LOSS_MSE else l_loss(errs, LossConfig(sigma=cfg.sigma))
 
-    grad_out = loss_output_grad(td_errors(net, target_net, *batch), cfg)
-    analytic = net.grads(table_grad(states, actions, grad_out, (n_states, n_actions)))
+    grad_out = loss_output_grad(td_errors(net, target_net, env, cells, cfg), cfg)
+    analytic = net.grads(table_grad(cells, grad_out, (n_states, n_actions)))
     assert [g.shape for g in analytic] == [p.shape for p in net.params]
     h = 1e-6
     for k, param in enumerate(net.params):
