@@ -128,8 +128,8 @@ def cmd_example1(args) -> dict[str, str]:
         files[f"errors_t{t}.csv"] = _csv(
             ["t", "state", "action", "eps_gap", "bellman_err"],
             (
-                (snap.t, int(state), a, gap, err)
-                for state, gap_row, err_row in zip(snap.state_ids, snap.eps_gap, snap.bellman_err)
+                (snap.t, state, a, gap, err)
+                for state, (gap_row, err_row) in enumerate(zip(snap.eps_gap, snap.bellman_err))
                 for a, (gap, err) in enumerate(zip(gap_row, err_row))
             ),
         )
@@ -151,22 +151,20 @@ def cmd_fit(args) -> dict[str, str]:
             bins = int(args.bins)
         except ValueError as exc:
             raise BelldistError(f"--bins must be 'fd' or an integer, got {args.bins!r}") from exc
-    reports = gof.rank_families(data, n_bins=bins, ks_mode=args.ks_mode)
+    reports = gof.rank_families(data, n_bins=bins)
     text = _json([r.to_dict() for r in reports])
-    files = {}
-    if args.format in ("json", "both"):
-        files["fit_reports.json"] = text + "\n"
-    if args.format in ("csv", "both"):
-        files["fit_summary.csv"] = _csv(
+    print(text)
+    return {
+        "fit_reports.json": text + "\n",
+        "fit_summary.csv": _csv(
             ["family", "r2", "sse", "rmse", "ks", "location", "scale", "n_bins", "n_samples"],
             [
                 (r.family.value, r.r2, r.sse, r.rmse, r.ks, r.params.location,
                  r.params.scale, r.n_bins, r.n_samples)
                 for r in reports
             ],
-        )
-    print(text)
-    return files
+        ),
+    }
 
 
 def cmd_klbound(args) -> dict[str, str]:
@@ -329,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[common], help="fit all three families to a value CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--bins", default="50")
-    p.add_argument("--ks-mode", choices=[gof.KS_TWO_SIDED, gof.KS_ONE_SIDED],
-                   default=gof.KS_TWO_SIDED)
-    p.add_argument("--format", choices=["json", "csv", "both"], default="both")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("klbound", parents=[common],

@@ -165,15 +165,22 @@ def sample(d: DistSpec, n: int, seed: int) -> SampleBatch:
 # Maximum-likelihood fitting
 # ---------------------------------------------------------------------------
 
+def _logistic_loglik(x: np.ndarray, loc: float, scale: float) -> float:
+    # -z - 2 log(1+exp(-z)) written in the overflow-safe even form; the MLE's
+    # line search calls this directly, without a DistSpec per trial step
+    a = np.abs((x - loc) / scale)
+    return -x.size * math.log(scale) - float(np.sum(a)) - 2.0 * float(np.sum(np.log1p(np.exp(-a))))
+
+
 def log_likelihood(d: DistSpec, data: np.ndarray) -> float:
     """Total log-likelihood of ``data`` under ``d``."""
-    z = (np.asarray(data, dtype=float) - d.location) / d.scale
+    x = np.asarray(data, dtype=float)
+    if d.family is Family.LOGISTIC:
+        return _logistic_loglik(x, d.location, d.scale)
+    z = (x - d.location) / d.scale
     n = z.size
     if d.family is Family.GUMBEL:
         return float(-n * math.log(d.scale) - np.sum(z) - np.sum(np.exp(-z)))
-    if d.family is Family.LOGISTIC:
-        # -z - 2 log(1+exp(-z)) written in the overflow-safe even form
-        return float(-n * math.log(d.scale) - np.sum(np.abs(z)) - 2.0 * np.sum(np.log1p(np.exp(-np.abs(z)))))
     return float(-n * math.log(d.scale) - 0.5 * n * math.log(2.0 * math.pi) - 0.5 * np.sum(z * z))
 
 
@@ -213,12 +220,7 @@ def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
     n = z.size
     loc = float(np.mean(z))
     s = max(float(np.std(z)) * math.sqrt(3.0) / math.pi, 1e-12)
-
-    def loglik(lo, sc):
-        t = np.abs((z - lo) / sc)
-        return -n * math.log(sc) - float(np.sum(t)) - 2.0 * float(np.sum(np.log1p(np.exp(-t))))
-
-    cur = loglik(loc, s)
+    cur = _logistic_loglik(z, loc, s)
     for _ in range(200):
         t = (z - loc) / s
         u = np.tanh(0.5 * t)
@@ -238,14 +240,14 @@ def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
         for _ in range(60):
             lo_new = loc + scale_step * d_loc
             s_new = s + scale_step * d_s
-            if s_new > 0.0 and loglik(lo_new, s_new) >= cur - 1e-12:
+            if s_new > 0.0 and _logistic_loglik(z, lo_new, s_new) >= cur - 1e-12:
                 break
             scale_step *= 0.5
         else:
             break
         moved = max(abs(scale_step * d_loc), abs(scale_step * d_s))
         loc, s = lo_new, s_new
-        cur = loglik(loc, s)
+        cur = _logistic_loglik(z, loc, s)
         if moved < 1e-10 * max(1.0, abs(loc), s):
             break
     return loc, s

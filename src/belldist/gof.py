@@ -1,4 +1,4 @@
-"""Goodness-of-fit battery: KS statistic plus binned-histogram SSE/RMSE/R^2.
+"""Goodness-of-fit battery: two-sided KS statistic plus binned-histogram SSE/RMSE/R^2.
 
 The KS statistic is bin-free; the histogram metrics compare the density-
 normalized histogram against the model density at bin centers and therefore
@@ -15,28 +15,18 @@ from . import distributions as dist
 from .distributions import DistSpec, Family, SampleBatch
 from .errors import DegenerateDataError, DomainError
 
-KS_TWO_SIDED = "two-sided"
-KS_ONE_SIDED = "one-sided"
-_KS_MODES = (KS_TWO_SIDED, KS_ONE_SIDED)
 
+def ks_statistic(data: SampleBatch, d: DistSpec) -> float:
+    """Two-sided KS statistic: sup_x |F_n(x) - F(x)| between the empirical CDF
+    of ``data`` and ``cdf(d, .)``.
 
-def ks_statistic(data: SampleBatch, d: DistSpec, mode: str = KS_TWO_SIDED) -> float:
-    """Sup distance between the empirical CDF of ``data`` and ``cdf(d, .)``.
-
-    two-sided (default): max over sorted points of both one-sided gaps
-    |i/n - F(x_(i))| and |(i-1)/n - F(x_(i))|.
-    one-sided: the empirical CDF evaluated at the data points only,
-    max_i |F*(x_i) - F(x_i)| with F*(x_i) = #{x_j <= x_i}/n; never exceeds
-    the two-sided value.
+    F_n jumps at each sorted point x_(i), so the sup is the max over i of
+    |i/n - F(x_(i))| (just after the jump) and |(i-1)/n - F(x_(i))| (just
+    before it).  Ties need no special case: a tied run spans both extremes.
     """
-    if mode not in _KS_MODES:
-        raise DomainError(f"ks mode must be one of {_KS_MODES}, got {mode!r}")
     x = np.sort(data.values)
     n = x.size
     f = np.asarray(dist.cdf(d, x))
-    if mode == KS_ONE_SIDED:
-        ecdf_at = np.searchsorted(x, x, side="right") / n
-        return float(np.max(np.abs(ecdf_at - f)))
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     return float(max(np.max(np.abs(hi - f)), np.max(np.abs(lo - f))))
@@ -102,9 +92,7 @@ class FitReport:
         }
 
 
-def fit_report(
-    data: SampleBatch, family: Family, n_bins: int | str = 50, ks_mode: str = KS_TWO_SIDED
-) -> FitReport:
+def fit_report(data: SampleBatch, family: Family, n_bins: int | str = 50) -> FitReport:
     fitted = dist.fit_mle(family, data)
     if n_bins == "fd":
         n_bins = freedman_diaconis_bins(data.values)
@@ -112,7 +100,7 @@ def fit_report(
     return FitReport(
         family=Family(family),
         params=fitted,
-        ks=ks_statistic(data, fitted, ks_mode),
+        ks=ks_statistic(data, fitted),
         sse=sse,
         rmse=rmse,
         r2=r2,
@@ -121,10 +109,8 @@ def fit_report(
     )
 
 
-def rank_families(
-    data: SampleBatch, n_bins: int | str = 50, ks_mode: str = KS_TWO_SIDED
-) -> list[FitReport]:
+def rank_families(data: SampleBatch, n_bins: int | str = 50) -> list[FitReport]:
     """Fit all three families by MLE and sort ascending by KS statistic."""
-    reports = [fit_report(data, fam, n_bins, ks_mode) for fam in Family]
+    reports = [fit_report(data, fam, n_bins) for fam in Family]
     return sorted(reports, key=lambda r: r.ks)
 

@@ -142,27 +142,17 @@ def solve_qstar(mdp: TabularMdp, tol: float = 1e-12, max_iter: int = 1_000_000) 
 
 @dataclass(frozen=True)
 class ErrorSnapshot:
-    """Per-cell error arrays at iteration t, with row labels in state_ids."""
+    """Per-cell error arrays at iteration t; row i belongs to state i."""
 
     t: int
     eps_gap: np.ndarray  # (rows, n_actions)
     bellman_err: np.ndarray  # (rows, n_actions)
-    state_ids: np.ndarray  # (rows,)
 
     def __post_init__(self):
         if self.eps_gap.shape != self.bellman_err.shape or self.eps_gap.ndim != 2:
             raise DomainError("error arrays must be matching 2-D (rows x actions)")
-        if self.state_ids.shape != (self.eps_gap.shape[0],):
-            raise DomainError("state_ids must label the rows")
-        for name in ("eps_gap", "bellman_err", "state_ids"):
-            getattr(self, name).setflags(write=False)
-
-    def by_state(self, state: int) -> tuple[np.ndarray, np.ndarray]:
-        """(eps_gap row, bellman_err row) for one state."""
-        idx = np.flatnonzero(self.state_ids == state)
-        if idx.size != 1:
-            raise DomainError(f"state {state} not present in this snapshot")
-        return self.eps_gap[idx[0]], self.bellman_err[idx[0]]
+        self.eps_gap.setflags(write=False)
+        self.bellman_err.setflags(write=False)
 
     @property
     def eps_gap_flat(self) -> np.ndarray:
@@ -181,7 +171,6 @@ def snapshot_errors(mdp: TabularMdp, q: QTable, qstar: QTable) -> ErrorSnapshot:
         t=q.iteration,
         eps_gap=q.values - qstar.values,
         bellman_err=bellman_step(mdp, q).values - q.values,
-        state_ids=np.arange(mdp.n_states),
     )
 
 
@@ -195,37 +184,30 @@ class GumbelPrediction:
 
     The gap at (s, a) is predicted as
         Gumbel(c_t[s, a] - gamma * max_a' Q*(T(s, a), a'),  beta_t).
-    ``degenerate`` marks the homogeneous-reward shortcut where every state
-    shares the same reward multiset and c_t collapses to a single constant.
+    c_t is NaN on cells whose gap has no Gumbel law at iteration t.
     """
 
     t: int
     c_t: np.ndarray
     beta_t: float
-    degenerate: bool
 
     def __post_init__(self):
         self.c_t.setflags(write=False)
 
 
-def _same_reward_multiset(reward: np.ndarray) -> bool:
-    sorted_rows = np.sort(reward, axis=1)
-    return bool(np.all(sorted_rows == sorted_rows[0]))
-
-
 def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPrediction:
     """Location/scale recursion for the optimality-gap law at iteration t.
 
-    Base case: c_1 is constant and beta_1 > 0 comes from the initialization
-    (e.g. gamma * eta for a Gumbel(lambda, eta) init, via the max rule).  The
-    scale contracts exactly: beta_t = gamma^(t-1) * beta_1.  The location
-    recursion per step is
+    Base case: c_1 = c1 on every cell whose successor is a state, and beta_1 =
+    beta1 > 0, both from the initialization (e.g. gamma * log(n) and gamma *
+    eta for a Gumbel(lambda, eta) init over n actions, via the max rule).  The
+    scale contracts exactly: beta_t = gamma^(t-1) * beta_1.  Each later step is
         c_k(s, a) = gamma * beta_{k-1} * logsumexp_i((r(s', a_i) + c_{k-1}(s', a_i)) / beta_{k-1})
-    with s' = T(s, a); when c_{k-1} is constant this telescopes to
-        c_k = gamma * (c_{k-1} + beta_{k-1} * logsumexp_i(r_i / beta_{k-1})),
-    so the homogeneous shortcut and the general step are the same formula.
-    Cells whose successor is terminal have no Gumbel law (their gap collapses
-    to an exact constant) and are reported as NaN in the general path.
+    with s' = T(s, a); on rows where c_{k-1} is constant this telescopes to
+        c_k = gamma * (c_{k-1} + beta_{k-1} * logsumexp_i(r(s', a_i) / beta_{k-1})).
+    A cell whose successor is terminal holds exactly Q_t = r from t = 1 on and
+    has no Gumbel law, so its c_t is NaN; at t >= 2 a cell is also NaN when
+    any cell of its successor's row was NaN at t - 1.
     """
     from scipy.special import logsumexp
 
@@ -234,24 +216,14 @@ def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPr
     if not beta1 > 0:
         raise DomainError(f"beta1 must be positive, got {beta1}")
     beta_t = beta1 * mdp.gamma ** (t - 1)
-    degenerate = _same_reward_multiset(mdp.reward)
-    if degenerate:
-        c = c1
-        beta = beta1
-        row = mdp.reward[0]
-        for _ in range(2, t + 1):
-            c = mdp.gamma * (c + beta * float(logsumexp(row / beta)))
-            beta *= mdp.gamma
-        c_t = np.full((mdp.n_states, mdp.n_actions), c)
-        return GumbelPrediction(t=t, c_t=c_t, beta_t=beta_t, degenerate=True)
-
-    c_prev = np.full((mdp.n_states, mdp.n_actions), float(c1))
+    terminal = mdp.transition == TERMINAL
+    c_prev = np.where(terminal, np.nan, float(c1))
     beta = beta1
     for _ in range(2, t + 1):
         per_state = mdp.gamma * beta * logsumexp((mdp.reward + c_prev) / beta, axis=1)
-        c_prev = np.where(mdp.transition == TERMINAL, np.nan, per_state[mdp.transition])
+        c_prev = np.where(terminal, np.nan, per_state[mdp.transition])
         beta *= mdp.gamma
-    return GumbelPrediction(t=t, c_t=c_prev, beta_t=beta_t, degenerate=False)
+    return GumbelPrediction(t=t, c_t=c_prev, beta_t=beta_t)
 
 
 # ---------------------------------------------------------------------------
@@ -376,5 +348,4 @@ def example1_row_errors(
         t=t,
         eps_gap=eps_gap.reshape(1, -1),
         bellman_err=bellman_err.reshape(1, -1),
-        state_ids=np.array([0]),
     )

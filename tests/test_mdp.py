@@ -217,26 +217,17 @@ def test_snapshot_sign_convention():
     assert np.allclose(snap.eps_gap[0], 1.0)
 
 
-def test_snapshot_by_state():
-    mdp = make_chain(3)
-    qstar = solve_qstar(mdp)
-    snap = snapshot_errors(mdp, qstar, qstar)
-    gap_row, err_row = snap.by_state(1)
-    assert gap_row.shape == (2,)
-    with pytest.raises(DomainError):
-        snap.by_state(17)
-
-
 # ---------------------------------------------------------------------------
 # predict_gumbel
 # ---------------------------------------------------------------------------
 
 def test_predict_base_case():
+    # the last state's cells end the episode: Q_1 = r there, no Gumbel law
     mdp = make_example1(n_actions=20)
     pred = predict_gumbel(mdp, 1, c1=0.3, beta1=0.7)
-    assert np.all(pred.c_t == 0.3)
+    assert np.all(pred.c_t[:4] == 0.3)
+    assert np.isnan(pred.c_t[4]).all()
     assert pred.beta_t == 0.7
-    assert pred.degenerate
 
 
 def test_predict_t0_rejected():
@@ -245,14 +236,21 @@ def test_predict_t0_rejected():
 
 
 def test_predict_uniform_reward_closed_form():
-    # constant reward 1 on n actions: c_2 = gamma*(c_1 + beta_1*log(n) + 1)
+    # constant reward 1 on n actions telescopes to
+    # c_k = gamma*(c_{k-1} + beta_{k-1}*log(n) + 1); row s is finite while
+    # s + t < 5, the horizon of the five-state chain
     n = 20
     mdp = make_example1(n_actions=n)
     c1, b1 = 0.4, 1.3
-    pred = predict_gumbel(mdp, 2, c1=c1, beta1=b1)
-    expected = 0.99 * (c1 + b1 * math.log(n) + 1.0)
-    assert pred.c_t[0, 0] == pytest.approx(expected, rel=1e-13)
-    assert pred.beta_t == pytest.approx(0.99 * b1, rel=1e-15)
+    c, beta = c1, b1
+    for t in (2, 3, 4):
+        c = 0.99 * (c + beta * math.log(n) + 1.0)
+        beta *= 0.99
+        pred = predict_gumbel(mdp, t, c1=c1, beta1=b1)
+        live = np.isfinite(pred.c_t)
+        assert live[: 5 - t].all() and not live[5 - t :].any()
+        assert pred.c_t[live] == pytest.approx(c, rel=1e-13)
+        assert pred.beta_t == pytest.approx(beta, rel=1e-15)
 
 
 def test_predict_beta_contraction_exact():
@@ -260,23 +258,6 @@ def test_predict_beta_contraction_exact():
     for t in (1, 2, 5, 9):
         pred = predict_gumbel(mdp, t, c1=0.0, beta1=2.0)
         assert pred.beta_t == 2.0 * mdp.gamma ** (t - 1)
-
-
-def test_predict_general_path_matches_degenerate_on_uniform_rewards():
-    # same MDP, but breaking the multiset check with an epsilon then undoing
-    # it exercises the general per-state recursion; on uniform rewards both
-    # paths agree where defined
-    n = 12
-    mdp = make_example1(n_actions=n)
-    pred_deg = predict_gumbel(mdp, 3, c1=0.2, beta1=0.9)
-    rew = mdp.reward.copy()
-    rew[0, 0] += 1e-12  # multiset now differs formally but not numerically
-    tweaked = TabularMdp(mdp.n_states, mdp.n_actions, mdp.transition, rew, mdp.gamma)
-    pred_gen = predict_gumbel(tweaked, 3, c1=0.2, beta1=0.9)
-    assert not pred_gen.degenerate
-    live = ~np.isnan(pred_gen.c_t)
-    assert live.any()
-    assert np.allclose(pred_gen.c_t[live], pred_deg.c_t[live], atol=1e-9)
 
 
 def test_predict_terminal_cells_nan_in_general_path():
@@ -287,10 +268,26 @@ def test_predict_terminal_cells_nan_in_general_path():
         np.array([[1.0, 2.0], [0.5, 0.25]]),
         0.9,
     )
-    pred = predict_gumbel(mdp, 2, c1=0.0, beta1=1.0)
-    assert not pred.degenerate
-    assert np.isnan(pred.c_t[1]).all()
+    pred = predict_gumbel(mdp, 1, c1=0.0, beta1=1.0)
     assert np.isfinite(pred.c_t[0]).all()
+    assert np.isnan(pred.c_t[1]).all()
+    assert np.isnan(predict_gumbel(mdp, 2, c1=0.0, beta1=1.0).c_t).all()
+
+
+@pytest.mark.parametrize("mdp", [make_random_dag(12, 4, seed=3), make_chain(5)],
+                         ids=["dag:12,4", "chain:5"])
+def test_predict_nan_on_every_exactly_constant_cell(mdp):
+    # Oracle: literal Q-iteration from 200 Gumbel initial tables.  A cell
+    # whose value is the same from every table does not depend on the
+    # initialization, so it has no Gumbel law and must be NaN.
+    init = DistSpec(Family.GUMBEL, 0.0, 1.0)
+    tables = [init_q(mdp, init, seed) for seed in range(200)]
+    for t in range(1, 7):
+        tables = [bellman_step(mdp, q) for q in tables]
+        exact = np.ptp(np.stack([q.values for q in tables]), axis=0) == 0.0
+        c_t = predict_gumbel(mdp, t, c1=mdp.gamma * math.log(mdp.n_actions), beta1=mdp.gamma).c_t
+        assert exact.any()
+        assert np.isnan(c_t[exact]).all(), t
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +299,6 @@ def test_row_errors_deterministic_and_shapes():
     b = example1_row_errors(2, seed=3)
     assert np.array_equal(a.eps_gap, b.eps_gap)
     assert a.eps_gap.shape == (1, 5000)
-    assert a.state_ids.tolist() == [0]
-    gap_row, err_row = a.by_state(0)
-    assert gap_row.shape == (5000,)
 
 
 def test_row_errors_domain():
