@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError
+from .errors import ConvergenceError, DegenerateDataError, DomainError
 
 # Euler-Mascheroni constant; the mean of a standard Gumbel is exactly this.
 EULER_MASCHERONI = 0.57721566490153286061
@@ -80,6 +81,13 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.values.size
 
+    @cached_property
+    def sorted(self) -> np.ndarray:
+        """The values in ascending order: a read-only copy, sorted once per batch."""
+        out = np.sort(self.values)
+        out.setflags(write=False)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Densities, CDFs, quantiles
@@ -89,7 +97,9 @@ def pdf(d: DistSpec, x):
     """Density of ``d`` at ``x`` (scalar or array)."""
     z = (np.asarray(x, dtype=float) - d.location) / d.scale
     if d.family is Family.GUMBEL:
-        out = np.exp(-(z + np.exp(-z))) / d.scale
+        # far in the left tail exp(-z) overflows to inf and the density is exactly 0
+        with np.errstate(over="ignore"):
+            out = np.exp(-(z + np.exp(-z))) / d.scale
     elif d.family is Family.LOGISTIC:
         # exp(-|z|)/(1+exp(-|z|))^2 is symmetric and avoids overflow
         e = np.exp(-np.abs(z))
@@ -105,7 +115,8 @@ def cdf(d: DistSpec, x):
 
     z = (np.asarray(x, dtype=float) - d.location) / d.scale
     if d.family is Family.GUMBEL:
-        out = np.exp(-np.exp(-z))
+        with np.errstate(over="ignore"):
+            out = np.exp(-np.exp(-z))
     elif d.family is Family.LOGISTIC:
         out = expit(z)
     else:
@@ -165,49 +176,69 @@ def sample(d: DistSpec, n: int, seed: int) -> SampleBatch:
 # Maximum-likelihood fitting
 # ---------------------------------------------------------------------------
 
-def _logistic_loglik(x: np.ndarray, loc: float, scale: float) -> float:
-    # -z - 2 log(1+exp(-z)) written in the overflow-safe even form; the MLE's
-    # line search calls this directly, without a DistSpec per trial step
-    a = np.abs((x - loc) / scale)
-    return -x.size * math.log(scale) - float(np.sum(a)) - 2.0 * float(np.sum(np.log1p(np.exp(-a))))
+# Newton iteration budget of the Gumbel and Logistic fits
+_MAX_NEWTON = 200
+
+
+def _logistic_loglik(t: np.ndarray, scale: float) -> float:
+    # Log-likelihood from the standardised residuals t = (x - loc) / scale:
+    # -t - 2 log(1+exp(-t)) written in the overflow-safe even form.  The MLE's
+    # line search passes its trial residuals, which the next Newton step reuses.
+    a = np.abs(t)
+    return -t.size * math.log(scale) - float(np.sum(a)) - 2.0 * float(np.sum(np.log1p(np.exp(-a))))
 
 
 def log_likelihood(d: DistSpec, data: np.ndarray) -> float:
     """Total log-likelihood of ``data`` under ``d``."""
-    x = np.asarray(data, dtype=float)
+    z = (np.asarray(data, dtype=float) - d.location) / d.scale
     if d.family is Family.LOGISTIC:
-        return _logistic_loglik(x, d.location, d.scale)
-    z = (x - d.location) / d.scale
+        return _logistic_loglik(z, d.scale)
     n = z.size
     if d.family is Family.GUMBEL:
-        return float(-n * math.log(d.scale) - np.sum(z) - np.sum(np.exp(-z)))
+        # exp(-z) overflows to inf far in the left tail; the exact value is -inf
+        with np.errstate(over="ignore"):
+            return float(-n * math.log(d.scale) - np.sum(z) - np.sum(np.exp(-z)))
     return float(-n * math.log(d.scale) - 0.5 * n * math.log(2.0 * math.pi) - 0.5 * np.sum(z * z))
 
 
 def _fit_gumbel_std(z: np.ndarray) -> tuple[float, float]:
     # Profile likelihood: for fixed scale the location is closed-form, and the
     # remaining 1-D score  g(s) = s - mean(z) + sum(z w)/sum(w),  w = exp(-z/s),
-    # is strictly increasing in s, so Newton from the moment start is safe.
+    # is strictly increasing in s, with g(0+) = min(z) - mean(z) < 0 and
+    # g(s) -> inf.  The signs of g seen so far bracket the root in [lo, hi];
+    # a Newton step that leaves the bracket is replaced by doubling s (while
+    # no upper end is known) or by bisection, so the fit converges from any
+    # start.  The tolerance is tested on the raw Newton step, before that guard,
+    # so a rounding-level last step is taken as it is, not bisected.
     sd = float(np.std(z))
     s = sd * math.sqrt(6.0) / math.pi
     zbar = float(np.mean(z))
-    for _ in range(200):
+    zz = z * z
+    lo, hi = 0.0, math.inf
+    for _ in range(_MAX_NEWTON):
         e = -z / s
         e -= e.max()
         w = np.exp(e)
         sw = float(np.sum(w))
         m1 = float(np.sum(z * w)) / sw
-        m2 = float(np.sum(z * z * w)) / sw
+        m2 = float(np.sum(zz * w)) / sw
         g = s - zbar + m1
+        if g < 0.0:
+            lo = s
+        elif g > 0.0:
+            hi = s
         gp = 1.0 + (m2 - m1 * m1) / (s * s)
         step = g / gp
         new = s - step
-        while new <= 0.0:
-            step *= 0.5
-            new = s - step
-        s = new
-        if abs(step) < 1e-10 * max(1.0, abs(s)):
+        if abs(step) < 1e-10 * max(1.0, abs(new)) and new > 0.0:
+            s = new
             break
+        if not lo < new < hi:
+            new = 2.0 * s if hi == math.inf else 0.5 * (lo + hi)
+        s = new
+    else:
+        raise ConvergenceError(f"Gumbel MLE did not converge in {_MAX_NEWTON} Newton steps "
+                               f"(scale bracket [{lo}, {hi}] in standard units)")
     e = -z / s
     m = e.max()
     loc = -s * (m + math.log(float(np.mean(np.exp(e - m)))))
@@ -217,19 +248,23 @@ def _fit_gumbel_std(z: np.ndarray) -> tuple[float, float]:
 def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
     # Two-parameter Newton on (location, scale) with analytic score/Hessian and
     # step halving so the log-likelihood never drops below the moment start.
+    # The residuals t of the accepted trial step, and their log-likelihood,
+    # carry over to the next iteration.
     n = z.size
     loc = float(np.mean(z))
     s = max(float(np.std(z)) * math.sqrt(3.0) / math.pi, 1e-12)
-    cur = _logistic_loglik(z, loc, s)
-    for _ in range(200):
-        t = (z - loc) / s
+    t = (z - loc) / s
+    cur = _logistic_loglik(t, s)
+    for _ in range(_MAX_NEWTON):
         u = np.tanh(0.5 * t)
         w = 0.5 * (1.0 - u * u)  # d tanh(t/2)/dt
-        g_loc = float(np.sum(u)) / s
-        g_s = (float(np.sum(t * u)) - n) / s
+        sum_u = float(np.sum(u))
+        sum_tu = float(np.sum(t * u))
+        g_loc = sum_u / s
+        g_s = (sum_tu - n) / s
         h_ll = -float(np.sum(w)) / (s * s)
-        h_ls = -(float(np.sum(u)) + float(np.sum(t * w))) / (s * s)
-        h_ss = (n - 2.0 * float(np.sum(t * u)) - float(np.sum(t * t * w))) / (s * s)
+        h_ls = -(sum_u + float(np.sum(t * w))) / (s * s)
+        h_ss = (n - 2.0 * sum_tu - float(np.sum(t * t * w))) / (s * s)
         det = h_ll * h_ss - h_ls * h_ls
         if det <= 0.0 or h_ll >= 0.0:
             d_loc, d_s = g_loc / max(-h_ll, 1e-12), g_s / max(-h_ss, 1e-12)
@@ -240,17 +275,20 @@ def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
         for _ in range(60):
             lo_new = loc + scale_step * d_loc
             s_new = s + scale_step * d_s
-            if s_new > 0.0 and _logistic_loglik(z, lo_new, s_new) >= cur - 1e-12:
-                break
+            if s_new > 0.0:
+                t_new = (z - lo_new) / s_new
+                ll = _logistic_loglik(t_new, s_new)
+                if ll >= cur - 1e-12:
+                    break
             scale_step *= 0.5
         else:
-            break
+            raise ConvergenceError("Logistic MLE line search found no step that keeps the "
+                                   "log-likelihood after 60 halvings")
         moved = max(abs(scale_step * d_loc), abs(scale_step * d_s))
-        loc, s = lo_new, s_new
-        cur = _logistic_loglik(z, loc, s)
+        loc, s, t, cur = lo_new, s_new, t_new, ll
         if moved < 1e-10 * max(1.0, abs(loc), s):
-            break
-    return loc, s
+            return loc, s
+    raise ConvergenceError(f"Logistic MLE did not converge in {_MAX_NEWTON} Newton steps")
 
 
 def fit_mle(family: Family, data: SampleBatch) -> DistSpec:
@@ -258,13 +296,18 @@ def fit_mle(family: Family, data: SampleBatch) -> DistSpec:
 
     Gumbel and Logistic use Newton iterations from moment-matched starting
     values (step tolerance 1e-10, at most 200 iterations); the returned
-    log-likelihood is never below the starting value.  Normal is closed-form
-    (sample mean, population standard deviation).  Data whose standard
-    deviation overflows or underflows float64 raise ``DomainError``.
+    log-likelihood is never below the starting value.  The Gumbel Newton
+    steps are safeguarded by a bracket on the root of the profile score, so
+    they converge from any start.  A fit that reaches the iteration limit, or
+    whose Logistic line search finds no acceptable step, raises
+    ``ConvergenceError``.  Normal is closed-form (sample mean, population
+    standard deviation).  Data with a single distinct value raise
+    ``DegenerateDataError``; data whose standard deviation overflows or
+    underflows float64 raise ``DomainError``.
     """
     family = Family(family)
     x = data.values
-    if np.unique(x).size < 2:
+    if x.min() == x.max():
         raise DegenerateDataError("fit_mle requires at least 2 distinct values")
     # Standardize so the solver sees O(1) numbers; this also makes the fit
     # exactly equivariant under affine maps of the data.

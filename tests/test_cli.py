@@ -12,6 +12,7 @@ import pytest
 import belldist
 from belldist import BelldistError, DistSpec, Family, sample
 from belldist.cli import _csv, _read_values, build_parser, main
+from belldist.distributions import uniform_open
 
 
 def run_cli(args: list[str]) -> int:
@@ -118,6 +119,16 @@ def test_fit_spread_beyond_float64_exit_code_one(tmp_path, capsys):
     data_path = write_values(tmp_path / "huge.csv", [1e300, -1e300, 0.0])
     assert run_cli(["fit", "--input", data_path, "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_fit_that_does_not_converge_exit_code_one(tmp_path, capsys):
+    # 5000 Cauchy draws: the Logistic fit's line search finds no step
+    cauchy = np.tan(math.pi * (uniform_open(0, 5000, stream=1) - 0.5))
+    data_path = write_values(tmp_path / "cauchy.csv", cauchy)
+    out = tmp_path / "out"
+    assert run_cli(["fit", "--input", data_path, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_bins_must_be_integer(tmp_path, capsys):

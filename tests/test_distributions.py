@@ -1,11 +1,17 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import gumbel_r
 
 from belldist import (
     EULER_MASCHERONI,
+    ConvergenceError,
     DegenerateDataError,
     DistSpec,
     DomainError,
@@ -18,7 +24,9 @@ from belldist import (
     quantile,
     sample,
 )
+from belldist import distributions
 from belldist.distributions import uniform_open
+from belldist.gof import ks_statistic
 from conftest import ks_against
 
 PARAM_GRID = [
@@ -164,6 +172,14 @@ def test_fit_degenerate_data():
 
 
 @pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("values", [np.full(7, -2.5), np.array([0.0, -0.0])],
+                         ids=["all-equal", "signed-zeros"])
+def test_fit_degenerate_data_every_family(family, values):
+    with pytest.raises(DegenerateDataError):
+        fit_mle(family, SampleBatch(values))
+
+
+@pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("values", [
     [1e300, -1e300, 0.0],  # the variance overflows
     [1.7e308, 1.7e308, 1e308],  # the mean overflows
@@ -174,18 +190,72 @@ def test_fit_spread_beyond_float64_raises_domain_error(family, values):
         fit_mle(family, SampleBatch(np.array(values)))
 
 
+def moment_start(family: Family, x: np.ndarray) -> DistSpec:
+    """The moment-matched law the Gumbel and Logistic Newton fits start from."""
+    m, sd = float(np.mean(x)), float(np.std(x))
+    if family is Family.GUMBEL:
+        scale0 = sd * math.sqrt(6.0) / math.pi
+        return DistSpec(family, m - EULER_MASCHERONI * scale0, scale0)
+    return DistSpec(family, m, sd * math.sqrt(3.0) / math.pi)
+
+
 @pytest.mark.parametrize("family", [Family.GUMBEL, Family.LOGISTIC])
 def test_fit_beats_moment_initializer(family):
     batch = sample(DistSpec(family, 0.7, 1.3), 5000, seed=33)
     x = batch.values
-    m, sd = float(np.mean(x)), float(np.std(x))
-    if family is Family.GUMBEL:
-        scale0 = sd * math.sqrt(6.0) / math.pi
-        init = DistSpec(family, m - EULER_MASCHERONI * scale0, scale0)
-    else:
-        init = DistSpec(family, m, sd * math.sqrt(3.0) / math.pi)
     fitted = fit_mle(family, batch)
-    assert log_likelihood(fitted, x) >= log_likelihood(init, x) - 1e-9
+    assert log_likelihood(fitted, x) >= log_likelihood(moment_start(family, x), x) - 1e-9
+
+
+@st.composite
+def fit_data(draw):
+    """Finite batches from n = 2 up, with ties and occasional heavy-tailed entries."""
+    body = draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40))
+    ties = draw(st.lists(st.sampled_from(body), max_size=6))
+    tails = draw(st.lists(st.floats(-1e12, 1e12), max_size=3))
+    return np.array(draw(st.permutations(body + ties + tails)))
+
+
+@given(x=fit_data(), family=st.sampled_from([Family.GUMBEL, Family.LOGISTIC]))
+def test_fit_loglik_at_least_moment_start_property(x, family):
+    if x.min() == x.max():
+        with pytest.raises(DegenerateDataError):
+            fit_mle(family, SampleBatch(x))
+        return
+    if not float(np.std(x)) > 0.0:  # a spread below float64's resolution
+        with pytest.raises(DomainError):
+            fit_mle(family, SampleBatch(x))
+        return
+    fitted = fit_mle(family, SampleBatch(x))
+    start = log_likelihood(moment_start(family, x), x)
+    assert log_likelihood(fitted, x) >= start - 1e-9 * (1.0 + abs(start))
+
+
+def test_fit_gumbel_heavy_tails_reaches_scipy_loglik():
+    # Cauchy draws: plain Newton from the moment start used to stop at the
+    # wrong side of the profile-score root, at a log-likelihood of -7.27e6
+    x = np.tan(math.pi * (uniform_open(3, 10_000) - 0.5))
+    ours = log_likelihood(fit_mle(Family.GUMBEL, SampleBatch(x)), x)
+    loc, scale = gumbel_r.fit(x)
+    theirs = log_likelihood(DistSpec(Family.GUMBEL, loc, scale), x)
+    assert ours >= theirs - 1e-9 * abs(theirs)
+    assert ours > -70_461.0
+
+
+def test_fit_logistic_line_search_failure_raises():
+    # 5000 Cauchy draws: the Hessian is indefinite at the moment start and no
+    # halving of the fallback step keeps the log-likelihood
+    x = np.tan(math.pi * (uniform_open(0, 5000, stream=1) - 0.5))
+    with pytest.raises(ConvergenceError, match="line search"):
+        fit_mle(Family.LOGISTIC, SampleBatch(x))
+
+
+@pytest.mark.parametrize("family", [Family.GUMBEL, Family.LOGISTIC])
+def test_fit_iteration_limit_raises(family, monkeypatch):
+    batch = sample(DistSpec(family, 0.7, 1.3), 5000, seed=33)
+    monkeypatch.setattr(distributions, "_MAX_NEWTON", 1)
+    with pytest.raises(ConvergenceError, match="did not converge in 1 "):
+        fit_mle(family, batch)
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -205,3 +275,43 @@ def test_sample_batch_validation():
         SampleBatch(np.array([1.0, math.inf]))
     with pytest.raises(DomainError):
         SampleBatch(np.array([[1.0, 2.0]]))
+
+
+def test_gumbel_left_tail_has_no_overflow_warning():
+    d = DistSpec(Family.GUMBEL, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cdf(d, -800.0) == 0.0
+        assert pdf(d, -800.0) == 0.0
+        assert log_likelihood(d, np.array([-800.0, 0.0])) == -math.inf
+
+
+def test_sample_batch_sorted_is_a_cached_read_only_copy():
+    batch = SampleBatch(np.array([3.0, -1.0, 2.0, -1.0, 0.5]))
+    assert np.array_equal(batch.sorted, np.sort(batch.values))
+    assert batch.sorted is batch.sorted
+    assert not batch.sorted.flags.writeable
+    assert np.array_equal(batch.values, [3.0, -1.0, 2.0, -1.0, 0.5])
+
+
+PIN_LAWS = (
+    DistSpec(Family.GUMBEL, 0.4, 1.7),
+    DistSpec(Family.LOGISTIC, -1.2, 0.6),
+    DistSpec(Family.NORMAL, 2.5, 3.0),
+)
+# SHA-256 of the float64 bytes of (location, scale, KS) below, computed before
+# the fits reused their Newton residuals and KS read the batch's sorted copy;
+# a change to either must keep every bit.
+FIT_KS_DIGEST = "b6b5e9f749cc95b66a35d38356089fd2c5299f343bf9bfafbf72f416ed27822f"
+
+
+def test_fit_and_ks_bits_pinned():
+    h = hashlib.sha256()
+    for i, law in enumerate(PIN_LAWS):
+        for n in (2, 17, 256, 5000, 100_000):
+            batch = sample(law, n, seed=100 * i + n)
+            for family in Family:
+                fitted = fit_mle(family, batch)
+                ks = ks_statistic(batch, fitted)
+                h.update(np.array([fitted.location, fitted.scale, ks]).tobytes())
+    assert h.hexdigest() == FIT_KS_DIGEST

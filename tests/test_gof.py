@@ -7,6 +7,7 @@ from belldist import (
     DomainError,
     Family,
     SampleBatch,
+    cdf,
     quantile,
     sample,
 )
@@ -44,6 +45,19 @@ def test_ks_ties():
     # the ECDF jumps from 0 to 3/4 at the tied point 0, where F = 1/2, so the
     # sup is the gap just before the jump
     assert ks_statistic(batch, d) == 0.5
+
+
+def test_ks_matches_absolute_value_form():
+    # reference: the max of |i/n - F| and |(i-1)/n - F| over a fresh sort
+    for seed, n in enumerate((1, 2, 3, 17, 256, 4999)):
+        for family in Family:
+            d = DistSpec(family, 0.3, 1.4)
+            for values in (sample(d, n, seed=seed).values, np.round(sample(d, n, seed=seed).values)):
+                x = np.sort(values)
+                f = cdf(d, x)
+                hi, lo = np.arange(1, n + 1) / n, np.arange(0, n) / n
+                ref = float(max(np.max(np.abs(hi - f)), np.max(np.abs(lo - f))))
+                assert ks_statistic(SampleBatch(values), d) == ref
 
 
 def test_ks_small_over_many_seeds():
