@@ -63,11 +63,9 @@ class DistSpec:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """An ordered batch of finite real values, optionally tagged with the seed
-    that generated it (None for external data)."""
+    """An ordered batch of finite real values."""
 
     values: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -169,7 +167,7 @@ def sample(d: DistSpec, n: int, seed: int) -> SampleBatch:
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     u = uniform_open(seed, n)
-    return SampleBatch(quantile(d, u), seed=seed)
+    return SampleBatch(quantile(d, u))
 
 
 # ---------------------------------------------------------------------------

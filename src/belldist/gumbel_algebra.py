@@ -53,16 +53,16 @@ def gumbel_max(locations, beta: float) -> DistSpec:
     return DistSpec(Family.GUMBEL, beta * float(logsumexp(locs / beta)), beta)
 
 
-def gumbel_difference(x: DistSpec, y: DistSpec, rel_tol: float = 1e-12) -> DistSpec:
+def gumbel_difference(x: DistSpec, y: DistSpec) -> DistSpec:
     """Law of X - Y for independent Gumbels with equal scales.
 
     The closure into the Logistic family is exact only for equal scales (the
-    sum X + Y is *not* Logistic), so unequal scales are an error; the relative
-    tolerance admits inputs that differ by floating-point round-off only.
+    sum X + Y is *not* Logistic), so unequal scales are an error; a relative
+    tolerance of 1e-12 admits inputs that differ by floating-point round-off only.
     """
     _require_gumbel(x, "gumbel_difference")
     _require_gumbel(y, "gumbel_difference")
-    if abs(x.scale - y.scale) > rel_tol * max(abs(x.scale), abs(y.scale)):
+    if abs(x.scale - y.scale) > 1e-12 * max(abs(x.scale), abs(y.scale)):
         raise ScaleMismatchError(
             f"gumbel_difference requires equal scales, got {x.scale} and {y.scale}"
         )

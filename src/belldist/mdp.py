@@ -19,6 +19,11 @@ from .errors import ConvergenceError, DomainError
 
 TERMINAL = -1
 
+GAMMA = 0.99  # discount of every built-in environment
+EXAMPLE1_STATES, EXAMPLE1_ACTIONS = 5, 5000  # shape of the five-state benchmark
+_DAG_REWARD_LOW, _DAG_REWARD_HIGH = 0.05, 1.0  # random-DAG rewards are uniform on this range
+_MAX_SWEEPS = 1_000_000  # value-iteration budget of solve_qstar
+
 
 @dataclass(frozen=True)
 class TabularMdp:
@@ -129,15 +134,15 @@ def bellman_step(mdp: TabularMdp, q: QTable) -> QTable:
     return QTable(values=new_values, iteration=q.iteration + 1)
 
 
-def solve_qstar(mdp: TabularMdp, tol: float = 1e-12, max_iter: int = 1_000_000) -> QTable:
-    """Fixed point of bellman_step to sup-norm ``tol``."""
+def solve_qstar(mdp: TabularMdp) -> QTable:
+    """Fixed point of bellman_step to sup-norm 1e-12."""
     q = QTable(values=np.zeros((mdp.n_states, mdp.n_actions)))
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         nxt = bellman_step(mdp, q)
-        if float(np.max(np.abs(nxt.values - q.values))) < tol:
+        if float(np.max(np.abs(nxt.values - q.values))) < 1e-12:
             return QTable(values=nxt.values, iteration=0)
         q = nxt
-    raise ConvergenceError(f"value iteration did not reach {tol} in {max_iter} steps")
+    raise ConvergenceError(f"value iteration did not reach 1e-12 in {_MAX_SWEEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -230,20 +235,21 @@ def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPr
 # Built-in environments
 # ---------------------------------------------------------------------------
 
-def make_example1(n_states: int = 5, n_actions: int = 5000, gamma: float = 0.99) -> TabularMdp:
+def make_example1(n_actions: int = EXAMPLE1_ACTIONS) -> TabularMdp:
     """Five-state feed-forward benchmark: every action at state i moves to
     state i+1 (the last state ends the episode) with constant reward 1."""
+    n_states = EXAMPLE1_STATES
     transition = np.empty((n_states, n_actions), dtype=np.int64)
     for s in range(n_states):
         transition[s, :] = s + 1 if s + 1 < n_states else TERMINAL
     reward = np.ones((n_states, n_actions))
-    return TabularMdp(n_states, n_actions, transition, reward, gamma)
+    return TabularMdp(n_states, n_actions, transition, reward, GAMMA)
 
 
 FORWARD, STAY = 0, 1
 
 
-def make_chain(n_states: int, gamma: float = 0.99) -> TabularMdp:
+def make_chain(n_states: int) -> TabularMdp:
     """Chain with two actions: FORWARD earns 1 and advances (the last state
     terminates); STAY earns 0 and self-loops.  Optimal policy: FORWARD."""
     if n_states < 2:
@@ -254,17 +260,10 @@ def make_chain(n_states: int, gamma: float = 0.99) -> TabularMdp:
         transition[s, FORWARD] = s + 1 if s + 1 < n_states else TERMINAL
         transition[s, STAY] = s
         reward[s, FORWARD] = 1.0
-    return TabularMdp(n_states, 2, transition, reward, gamma)
+    return TabularMdp(n_states, 2, transition, reward, GAMMA)
 
 
-def make_random_dag(
-    n_states: int,
-    n_actions: int,
-    seed: int,
-    gamma: float = 0.99,
-    reward_low: float = 0.05,
-    reward_high: float = 1.0,
-) -> TabularMdp:
+def make_random_dag(n_states: int, n_actions: int, seed: int) -> TabularMdp:
     """Random episodic DAG: T(s, a) is uniform over later states and TERMINAL,
     so every trajectory reaches the end in at most n_states steps."""
     if n_states < 2 or n_actions < 1:
@@ -279,22 +278,15 @@ def make_random_dag(
         idx = np.minimum((pick[s] * n_choices).astype(np.int64), n_choices - 1)
         succ = s + 1 + idx
         transition[s] = np.where(succ >= n_states, TERMINAL, succ)
-    reward = reward_low + (reward_high - reward_low) * rew_u
-    return TabularMdp(n_states, n_actions, transition, reward, gamma)
+    reward = _DAG_REWARD_LOW + (_DAG_REWARD_HIGH - _DAG_REWARD_LOW) * rew_u
+    return TabularMdp(n_states, n_actions, transition, reward, GAMMA)
 
 
 # ---------------------------------------------------------------------------
 # Independent-successor error rows for the five-state benchmark
 # ---------------------------------------------------------------------------
 
-def example1_row_errors(
-    t: int,
-    seed: int,
-    init: DistSpec | None = None,
-    n_states: int = 5,
-    n_actions: int = 5000,
-    gamma: float = 0.99,
-) -> ErrorSnapshot:
+def example1_row_errors(t: int, seed: int, init: DistSpec | None = None) -> ErrorSnapshot:
     """First-state error rows of the five-state benchmark at iteration t,
     under per-pair independent successors.
 
@@ -324,6 +316,7 @@ def example1_row_errors(
         init = DistSpec(Family.NORMAL, 0.0, 1.0)
     if init.family not in (Family.GUMBEL, Family.NORMAL):
         raise DomainError("init must be Gumbel or Normal")
+    n_states, n_actions, gamma = EXAMPLE1_STATES, EXAMPLE1_ACTIONS, GAMMA
 
     def qstar_value(state_idx: int) -> float:
         # max_a Q*(s_idx, a) on the benchmark: sum_{k=0}^{n_states-1-idx} gamma^k

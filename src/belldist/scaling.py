@@ -100,12 +100,14 @@ def _gprime(sample: RewardSample, phi: float) -> float:
         return float(np.sum(np.exp(phi * r / sample.beta) * r))
 
 
-def find_phi_star(sample: RewardSample, tol: float = 1e-10, max_iter: int = 200) -> float:
+def find_phi_star(sample: RewardSample) -> float:
     """Unique root of G'(phi) on (1, inf) by bracket doubling plus bisection.
 
     G' is strictly increasing and tends to +inf whenever a positive reward
     exists, so once G'(1) < 0 a sign change is guaranteed and bisection
-    cannot fail.
+    cannot fail.  Bisection stops at a bracket narrower than 1e-10, or once
+    the bracket ends are adjacent floats (phi* above about 2**19, where the
+    float spacing exceeds 1e-10) and the midpoint equals one of them.
     """
     cond1, cond2, gprime1 = check_conditions(sample)
     if not cond1:
@@ -117,34 +119,34 @@ def find_phi_star(sample: RewardSample, tol: float = 1e-10, max_iter: int = 200)
     lo, hi = 1.0, 2.0
     while _gprime(sample, hi) < 0.0:
         lo, hi = hi, 2.0 * hi
-    for _ in range(max_iter):
+    while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
+        if hi - lo < 1e-10 or mid == lo or mid == hi:
             return mid
         if _gprime(sample, mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
 class ScalingCurve:
     """Expected error along a phi grid plus the phi* existence diagnosis."""
 
-    sample: RewardSample
     phi_grid: np.ndarray
     expectations: np.ndarray
     cond1: bool
     cond2: bool
     phi_star: float | None = None
-    below_regime: np.ndarray | None = None  # phi < 1 markers
 
     def __post_init__(self):
-        if self.below_regime is None:
-            object.__setattr__(self, "below_regime", self.phi_grid < 1.0)
-        for name in ("phi_grid", "expectations", "below_regime"):
-            getattr(self, name).setflags(write=False)
+        self.phi_grid.setflags(write=False)
+        self.expectations.setflags(write=False)
+
+    @property
+    def below_regime(self) -> np.ndarray:
+        """phi < 1 markers: grid points outside the regime the phi* analysis covers."""
+        return self.phi_grid < 1.0
 
 
 def scaling_curve(sample: RewardSample, phi_grid) -> ScalingCurve:
@@ -160,7 +162,6 @@ def scaling_curve(sample: RewardSample, phi_grid) -> ScalingCurve:
     phi_star = find_phi_star(sample) if (cond1 and cond2) else None
     values = np.array([expected_error(sample, p) for p in grid])
     return ScalingCurve(
-        sample=sample,
         phi_grid=grid,
         expectations=values,
         cond1=cond1,

@@ -116,7 +116,6 @@ def test_sample_deterministic_and_distinct():
     c = sample(d, 1000, seed=43)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
-    assert a.seed == 42
 
 
 def test_sample_size_domain():

@@ -174,10 +174,11 @@ def test_qstar_matches_backward_induction():
     assert np.max(np.abs(qstar.values - backward_induction(mdp))) < 1e-10
 
 
-def test_solve_qstar_budget_error():
+def test_solve_qstar_budget_error(monkeypatch):
     mdp = TabularMdp(1, 1, np.array([[0]]), np.ones((1, 1)), 0.9)
+    monkeypatch.setattr("belldist.mdp._MAX_SWEEPS", 3)
     with pytest.raises(ConvergenceError):
-        solve_qstar(mdp, max_iter=3)
+        solve_qstar(mdp)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
