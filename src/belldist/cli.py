@@ -89,16 +89,12 @@ def parse_env(spec: str, seed: int) -> TabularMdp:
         return make_example1()
     if spec.startswith(("chain:", "dag:")):
         kind, params = spec.split(":", 1)
-        try:
-            sizes = [int(x) for x in params.split(",")]
-        except ValueError:
-            sizes = []
+        sizes = _int_list(params, f"the sizes in {spec!r}")
         if kind == "chain" and len(sizes) == 1:
             return make_chain(sizes[0])
         if kind == "dag" and len(sizes) == 2:
             return make_random_dag(sizes[0], sizes[1], seed=seed)
-        raise BelldistError(f"environment spec must be chain:N or dag:S,A with integer "
-                            f"sizes, got {spec!r}")
+        raise BelldistError(f"environment spec must be chain:N or dag:S,A, got {spec!r}")
     if spec.endswith(".json"):
         try:
             text = Path(spec).read_text()
@@ -111,9 +107,12 @@ def parse_env(spec: str, seed: int) -> TabularMdp:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, steps = text.split(":")
-        return np.linspace(float(lo), float(hi), int(steps))
+        lo, hi = float(lo), float(hi)
+        if np.isfinite(lo) and np.isfinite(hi):
+            return np.linspace(lo, hi, int(steps))
     except ValueError as exc:
         raise BelldistError(f"grid must be lo:hi:steps, got {text!r}") from exc
+    raise BelldistError(f"grid ends must be finite, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +391,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         files = args.func(args)
-    except BelldistError as exc:
+    except (BelldistError, MemoryError) as exc:  # numpy refuses an oversized array at once
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out)

@@ -45,20 +45,18 @@ def freedman_diaconis_bins(values: np.ndarray) -> int:
 
 
 def histogram_fit_metrics(
-    data: SampleBatch, d: DistSpec, n_bins: int | str = 50
+    data: SampleBatch, d: DistSpec, n_bins: int = 50
 ) -> tuple[float, float, float]:
-    """(sse, rmse, r2) of the density histogram against pdf(d, bin centers).
+    """(sse, rmse, r2) of an ``n_bins``-bin density histogram against
+    pdf(d, bin centers).
 
     r2 is the coefficient of determination against the histogram's own mean.
-    ``n_bins`` may be an integer >= 2 or "fd" for the Freedman-Diaconis rule.
     """
     values = data.values
     if float(values.max() - values.min()) == 0.0:
         raise DegenerateDataError("histogram metrics require data with spread")
-    if n_bins == "fd":
-        n_bins = freedman_diaconis_bins(values)
     if not isinstance(n_bins, (int, np.integer)) or n_bins < 2:
-        raise DomainError(f"n_bins must be an integer >= 2 or 'fd', got {n_bins!r}")
+        raise DomainError(f"n_bins must be an integer >= 2, got {n_bins!r}")
     heights, edges = np.histogram(values, bins=int(n_bins), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     model = np.asarray(dist.pdf(d, centers))
@@ -94,25 +92,18 @@ class FitReport:
         }
 
 
-def fit_report(data: SampleBatch, family: Family, n_bins: int | str = 50) -> FitReport:
-    fitted = dist.fit_mle(family, data)
+def rank_families(data: SampleBatch, n_bins: int | str = 50) -> list[FitReport]:
+    """Fit all three families by MLE and sort ascending by KS statistic.
+
+    ``n_bins`` is an integer >= 2 or "fd", which the Freedman-Diaconis rule
+    resolves to one bin count for the whole batch.
+    """
+    fits = [dist.fit_mle(family, data) for family in Family]
     if n_bins == "fd":
         n_bins = freedman_diaconis_bins(data.values)
-    sse, rmse, r2 = histogram_fit_metrics(data, fitted, n_bins)
-    return FitReport(
-        family=Family(family),
-        params=fitted,
-        ks=ks_statistic(data, fitted),
-        sse=sse,
-        rmse=rmse,
-        r2=r2,
-        n_bins=int(n_bins),
-        n_samples=len(data),
-    )
-
-
-def rank_families(data: SampleBatch, n_bins: int | str = 50) -> list[FitReport]:
-    """Fit all three families by MLE and sort ascending by KS statistic."""
-    reports = [fit_report(data, fam, n_bins) for fam in Family]
+    reports = [
+        FitReport(family, fitted, ks_statistic(data, fitted),
+                  *histogram_fit_metrics(data, fitted, n_bins), int(n_bins), len(data))
+        for family, fitted in zip(Family, fits)
+    ]
     return sorted(reports, key=lambda r: r.ks)
-

@@ -119,18 +119,19 @@ def init_q(mdp: TabularMdp, init: DistSpec, seed: int) -> QTable:
     return QTable(values=values, iteration=0)
 
 
-def successor_max(mdp: TabularMdp, values: np.ndarray) -> np.ndarray:
-    """max_a' Q(T(s, a), a') per (s, a); terminal successors contribute 0.
+def successor_max(successors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """max_a' Q(s', a') for each successor s' in ``successors`` (the whole
+    ``mdp.transition`` or entries gathered from it); TERMINAL contributes 0.
 
     TERMINAL (-1) indexes a real row; ``np.where`` discards what it reads.
     """
-    return np.where(mdp.transition == TERMINAL, 0.0, values.max(axis=1)[mdp.transition])
+    return np.where(successors == TERMINAL, 0.0, values.max(axis=1)[successors])
 
 
 def bellman_step(mdp: TabularMdp, q: QTable) -> QTable:
     """One synchronous hard-max update: Q' = r + gamma * max_a' Q(s', a')."""
     _check_shapes(mdp, q)
-    new_values = mdp.reward + mdp.gamma * successor_max(mdp, q.values)
+    new_values = mdp.reward + mdp.gamma * successor_max(mdp.transition, q.values)
     return QTable(values=new_values, iteration=q.iteration + 1)
 
 

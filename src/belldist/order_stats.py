@@ -74,16 +74,6 @@ def _standard_expectations(n: int) -> np.ndarray:
     return tab[:-1] - tab[-2::-1]
 
 
-def order_stat_expectation(n: int, i: int, a: float, b: float) -> float:
-    """E[x_(i)] of n Logistic(a, b) draws: b*(H_{i-1} - H_{n-i}) + a."""
-    if not 1 <= i <= n:
-        raise DomainError(f"order index must satisfy 1 <= i <= n, got i={i}, n={n}")
-    if not b > 0:
-        raise DomainError(f"scale must be positive, got {b}")
-    h = _harmonic_table(n)
-    return b * float(h[i - 1] - h[n - i]) + a
-
-
 @dataclass(frozen=True)
 class OrderStatTable:
     """All n order-statistic expectations of Logistic(dist.location, dist.scale)."""
@@ -97,15 +87,24 @@ class OrderStatTable:
 
 
 def order_stat_table(n: int, a: float = 0.0, b: float = 1.0) -> OrderStatTable:
+    """E[x_(i)] = a + b*(H_{i-1} - H_{n-i}) for i = 1..n.
+
+    The scale is checked by the ``DistSpec``, built before the expectations.
+    """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if not b > 0:
-        raise DomainError(f"scale must be positive, got {b}")
     return OrderStatTable(
         n=n,
         dist=DistSpec(Family.LOGISTIC, a, b),
         expectations=a + b * _standard_expectations(n),
     )
+
+
+def order_stat_expectation(n: int, i: int, a: float, b: float) -> float:
+    """E[x_(i)] of n Logistic(a, b) draws: entry i - 1 of ``order_stat_table``."""
+    if not 1 <= i <= n:
+        raise DomainError(f"order index must satisfy 1 <= i <= n, got i={i}, n={n}")
+    return float(order_stat_table(n, a, b).expectations[i - 1])
 
 
 @dataclass(frozen=True)
@@ -155,11 +154,7 @@ def sampling_error(n: int, a: float = 0.0, b: float = 1.0) -> SamplingErrorRepor
 
 def empirical_cdf_expectation(n: int, a: float, b: float, t) -> float | np.ndarray:
     """Step function i/n where i counts order-statistic expectations <= t."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not b > 0:
-        raise DomainError(f"scale must be positive, got {b}")
-    exps = a + b * _standard_expectations(n)
+    exps = order_stat_table(n, a, b).expectations
     counts = np.searchsorted(exps, np.asarray(t, dtype=float), side="right")
     out = counts / n
     return out if out.ndim else float(out)

@@ -116,6 +116,11 @@ def find_phi_star(sample: RewardSample) -> float:
         raise PreconditionError(
             f"find_phi_star requires G'(1) < 0, got G'(1) = {gprime1}"
         )
+    return _bisect_phi_star(sample)
+
+
+def _bisect_phi_star(sample: RewardSample) -> float:
+    # find_phi_star's search, for a sample already known to meet both conditions
     lo, hi = 1.0, 2.0
     while _gprime(sample, hi) < 0.0:
         lo, hi = hi, 2.0 * hi
@@ -159,7 +164,7 @@ def scaling_curve(sample: RewardSample, phi_grid) -> ScalingCurve:
     if np.any(np.diff(grid) <= 0):
         raise DomainError("phi grid must be strictly increasing")
     cond1, cond2, _ = check_conditions(sample)
-    phi_star = find_phi_star(sample) if (cond1 and cond2) else None
+    phi_star = _bisect_phi_star(sample) if (cond1 and cond2) else None
     values = np.array([expected_error(sample, p) for p in grid])
     return ScalingCurve(
         phi_grid=grid,

@@ -13,7 +13,7 @@ finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import DomainError, TrainingError
 from .gof import ks_statistic
 from .distributions import Family, SampleBatch, fit_mle
 from .losses import LossConfig, l_loss_grad
-from .mdp import TERMINAL, TabularMdp
+from .mdp import TERMINAL, TabularMdp, successor_max
 
 LOSS_MSE = "mse"
 LOSS_LLOSS = "lloss"
@@ -72,22 +72,26 @@ class TrainConfig:
 
 @dataclass
 class TrainLog:
-    rewards: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    bellman_errors: list = field(default_factory=list)  # one array per epoch
-    final_policy: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    final_q: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    epochs_run: int = 0
+    rewards: np.ndarray  # greedy return after each epoch run
+    bellman_errors: list  # one array per epoch
+    final_q: np.ndarray
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.rewards)
+
+    @property
+    def final_policy(self) -> np.ndarray:
+        return np.argmax(self.final_q, axis=1)
 
     def equals(self, other: "TrainLog") -> bool:
         return (
-            self.epochs_run == other.epochs_run
-            and np.array_equal(self.rewards, other.rewards)
+            np.array_equal(self.rewards, other.rewards)
             and len(self.bellman_errors) == len(other.bellman_errors)
             and all(
                 np.array_equal(a, b)
                 for a, b in zip(self.bellman_errors, other.bellman_errors)
             )
-            and np.array_equal(self.final_policy, other.final_policy)
             and np.array_equal(self.final_q, other.final_q)
         )
 
@@ -178,11 +182,10 @@ def td_errors(qnet: QFunction, target_net: QFunction, env: TabularMdp, cells,
 
     The MDP is deterministic, so the reward and successor of a cell are read
     from ``env``; ``cfg.reward_scale`` scales the reward and ``env.gamma``
-    discounts.  A TERMINAL successor (-1) indexes a real row, whose value
-    ``np.where`` replaces with 0.
+    discounts.  ``successor_max`` applies the terminal rule to the batch's
+    successors, exactly as ``bellman_step`` applies it to the whole table.
     """
-    nxt = env.transition.reshape(-1)[cells]
-    next_max = np.where(nxt == TERMINAL, 0.0, target_net.table().max(axis=1)[nxt])
+    next_max = successor_max(env.transition.reshape(-1)[cells], target_net.table())
     targets = env.reward.reshape(-1)[cells] * cfg.reward_scale + env.gamma * next_max
     return targets - qnet.table().reshape(-1)[cells]
 
@@ -227,7 +230,6 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     errors_log: list[np.ndarray] = []
     best = -math.inf
     stale = 0
-    epochs_run = 0
     last_good = None
 
     # a diverging net overflows in its matmuls before the finite check on the
@@ -270,7 +272,6 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
             ret = greedy_return(env, table)
             rewards_log.append(ret)
             errors_log.append(epoch_errors)
-            epochs_run = epoch + 1
             last_good = table
 
             if ret > best + 1e-12:
@@ -280,13 +281,7 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
                 if stale >= cfg.early_stop_patience:
                     break
 
-    return TrainLog(
-        rewards=np.array(rewards_log),
-        bellman_errors=errors_log,
-        final_policy=np.argmax(last_good, axis=1),
-        final_q=last_good,
-        epochs_run=epochs_run,
-    )
+    return TrainLog(rewards=np.array(rewards_log), bellman_errors=errors_log, final_q=last_good)
 
 
 @dataclass(frozen=True)

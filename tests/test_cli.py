@@ -64,9 +64,14 @@ def test_contract_violation_exit_code_one(tmp_path, capsys, argv):
     ["fit", "--input", "{empty-row}"],
     ["fit", "--input", "{no-header}"],
     ["scaling", "--rewards", "{rewards}", "--beta", "1e-320"],  # phi * r / beta overflows
+    # 10**15 float64s (7 PiB) exceed the address space: numpy refuses at once
+    ["sampling-error", "--n", "2,1000000000000000"],
+    ["normal-max", "--n", "4096", "--mc", "1000000000000000"],
+    ["losscheck", "--t-grid=nan:1:5"],
 ], ids=["sampling-error-n", "train-chain", "train-dag", "normal-max-mc", "fit-input",
         "compare-seeds", "train-json-missing", "train-json-fields", "fit-input-non-numeric",
-        "fit-input-empty-row", "fit-input-no-header", "scaling-tiny-beta"])
+        "fit-input-empty-row", "fit-input-no-header", "scaling-tiny-beta",
+        "sampling-error-huge-n", "normal-max-huge-mc", "losscheck-nan-grid"])
 def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
     files = {
         "{missing}": tmp_path / "no-such-file",

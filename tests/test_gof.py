@@ -11,7 +11,7 @@ from belldist import (
     quantile,
     sample,
 )
-from belldist.gof import histogram_fit_metrics, ks_statistic, rank_families
+from belldist.gof import freedman_diaconis_bins, histogram_fit_metrics, ks_statistic, rank_families
 from belldist.mdp import example1_row_errors
 
 
@@ -104,13 +104,15 @@ def test_histogram_degenerate_and_domain():
         histogram_fit_metrics(SampleBatch(np.ones(10)), d, 10)
     with pytest.raises(DomainError):
         histogram_fit_metrics(sample(d, 100, seed=1), d, 1)
+    with pytest.raises(DomainError):  # rank_families resolves "fd"; the metrics take a count
+        histogram_fit_metrics(sample(d, 100, seed=1), d, "fd")
 
 
 def test_fd_bins_accepted():
-    d = DistSpec(Family.NORMAL, 0.0, 1.0)
-    batch = sample(d, 5000, seed=10)
-    sse, rmse, r2 = histogram_fit_metrics(batch, d, "fd")
-    assert np.isfinite([sse, rmse, r2]).all()
+    batch = sample(DistSpec(Family.NORMAL, 0.0, 1.0), 5000, seed=10)
+    reports = rank_families(batch, "fd")
+    assert [r.n_bins for r in reports] == [freedman_diaconis_bins(batch.values)] * 3
+    assert all(np.isfinite([r.sse, r.rmse, r.r2]).all() for r in reports)
 
 
 @pytest.mark.parametrize("family", [Family.LOGISTIC, Family.GUMBEL])

@@ -136,6 +136,21 @@ def test_expectation_domain():
         order_stat_expectation(4, 2, 0.0, -1.0)
 
 
+def test_expectation_is_table_entry_and_scale_is_checked():
+    for n, indices in ((1, [1]), (2, [1, 2]), (17, range(1, 18)), (16385, [1, 8193, 16385])):
+        table = order_stat_table(n, 0.37, 2.1).expectations
+        assert [order_stat_expectation(n, i, 0.37, 2.1) for i in indices] == [
+            table[i - 1] for i in indices
+        ]
+    for b in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            order_stat_expectation(4, 2, 0.0, b)
+        with pytest.raises(DomainError):
+            order_stat_table(4, 0.0, b)
+        with pytest.raises(DomainError):
+            empirical_cdf_expectation(4, 0.0, b, 0.5)
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 33, 1024])
 def test_antisymmetry_and_monotone(n):
     table = order_stat_table(n, a=1.25, b=0.75)

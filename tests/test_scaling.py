@@ -135,24 +135,39 @@ def test_phi_star_preconditions_named():
         find_phi_star(RewardSample(np.array([1.0, 1.0]), beta=1.0))
 
 
+def count_gprime_calls(monkeypatch) -> list[int]:
+    """Patch scaling._gprime to count its calls in the returned one-item list."""
+    from belldist import scaling
+
+    calls = [0]
+    gprime = scaling._gprime
+
+    def counted(sample, phi):
+        calls[0] += 1
+        return gprime(sample, phi)
+
+    monkeypatch.setattr(scaling, "_gprime", counted)
+    return calls
+
+
 def test_phi_star_stops_where_float_spacing_exceeds_tolerance(monkeypatch):
     # phi* is about 3.47e6, where adjacent floats lie 4.7e-10 apart: no
     # bracket is narrower than 1e-10, so bisection stops once its midpoint
     # equals an end of the bracket instead of running out a step budget
-    from belldist import scaling
-
-    calls = 0
-    gprime = scaling._gprime
-
-    def counted(sample, phi):
-        nonlocal calls
-        calls += 1
-        return gprime(sample, phi)
-
-    monkeypatch.setattr(scaling, "_gprime", counted)
+    calls = count_gprime_calls(monkeypatch)
     phi = find_phi_star(RewardSample(np.array([1e-7, -1e-7, -1e-7]), beta=1.0))
     assert phi == float.fromhex("0x1.a7103f38ef102p+21")
-    assert calls < 100
+    assert calls[0] < 100
+
+
+def test_scaling_curve_evaluates_conditions_once(monkeypatch):
+    # the curve's own check_conditions is the only G'(1); the search skips it
+    s = sample_one_pos_ten_neg()
+    phi_star = find_phi_star(s)
+    calls = count_gprime_calls(monkeypatch)
+    curve = scaling_curve(s, np.linspace(1.0, 3.0, 41))
+    assert curve.phi_star == phi_star
+    assert calls[0] <= 36
 
 
 def test_interior_maximum_at_phi_star():
