@@ -28,8 +28,9 @@ class LossConfig:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        # an infinite sigma makes every gradient exactly 0
+        if not 0.0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be finite and positive, got {self.sigma}")
 
 
 def _as_errors(errors) -> np.ndarray:

@@ -123,9 +123,9 @@ def successor_max(successors: np.ndarray, values: np.ndarray) -> np.ndarray:
     """max_a' Q(s', a') for each successor s' in ``successors`` (the whole
     ``mdp.transition`` or entries gathered from it); TERMINAL contributes 0.
 
-    TERMINAL (-1) indexes a real row; ``np.where`` discards what it reads.
+    TERMINAL is -1, so it indexes the 0 appended after the per-state maxima.
     """
-    return np.where(successors == TERMINAL, 0.0, values.max(axis=1)[successors])
+    return np.append(values.max(axis=1), 0.0)[successors]
 
 
 def bellman_step(mdp: TabularMdp, q: QTable) -> QTable:

@@ -59,8 +59,8 @@ class TrainConfig:
             raise DomainError("lr must be positive")
         if not 0.0 < self.tau <= 1.0:
             raise DomainError("tau must lie in (0, 1]")
-        if not self.sigma > 0:
-            raise DomainError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise DomainError("sigma must be finite and positive")
         if not self.reward_scale > 0:
             raise DomainError("reward_scale must be positive")
         if self.approximator not in ("tabular", "mlp"):
@@ -68,6 +68,10 @@ class TrainConfig:
         for name in ("epochs", "replay_capacity", "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.batch_size > self.replay_capacity:
+            # the replay never holds a full batch, so no gradient update runs
+            raise DomainError(f"batch_size {self.batch_size} exceeds replay_capacity "
+                              f"{self.replay_capacity}")
 
 
 @dataclass
@@ -103,36 +107,56 @@ class TrainLog:
 class QFunction:
     """A parameterisation of the (states x actions) Q table.
 
-    Parameters live in one list, so copying, Polyak mixing and the descent
-    step are shared; each approximator defines ``table()`` and ``grads(dq)``,
-    the gradient of ``sum(dq * table())`` for each parameter.
+    Parameters live in one flat float64 vector ``theta``, and ``params`` lists
+    the named parameter arrays as views into it, so copying, Polyak mixing and
+    the descent step are whole-vector operations shared by every approximator.
+    Each approximator defines ``forward()``, which returns the Q table and what
+    the backward pass reuses from it, and ``grad(dq, cache)``, the gradient of
+    ``sum(dq * table)`` as one flat vector laid out like ``theta``.
     """
 
+    theta: np.ndarray
     params: list[np.ndarray]
 
-    def descend(self, dq: np.ndarray, lr: float) -> None:
-        for p, g in zip(self.params, self.grads(dq)):
-            p -= lr * g
+    def _bind(self, theta: np.ndarray, shapes) -> None:
+        self.theta = theta
+        # descend and mix_from scale a whole vector into this buffer: a fresh
+        # temporary of that size on every update page-faults on large tables
+        self._scaled = np.empty_like(theta)
+        self.params = []
+        start = 0
+        for shape in shapes:
+            stop = start + math.prod(shape)
+            self.params.append(theta[start:stop].reshape(shape))
+            start = stop
+
+    def table(self) -> np.ndarray:
+        return self.forward()[0]
+
+    def descend(self, g: np.ndarray, lr: float) -> None:
+        self.theta -= np.multiply(lr, g, out=self._scaled)
 
     def mix_from(self, other: "QFunction", tau: float) -> None:
-        self.params = [(1.0 - tau) * p + tau * q for p, q in zip(self.params, other.params)]
+        # per element the same two products and sum as (1 - tau) * p + tau * q
+        self.theta *= 1.0 - tau
+        self.theta += np.multiply(tau, other.theta, out=self._scaled)
 
     def clone(self) -> "QFunction":
         out = object.__new__(type(self))
-        out.params = [p.copy() for p in self.params]
+        out._bind(self.theta.copy(), [p.shape for p in self.params])
         return out
 
 
 class TabularQ(QFunction):
     def __init__(self, n_states: int, n_actions: int, rng: np.random.Generator):
-        self.params = [0.01 * rng.standard_normal((n_states, n_actions))]
+        self._bind(0.01 * rng.standard_normal(n_states * n_actions), [(n_states, n_actions)])
 
-    def table(self) -> np.ndarray:
+    def forward(self) -> tuple[np.ndarray, None]:
         """The live parameter array, not a copy."""
-        return self.params[0]
+        return self.params[0], None
 
-    def grads(self, dq: np.ndarray) -> list[np.ndarray]:
-        return [dq]
+    def grad(self, dq: np.ndarray, cache: None) -> np.ndarray:
+        return dq.reshape(-1)
 
 
 class MlpQ(QFunction):
@@ -143,23 +167,21 @@ class MlpQ(QFunction):
     """
 
     def __init__(self, n_states: int, n_actions: int, hidden: int, rng: np.random.Generator):
-        self.params = [
-            rng.standard_normal((n_states, hidden)) / math.sqrt(n_states),
-            np.zeros(hidden),
-            rng.standard_normal((hidden, n_actions)) / math.sqrt(hidden),
-            np.zeros(n_actions),
-        ]
+        w1 = rng.standard_normal((n_states, hidden)) / math.sqrt(n_states)
+        w2 = rng.standard_normal((hidden, n_actions)) / math.sqrt(hidden)
+        theta = np.concatenate((w1.ravel(), np.zeros(hidden), w2.ravel(), np.zeros(n_actions)))
+        self._bind(theta, [w1.shape, (hidden,), w2.shape, (n_actions,)])
 
-    def table(self) -> np.ndarray:
+    def forward(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Q table and the hidden activations ``h`` that ``grad`` reuses."""
         w1, b1, w2, b2 = self.params
-        return np.tanh(w1 + b1) @ w2 + b2
-
-    def grads(self, dq: np.ndarray) -> list[np.ndarray]:
-        w1, b1, w2, _ = self.params
         h = np.tanh(w1 + b1)
-        dpre = (dq @ w2.T) * (1.0 - h * h)
+        return h @ w2 + b2, h
+
+    def grad(self, dq: np.ndarray, h: np.ndarray) -> np.ndarray:
+        dpre = (dq @ self.params[2].T) * (1.0 - h * h)
         # the one-hot input makes the w1 gradient dpre itself
-        return [dpre, dpre.sum(axis=0), h.T @ dq, dq.sum(axis=0)]
+        return np.concatenate((dpre.ravel(), dpre.sum(axis=0), (h.T @ dq).ravel(), dq.sum(axis=0)))
 
 
 def make_qfunc(env: TabularMdp, cfg: TrainConfig, rng: np.random.Generator) -> QFunction:
@@ -176,39 +198,65 @@ def table_grad(cells, grad_out, shape: tuple[int, int]) -> np.ndarray:
     return np.bincount(cells, weights=grad_out, minlength=shape[0] * shape[1]).reshape(shape)
 
 
-def td_errors(qnet: QFunction, target_net: QFunction, env: TabularMdp, cells,
-              cfg: TrainConfig) -> np.ndarray:
-    """Target-minus-estimate residuals at flat cells ``s * A + a`` of ``env``.
+def td_errors(q_table: np.ndarray, target_table: np.ndarray, cells, reward: np.ndarray,
+              successors: np.ndarray, gamma: float) -> np.ndarray:
+    """Target-minus-estimate residuals at flat cells ``s * A + a``.
 
-    The MDP is deterministic, so the reward and successor of a cell are read
-    from ``env``; ``cfg.reward_scale`` scales the reward and ``env.gamma``
-    discounts.  ``successor_max`` applies the terminal rule to the batch's
-    successors, exactly as ``bellman_step`` applies it to the whole table.
+    ``reward`` and ``successors`` are an MDP's reward and transition tables,
+    flattened, with the reward already scaled; the MDP is deterministic, so
+    they fix a cell's target.  Only the batch's cells are gathered, and
+    ``successor_max`` applies the terminal rule to their successors, exactly
+    as ``bellman_step`` applies it to the whole table.
     """
-    next_max = successor_max(env.transition.reshape(-1)[cells], target_net.table())
-    targets = env.reward.reshape(-1)[cells] * cfg.reward_scale + env.gamma * next_max
-    return targets - qnet.table().reshape(-1)[cells]
+    next_max = successor_max(successors[cells], target_table)
+    return reward[cells] + gamma * next_max - q_table.reshape(-1)[cells]
 
 
-def loss_output_grad(errors: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    """d(loss)/d(prediction) per batch element; errors are target - estimate."""
-    if cfg.loss == LOSS_MSE:
+def loss_output_grad(errors: np.ndarray, loss: str, loss_cfg: LossConfig) -> np.ndarray:
+    """d(loss)/d(prediction) per batch element; errors are target - estimate.
+
+    ``loss_cfg`` is read by the Logistic loss only.
+    """
+    if loss == LOSS_MSE:
         return -errors / errors.size
-    return -l_loss_grad(errors, LossConfig(sigma=cfg.sigma))
+    return -l_loss_grad(errors, loss_cfg)
 
 
-def greedy_return(env: TabularMdp, q_table: np.ndarray, start: int = 0) -> float:
-    """Undiscounted return of the greedy policy from ``start``, over at most
-    4 * n_states steps (the episode cap of training)."""
+def greedy_return(env: TabularMdp, policy: np.ndarray, start: int = 0) -> float:
+    """Undiscounted return of following ``policy`` (one action per state, the
+    argmax of a Q table's rows) from ``start``, over at most 4 * n_states
+    steps (the episode cap of training)."""
     s, total = start, 0.0
     for _ in range(4 * env.n_states):
-        a = int(np.argmax(q_table[s]))
+        a = policy[s]
         total += env.reward[s, a]
         nxt = int(env.transition[s, a])
         if nxt == TERMINAL:
             break
         s = nxt
     return total
+
+
+def make_update(env: TabularMdp, cfg: TrainConfig, qnet: QFunction, target_net: QFunction):
+    """The gradient update of ``run_training``, as a function of one batch of
+    flat cells ``s * A + a``: a descent step of ``qnet`` on the batch's loss,
+    then a Polyak step of ``target_net`` toward ``qnet``.  It returns the
+    batch's TD errors.  The per-run constants are computed here, once."""
+    # scaling before the gather gives the same bits as scaling after it
+    reward = env.reward.reshape(-1) * cfg.reward_scale
+    successors = env.transition.reshape(-1)
+    loss_cfg = LossConfig(sigma=cfg.sigma)
+    q_shape = (env.n_states, env.n_actions)
+
+    def update(cells: np.ndarray) -> np.ndarray:
+        q_table, cache = qnet.forward()
+        errs = td_errors(q_table, target_net.table(), cells, reward, successors, env.gamma)
+        grad_out = loss_output_grad(errs, cfg.loss, loss_cfg)
+        qnet.descend(qnet.grad(table_grad(cells, grad_out, q_shape), cache), cfg.lr)
+        target_net.mix_from(qnet, cfg.tau)
+        return errs
+
+    return update
 
 
 def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
@@ -222,7 +270,8 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     replay = np.zeros(capacity, dtype=np.int64)
     written = 0
     cap = 4 * env.n_states  # steps before an episode restarts from state 0
-    q_shape = (env.n_states, env.n_actions)
+    n_actions = env.n_actions
+    rows = env.transition.tolist()
 
     state = 0
     episode_steps = 0
@@ -235,19 +284,22 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     # a diverging net overflows in its matmuls before the finite check on the
     # TD errors sees it; that check, not a numpy warning, reports the divergence
     with np.errstate(over="ignore", invalid="ignore"):
+        update = make_update(env, cfg, qnet, target_net)
+        # the net only changes in the update phase, so the greedy policy of
+        # one epoch's end is the next epoch's acting policy
+        policy = np.argmax(qnet.table(), axis=1)
         for epoch in range(cfg.epochs):
             frac = epoch / max(cfg.epochs - 1, 1)
             epsilon = cfg.epsilon_start + (cfg.epsilon_final - cfg.epsilon_start) * frac
-            # the net only changes in the update phase, so one greedy table per epoch
-            greedy = np.argmax(qnet.table(), axis=1)
+            greedy = policy.tolist()
 
             for _ in range(cfg.steps_per_epoch):
                 if rng.random() < epsilon:
-                    action = int(rng.integers(env.n_actions))
+                    action = int(rng.integers(n_actions))
                 else:
-                    action = int(greedy[state])
-                nxt = int(env.transition[state, action])
-                replay[written % capacity] = state * env.n_actions + action
+                    action = greedy[state]
+                nxt = rows[state][action]
+                replay[written % capacity] = state * n_actions + action
                 written += 1
                 episode_steps += 1
                 if nxt == TERMINAL or episode_steps >= cap:
@@ -259,17 +311,15 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
             fill = min(written, capacity)
             if fill >= cfg.batch_size:
                 for _ in range(cfg.updates_per_epoch):
-                    cells = replay[rng.integers(fill, size=cfg.batch_size)]
-                    errs = td_errors(qnet, target_net, env, cells, cfg)
-                    if not np.all(np.isfinite(errs)):
+                    epoch_errors = update(replay[rng.integers(fill, size=cfg.batch_size)])
+                    # the nets have taken a step on these errors; on divergence
+                    # they are dropped and only last_good is kept
+                    if not np.isfinite(epoch_errors).all():
                         raise TrainingError("training diverged (non-finite errors)", last_good)
-                    grad_out = loss_output_grad(errs, cfg)
-                    qnet.descend(table_grad(cells, grad_out, q_shape), cfg.lr)
-                    target_net.mix_from(qnet, cfg.tau)
-                    epoch_errors = errs
 
-            table = qnet.table().copy()  # a tabular table() is the live array
-            ret = greedy_return(env, table)
+            table = qnet.table().copy()  # a tabular table is the live array
+            policy = np.argmax(table, axis=1)
+            ret = greedy_return(env, policy)
             rewards_log.append(ret)
             errors_log.append(epoch_errors)
             last_good = table

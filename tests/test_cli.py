@@ -68,10 +68,13 @@ def test_contract_violation_exit_code_one(tmp_path, capsys, argv):
     ["sampling-error", "--n", "2,1000000000000000"],
     ["normal-max", "--n", "4096", "--mc", "1000000000000000"],
     ["losscheck", "--t-grid=nan:1:5"],
+    # the replay never holds a batch, so no gradient update could run
+    ["train", "--env", "chain:5", "--batch-size", "20000", "--epochs", "3"],
 ], ids=["sampling-error-n", "train-chain", "train-dag", "normal-max-mc", "fit-input",
         "compare-seeds", "train-json-missing", "train-json-fields", "fit-input-non-numeric",
         "fit-input-empty-row", "fit-input-no-header", "scaling-tiny-beta",
-        "sampling-error-huge-n", "normal-max-huge-mc", "losscheck-nan-grid"])
+        "sampling-error-huge-n", "normal-max-huge-mc", "losscheck-nan-grid",
+        "train-batch-exceeds-replay"])
 def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
     files = {
         "{missing}": tmp_path / "no-such-file",

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import warnings
 from collections import deque
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from belldist import DomainError, TrainingError
-from belldist.losses import LossConfig, l_loss, mse_loss
+from belldist.losses import LossConfig, l_loss, l_loss_grad, mse_loss
 from belldist.mdp import (
     TERMINAL,
     QTable,
@@ -26,6 +27,7 @@ from belldist.training import (
     greedy_return,
     loss_output_grad,
     make_qfunc,
+    make_update,
     run_training,
     table_grad,
     td_errors,
@@ -52,6 +54,10 @@ def policy_optimal_on_reachable(env: TabularMdp, policy: np.ndarray) -> bool:
     return bool(np.all(policy[reach] == optimal[reach]))
 
 
+def optimal_return(env: TabularMdp) -> float:
+    return greedy_return(env, np.argmax(solve_qstar(env).values, axis=1))
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         TrainConfig(loss="huber")
@@ -61,6 +67,18 @@ def test_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(DomainError):
         TrainConfig(batch_size=0)
+    with pytest.raises(DomainError):  # the replay never holds a batch: no update
+        TrainConfig(batch_size=301, replay_capacity=300)
+
+
+@pytest.mark.parametrize("sigma", [math.inf, math.nan])
+def test_non_finite_sigma_rejected(sigma):
+    # tanh(err / (2 sigma)) / (N sigma) is exactly 0 at sigma = inf, so an
+    # LLoss run would return its initial table without a word
+    with pytest.raises(DomainError):
+        TrainConfig(loss=LOSS_LLOSS, sigma=sigma, lr=0.5)
+    with pytest.raises(DomainError):
+        LossConfig(sigma=sigma)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -122,6 +140,11 @@ def test_table_grad_equals_unbuffered_add_at():
                           expected.reshape(n_states, n_actions))
 
 
+def flat_bellman_inputs(env: TabularMdp, cfg: TrainConfig):
+    """The (reward, successors, gamma) arguments run_training passes td_errors."""
+    return env.reward.reshape(-1) * cfg.reward_scale, env.transition.reshape(-1), env.gamma
+
+
 def cyclic_mdp_with_terminal() -> TabularMdp:
     # 3 states whose successors loop back, plus one TERMINAL entry in the
     # last row: the row that TERMINAL (-1) indexes is a live one
@@ -140,8 +163,9 @@ def test_td_errors_equal_mdp_bellman_error(env, approximator):
     cfg = TrainConfig(approximator=approximator, reward_scale=1.0)
     rng = np.random.Generator(np.random.Philox(key=2))
     q = make_qfunc(env, cfg, rng)
-    q.params = [p + rng.standard_normal(p.shape) for p in q.params]
-    errs = td_errors(q, q, env, np.arange(env.n_states * env.n_actions), cfg)
+    q.theta += rng.standard_normal(q.theta.size)
+    errs = td_errors(q.table(), q.table(), np.arange(env.n_states * env.n_actions),
+                     *flat_bellman_inputs(env, cfg))
     snap = snapshot_errors(env, QTable(q.table()), solve_qstar(env))
     assert np.array_equal(errs, snap.bellman_err.ravel())
 
@@ -160,7 +184,7 @@ def test_chain_mse_recovers_optimal_policy():
     env = make_chain(5)
     log = run_training(env, TrainConfig(loss=LOSS_MSE, lr=0.5, epochs=200, seed=0))
     assert policy_optimal_on_reachable(env, log.final_policy)
-    assert log.rewards[-1] == greedy_return(env, solve_qstar(env).values)
+    assert log.rewards[-1] == optimal_return(env)
 
 
 def test_chain_lloss_recovers_optimal_policy():
@@ -171,7 +195,7 @@ def test_chain_lloss_recovers_optimal_policy():
 
 def test_dag_best_return_near_optimal():
     env = make_random_dag(12, 4, seed=123)
-    opt = greedy_return(env, solve_qstar(env).values)
+    opt = optimal_return(env)
     for seed in (0, 1, 2):
         log = run_training(env, TrainConfig(loss=LOSS_MSE, lr=0.5, epochs=300, seed=seed))
         assert max(log.rewards) >= 0.95 * opt
@@ -224,7 +248,7 @@ def test_enhancement_zero_when_arms_tie():
     env = make_chain(4)
     cfg = TrainConfig(lr=0.5, epochs=150, seed=0)
     result = compare_losses(env, cfg, seeds=[0, 1, 2])
-    opt = greedy_return(env, solve_qstar(env).values)
+    opt = optimal_return(env)
     assert np.all(result.per_seed_mse == opt)
     assert np.all(result.per_seed_lloss == opt)
     assert result.enhancement == 0.0
@@ -262,28 +286,113 @@ def test_mlp_gradient_matches_finite_differences(loss):
     env = TabularMdp(n_states, n_actions, trans, rng.standard_normal((n_states, n_actions)), 0.9)
     cells = rng.integers(n_states * n_actions, size=n)
 
-    def batch_loss(probe):
-        errs = td_errors(probe, target_net, env, cells, cfg)
-        return mse_loss(errs) if loss == LOSS_MSE else l_loss(errs, LossConfig(sigma=cfg.sigma))
+    bellman = flat_bellman_inputs(env, cfg)
+    loss_cfg = LossConfig(sigma=cfg.sigma)
 
-    grad_out = loss_output_grad(td_errors(net, target_net, env, cells, cfg), cfg)
-    analytic = net.grads(table_grad(cells, grad_out, (n_states, n_actions)))
-    assert [g.shape for g in analytic] == [p.shape for p in net.params]
-    h = 1e-6
+    def batch_loss(probe):
+        errs = td_errors(probe.table(), target_net.table(), cells, *bellman)
+        return mse_loss(errs) if loss == LOSS_MSE else l_loss(errs, loss_cfg)
+
+    q_table, h = net.forward()
+    grad_out = loss_output_grad(td_errors(q_table, target_net.table(), cells, *bellman),
+                                cfg.loss, loss_cfg)
+    analytic = net.grad(table_grad(cells, grad_out, (n_states, n_actions)), h)
+    assert analytic.shape == net.theta.shape
+    step = 1e-6
+    offset = 0
     for k, param in enumerate(net.params):
         for i in range(param.size):
             up, dn = net.clone(), net.clone()
-            up.params[k].flat[i] += h
-            dn.params[k].flat[i] -= h
-            numeric = (batch_loss(up) - batch_loss(dn)) / (2.0 * h)
-            assert abs(numeric - analytic[k].flat[i]) < 1e-5
+            up.params[k].flat[i] += step
+            dn.params[k].flat[i] -= step
+            numeric = (batch_loss(up) - batch_loss(dn)) / (2.0 * step)
+            assert abs(numeric - analytic[offset + i]) < 1e-5
+        offset += param.size
+
+
+# The list-of-arrays update that the flat parameter vector replaced, kept as
+# the reference: one array per parameter, tanh recomputed by the backward
+# pass, Polyak mixing into new arrays and the terminal rule as np.where.
+def oracle_table(params):
+    if len(params) == 1:
+        return params[0]
+    w1, b1, w2, b2 = params
+    return np.tanh(w1 + b1) @ w2 + b2
+
+
+def oracle_grads(params, dq):
+    if len(params) == 1:
+        return [dq]
+    w1, b1, w2, _ = params
+    h = np.tanh(w1 + b1)
+    dpre = (dq @ w2.T) * (1.0 - h * h)
+    return [dpre, dpre.sum(axis=0), h.T @ dq, dq.sum(axis=0)]
+
+
+def oracle_update(params, target_params, env, cells, cfg):
+    successors = env.transition.reshape(-1)[cells]
+    next_max = np.where(successors == TERMINAL, 0.0,
+                        oracle_table(target_params).max(axis=1)[successors])
+    targets = env.reward.reshape(-1)[cells] * cfg.reward_scale + env.gamma * next_max
+    errs = targets - oracle_table(params).reshape(-1)[cells]
+    if cfg.loss == LOSS_MSE:
+        grad_out = -errs / errs.size
+    else:
+        grad_out = -l_loss_grad(errs, LossConfig(sigma=cfg.sigma))
+    dq = np.zeros(env.n_states * env.n_actions)
+    np.add.at(dq, cells, grad_out)
+    for p, g in zip(params, oracle_grads(params, dq.reshape(env.n_states, env.n_actions))):
+        p -= cfg.lr * g
+    target_params[:] = [(1.0 - cfg.tau) * p + cfg.tau * q for p, q in zip(target_params, params)]
+    return errs
+
+
+@pytest.mark.parametrize("loss", [LOSS_MSE, LOSS_LLOSS])
+@pytest.mark.parametrize("approximator, lr", [("tabular", 0.5), ("mlp", 0.05)])
+def test_flat_update_matches_list_of_arrays_oracle(approximator, lr, loss):
+    # bit for bit after every update, for the net and its target; both sides
+    # make the same BLAS calls, so this holds on any BLAS build
+    env = make_random_dag(9, 4, seed=1)
+    cfg = TrainConfig(loss=loss, lr=lr, tau=0.1, batch_size=64, reward_scale=2.5,
+                      approximator=approximator)
+    rng = np.random.Generator(np.random.Philox(key=21))
+    net = make_qfunc(env, cfg, rng)
+    target_net = net.clone()
+    update = make_update(env, cfg, net, target_net)
+    params = [p.copy() for p in net.params]
+    target_params = [p.copy() for p in target_net.params]
+    for _ in range(50):
+        cells = rng.integers(env.n_states * env.n_actions, size=cfg.batch_size)
+        errs = update(cells)
+        assert np.array_equal(errs, oracle_update(params, target_params, env, cells, cfg))
+        assert all(np.array_equal(p, q) for p, q in zip(net.params, params))
+        assert all(np.array_equal(p, q) for p, q in zip(target_net.params, target_params))
+
+
+def test_one_forward_pass_per_network_per_update(monkeypatch):
+    # the net and the target each run forward once per update, and the net
+    # once more per epoch (its greedy policy) and once before the first epoch
+    calls = 0
+    forward = MlpQ.forward
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return forward(self)
+
+    monkeypatch.setattr(MlpQ, "forward", counted)
+    cfg = TrainConfig(lr=0.05, epochs=10, early_stop_patience=10, approximator="mlp")
+    log = run_training(make_chain(5), cfg)
+    updates = cfg.updates_per_epoch * sum(errs.size > 0 for errs in log.bellman_errors)
+    assert updates > 0
+    assert calls <= 2 * updates + log.epochs_run + 1
 
 
 def test_mlp_trains_chain():
     env = make_chain(3)
     cfg = TrainConfig(loss=LOSS_MSE, lr=0.05, epochs=400, seed=4, approximator="mlp")
     log = run_training(env, cfg)
-    assert max(log.rewards) >= 0.95 * greedy_return(env, solve_qstar(env).values)
+    assert max(log.rewards) >= 0.95 * optimal_return(env)
 
 
 @pytest.mark.xfail(
@@ -316,7 +425,6 @@ def test_reward_scale_sweep_interior_argmax():
 def test_greedy_return_follows_policy():
     env = make_chain(3)
     qstar = solve_qstar(env).values
-    assert greedy_return(env, qstar) == 3.0
-    stay_forever = np.zeros_like(qstar)
-    stay_forever[:, 1] = 1.0  # prefer STAY: zero reward until the cap
+    assert greedy_return(env, np.argmax(qstar, axis=1)) == 3.0
+    stay_forever = np.ones(env.n_states, dtype=np.int64)  # STAY: zero reward until the cap
     assert greedy_return(env, stay_forever) == 0.0
