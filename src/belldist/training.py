@@ -281,8 +281,9 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     stale = 0
     last_good = None
 
-    # a diverging net overflows in its matmuls before the finite check on the
-    # TD errors sees it; that check, not a numpy warning, reports the divergence
+    # a diverging net overflows in its matmuls, and a huge reward_scale in the
+    # reward scaling of make_update, before the finite check on the TD errors
+    # sees it; that check, not a numpy warning, reports the divergence
     with np.errstate(over="ignore", invalid="ignore"):
         update = make_update(env, cfg, qnet, target_net)
         # the net only changes in the update phase, so the greedy policy of
@@ -317,7 +318,7 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
                     if not np.isfinite(epoch_errors).all():
                         raise TrainingError("training diverged (non-finite errors)", last_good)
 
-            table = qnet.table().copy()  # a tabular table is the live array
+            table = qnet.table().copy()  # a tabular table() is the live array
             policy = np.argmax(table, axis=1)
             ret = greedy_return(env, policy)
             rewards_log.append(ret)
