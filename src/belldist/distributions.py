@@ -111,15 +111,21 @@ def cdf(d: DistSpec, x):
     """CDF of ``d`` at ``x`` (scalar or array)."""
     from scipy.special import expit, ndtr
 
-    z = (np.asarray(x, dtype=float) - d.location) / d.scale
+    # z is formed once, in a fresh array, and each transform writes into it
+    x = np.asarray(x, dtype=float)
+    z = np.subtract(x, d.location, out=np.empty(x.shape))
+    z /= d.scale
     if d.family is Family.GUMBEL:
+        np.negative(z, out=z)
         with np.errstate(over="ignore"):
-            out = np.exp(-np.exp(-z))
+            np.exp(z, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
     elif d.family is Family.LOGISTIC:
-        out = expit(z)
+        expit(z, out=z)
     else:
-        out = ndtr(z)
-    return out if out.ndim else float(out)
+        ndtr(z, out=z)
+    return z if z.ndim else float(z)
 
 
 def quantile(d: DistSpec, p):
@@ -142,12 +148,18 @@ def uniform_open(seed: int, n: int, stream: int = 0) -> np.ndarray:
     """n deterministic uniforms strictly inside (0, 1) from a Philox stream.
 
     The (seed, stream) pair fully determines the output; distinct streams from
-    one seed are independent.
+    one seed are independent.  Each value is (k + 1/2) / 2**53 for a 53-bit
+    integer k: ``random`` gives k / 2**53 exactly, and adding 2**-54 rounds
+    the same real number as the integer formula does, so the bits agree.
     """
+    if not 0 <= seed < 1 << 128:  # the range of a Philox key
+        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     if n < 0:
         raise DomainError(f"number of uniforms must be >= 0, got {n}")
     gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, stream]))
-    return (gen.integers(0, 1 << 53, size=n).astype(float) + 0.5) / _TWO53
+    out = gen.random(n)
+    out += 0.5 / _TWO53
+    return out
 
 
 def normal_max_quantile(u, n: float) -> np.ndarray:

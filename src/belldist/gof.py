@@ -29,9 +29,13 @@ def ks_statistic(data: SampleBatch, d: DistSpec) -> float:
     """
     x = data.sorted
     n = x.size
-    f = np.asarray(dist.cdf(d, x))
-    grid = np.arange(n + 1) / n
-    return float(max(np.max(grid[1:] - f), np.max(f - grid[:-1])))
+    f = dist.cdf(d, x)
+    grid = np.arange(n + 1, dtype=float)  # exact: integers below 2**53
+    grid /= n
+    gap = np.subtract(grid[1:], f)
+    above = np.max(gap)
+    np.subtract(f, grid[:-1], out=gap)
+    return float(max(above, np.max(gap)))
 
 
 def freedman_diaconis_bins(values: np.ndarray) -> int:

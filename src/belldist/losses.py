@@ -50,7 +50,12 @@ def _lloss_terms(t: np.ndarray) -> np.ndarray:
     # t + 2*log(1+exp(-t)) is even in t; evaluating at |t| avoids overflow
     # for large negative t and keeps the large-|t| asymptote exact.
     at = np.abs(t)
-    return at + 2.0 * np.log1p(np.exp(-at))
+    e = np.negative(at)
+    np.exp(e, out=e)
+    np.log1p(e, out=e)
+    e *= 2.0
+    e += at
+    return e
 
 
 def l_loss(errors, cfg: LossConfig = LossConfig()) -> float:

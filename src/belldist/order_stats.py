@@ -115,9 +115,35 @@ class SamplingErrorReport:
     variance: float  # identically zero: the expected empirical CDF is deterministic
 
 
-def _softplus(t: np.ndarray) -> np.ndarray:
-    # Antiderivative of the standard logistic CDF: log(1 + exp(t)), stable.
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+def _point_terms(h: np.ndarray, e: np.ndarray, soft: np.ndarray, cdf: np.ndarray) -> None:
+    # The standard logistic antiderivative log(1 + exp(h)) = max(h, 0) +
+    # log1p(exp(-|h|)) into ``soft`` and the CDF 1/(1 + exp(-h)) into ``cdf``;
+    # ``e`` is scratch.  The grid is sorted, so a block with h[0] >= 0 has
+    # -|h| = -h and max(h, 0) = h, and one exp(-h) serves both terms; a block
+    # with h[-1] <= 0 has -|h| = h and max(h, 0) = 0, which adds nothing.
+    # Only the block that straddles 0 takes the general form.  Each branch
+    # rounds the same operations as the general form, so the bits agree.
+    if h[0] >= 0.0:
+        np.negative(h, out=e)
+        np.exp(e, out=e)
+        np.log1p(e, out=soft)
+        soft += h
+        np.add(e, 1.0, out=cdf)
+    else:
+        if h[-1] <= 0.0:
+            np.exp(h, out=e)
+            np.log1p(e, out=soft)
+        else:
+            np.abs(h, out=e)
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            np.log1p(e, out=e)
+            np.maximum(h, 0.0, out=soft)
+            soft += e
+        np.negative(h, out=cdf)
+        np.exp(cdf, out=cdf)
+        cdf += 1.0
+    np.divide(1.0, cdf, out=cdf)
 
 
 def sampling_error(n: int, a: float = 0.0, b: float = 1.0) -> SamplingErrorReport:
@@ -128,25 +154,40 @@ def sampling_error(n: int, a: float = 0.0, b: float = 1.0) -> SamplingErrorRepor
         int_{e_i}^{e_{i+1}} (F - i/n)^2 dt
           = (1 - 2c) * (L(e_{i+1}) - L(e_i)) - B*(F(e_{i+1}) - F(e_i)) + c^2 * (e_{i+1} - e_i)
     in standardized coordinates, where L is the F antiderivative and c = i/n.
-    The value depends only on n; (a, b) are validated but cancel identically.
+    The value depends only on n; (a, b) are validated as a ``DistSpec`` but
+    cancel identically.
     """
     if n < 2:
         raise DomainError(f"sampling_error requires n >= 2, got {n}")
-    if not b > 0:
-        raise DomainError(f"scale must be positive, got {b}")
+    DistSpec(Family.LOGISTIC, a, b)
     # One pass over blocks of segments [start, stop): the grid points
     # E_{start+1}..E_{stop+1} are formed from the harmonic table and each
     # transcendental is evaluated once per point, not once per segment end.
+    # Every step writes into block-sized buffers allocated once per call.
     tab = _harmonic_table(n)
     rev = tab[::-1]
     segments = np.empty(n - 1)
+    width = min(_BLOCK, n - 1)
+    h, e, soft, cdf = (np.empty(width + 1) for _ in range(4))
+    idx = np.arange(1, width + 1, dtype=float)  # exact: integers below 2**53
+    c = np.empty(width)
     for start in range(0, n - 1, _BLOCK):
         stop = min(start + _BLOCK, n - 1)
-        h = tab[start : stop + 1] - rev[start + 1 : stop + 2]
-        big_l = np.diff(_softplus(h))
-        f = np.diff(1.0 / (1.0 + np.exp(-h)))
-        c = np.arange(start + 1, stop + 1) / n
-        segments[start:stop] = (1.0 - 2.0 * c) * big_l - f + c * c * np.diff(h)
+        m = stop - start
+        hb, eb, seg, cb = h[: m + 1], e[:m], segments[start:stop], c[:m]
+        np.subtract(tab[start : stop + 1], rev[start + 1 : stop + 2], out=hb)
+        _point_terms(hb, e[: m + 1], soft[: m + 1], cdf[: m + 1])
+        np.add(idx[:m], start, out=cb)
+        cb /= n
+        # (1 - 2c) * diff(L) - diff(F) + c*c * diff(h), in that order
+        np.multiply(cb, 2.0, out=seg)
+        np.subtract(1.0, seg, out=seg)
+        seg *= np.subtract(soft[1 : m + 1], soft[:m], out=eb)
+        seg -= np.subtract(cdf[1 : m + 1], cdf[:m], out=eb)
+        np.subtract(hb[1:], hb[:m], out=eb)
+        np.multiply(cb, cb, out=cb)
+        cb *= eb
+        seg += cb
     # E_n - E_1 = H_{n-1} - (-H_{n-1}), exact in floating point since H_0 = 0
     s_e = float(np.sum(segments) / (2.0 * tab[n - 1]))
     return SamplingErrorReport(n=n, s_e=s_e, bias=s_e, variance=0.0)

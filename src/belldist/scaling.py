@@ -31,8 +31,8 @@ class RewardSample:
             raise DomainError("rewards must be a non-empty 1-D vector")
         if not np.all(np.isfinite(r)):
             raise DomainError("rewards must be finite")
-        if not self.beta > 0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError(f"beta must be finite and positive, got {self.beta}")
         r.setflags(write=False)
         object.__setattr__(self, "rewards", r)
         object.__setattr__(self, "beta", float(self.beta))

@@ -55,14 +55,16 @@ class TrainConfig:
             raise DomainError(f"loss must be '{LOSS_MSE}' or '{LOSS_LLOSS}'")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
-        if not self.lr > 0:
-            raise DomainError("lr must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise DomainError("lr must be finite and positive")
         if not 0.0 < self.tau <= 1.0:
             raise DomainError("tau must lie in (0, 1]")
         if not 0.0 < self.sigma < math.inf:
             raise DomainError("sigma must be finite and positive")
-        if not self.reward_scale > 0:
-            raise DomainError("reward_scale must be positive")
+        if not 0.0 < self.reward_scale < math.inf:
+            raise DomainError("reward_scale must be finite and positive")
+        if not 0 <= self.seed < 1 << 128:  # the range of a Philox key
+            raise DomainError(f"seed must lie in [0, 2**128), got {self.seed}")
         if self.approximator not in ("tabular", "mlp"):
             raise DomainError("approximator must be 'tabular' or 'mlp'")
         for name in ("epochs", "replay_capacity", "early_stop_patience"):

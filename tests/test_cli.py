@@ -70,11 +70,21 @@ def test_contract_violation_exit_code_one(tmp_path, capsys, argv):
     ["losscheck", "--t-grid=nan:1:5"],
     # the replay never holds a batch, so no gradient update could run
     ["train", "--env", "chain:5", "--batch-size", "20000", "--epochs", "3"],
+    # a Philox key lies in [0, 2**128)
+    ["example1", "--seed", "-1"],
+    ["normal-max", "--n", "256", "--mc", "10", "--seed", "-3"],
+    ["train", "--env", "chain:3", "--seed", "-1"],
+    ["compare", "--env", "chain:3", "--seeds=-1,0"],
+    ["train", "--env", "chain:3", "--epochs", "2", "--lr", "inf"],
+    ["scaling", "--rewards", "{rewards}", "--beta", "inf"],
+    ["sampling-error", "--n", "2", "--a", "nan"],
 ], ids=["sampling-error-n", "train-chain", "train-dag", "normal-max-mc", "fit-input",
         "compare-seeds", "train-json-missing", "train-json-fields", "fit-input-non-numeric",
         "fit-input-empty-row", "fit-input-no-header", "scaling-tiny-beta",
         "sampling-error-huge-n", "normal-max-huge-mc", "losscheck-nan-grid",
-        "train-batch-exceeds-replay"])
+        "train-batch-exceeds-replay", "example1-negative-seed", "normal-max-negative-seed",
+        "train-negative-seed", "compare-negative-seed", "train-infinite-lr",
+        "scaling-infinite-beta", "sampling-error-nan-location"])
 def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
     files = {
         "{missing}": tmp_path / "no-such-file",

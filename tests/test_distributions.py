@@ -129,6 +129,25 @@ def test_uniform_open_negative_count_raises_domain_error():
         uniform_open(0, -5)
 
 
+@pytest.mark.parametrize("seed", [-1, -3, 1 << 128])
+def test_uniform_open_seed_outside_philox_key_range_raises_domain_error(seed):
+    with pytest.raises(DomainError, match="seed"):
+        uniform_open(seed, 4)
+
+
+def uniform_open_oracle(seed: int, n: int, stream: int = 0) -> np.ndarray:
+    """The integer formula: a 53-bit integer k per draw, mapped to (k + 1/2) / 2**53."""
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, stream]))
+    return (gen.integers(0, 1 << 53, size=n).astype(float) + 0.5) / float(1 << 53)
+
+
+@pytest.mark.parametrize("stream", [0, 1, 3])
+@pytest.mark.parametrize("n", [0, 1, 17, 1001, 100001])
+def test_uniform_open_matches_integer_formula(n, stream):
+    for seed in (0, 1, 7, 49, (1 << 128) - 1):
+        assert np.array_equal(uniform_open(seed, n, stream), uniform_open_oracle(seed, n, stream))
+
+
 def test_sample_mean_clt_bounds():
     n = 100_000
     logi = sample(DistSpec(Family.LOGISTIC, 0, 1), n, seed=11)

@@ -32,6 +32,17 @@ def test_lloss_even_in_each_error():
         assert l_loss(np.array([c]), cfg) == pytest.approx(l_loss(np.array([-c]), cfg), rel=1e-15)
 
 
+def test_lloss_bits_match_out_of_place_expression():
+    # l_loss forms its terms in one array; the old expression with a fresh
+    # temporary per step is the oracle, compared exactly
+    for sigma in (1.0, 0.3):
+        errors = np.linspace(-40.0, 40.0, 100001)
+        t = errors / sigma
+        at = np.abs(t)
+        expected = float(np.mean(at + 2.0 * np.log1p(np.exp(-at))))
+        assert l_loss(errors, LossConfig(sigma=sigma)) == expected
+
+
 def test_lloss_large_argument_no_overflow():
     assert l_loss(np.array([1000.0])) == pytest.approx(1000.0, abs=1e-9)
     assert l_loss(np.array([-1000.0])) == pytest.approx(1000.0, abs=1e-9)

@@ -34,7 +34,11 @@ SE_REFERENCE = {
 
 # Exact float64 bits of the unblocked kernel (one expression over all n - 1
 # segments).  The kernels work in blocks of 2**14 elements: n - 1 = 2**14 and
-# 2**14 + 1 put the last segment on and just past the first block edge.
+# 2**14 + 1 put the last segment on and just past the first block edge.  The
+# grid is antisymmetric about its exact 0, and a block on one side of 0 takes
+# a shortcut: at n = 32767 the 0 lies inside block 0, at 32768 block 0
+# straddles 0, and at 32769 the 0 is the edge point shared by block 0 (all
+# h <= 0) and block 1 (all h >= 0).
 SE_BITS = {
     2: 0.018941421369995104,
     3: 0.008668994221391585,
@@ -42,6 +46,9 @@ SE_BITS = {
     4096: 4.919541533741019e-09,
     16385: 3.078343944535184e-10,
     16386: 3.07796857806802e-10,
+    32767: 7.70133024630871e-11,
+    32768: 7.700855744224148e-11,
+    32769: 7.700389879498886e-11,
     2**20: 7.535182857733846e-14,
 }
 
@@ -101,6 +108,20 @@ def test_harmonic_keeps_one_table(monkeypatch):
         tracemalloc.stop()
     assert retained <= 9_000_000
     assert harmonic(2**20 + 9) == harmonic_oracle(2**20 + 9)[-1]
+
+
+def test_sampling_error_allocates_block_buffers_beyond_its_segments():
+    n = 2**20
+    _harmonic_table(n)  # the kept table is built outside the traced call
+    tracemalloc.start()
+    try:
+        sampling_error(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the n - 1 segment integrals, six buffers of at most 2**14 + 1 floats
+    # allocated once per call, and a little slack for small objects
+    assert peak - 8 * (n - 1) <= 6 * 8 * (order_stats._BLOCK + 1) + 65536
 
 
 def test_expectation_single_draw_is_location():
@@ -199,6 +220,17 @@ def test_sampling_error_domain():
         sampling_error(1)
     with pytest.raises(DomainError):
         sampling_error(4, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf),
+                                  (0.0, math.nan), (0.0, -1.0)])
+def test_sampling_error_validates_location_and_scale(a, b):
+    # (a, b) cancel from the value, but the same DistSpec rule as
+    # order_stat_table decides which pairs are accepted
+    with pytest.raises(DomainError):
+        sampling_error(2, a, b)
+    with pytest.raises(DomainError):
+        order_stat_table(2, a, b)
 
 
 def test_empirical_cdf_expectation_steps():

@@ -77,6 +77,13 @@ def test_expected_error_domain():
         expected_error(sample_one_pos_ten_neg(), 0.0)
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+def test_reward_sample_requires_finite_positive_beta(beta):
+    # beta = inf would give phi_star = inf and -inf errors on every row
+    with pytest.raises(DomainError, match="beta"):
+        RewardSample(np.array([1.0, -1.0]), beta=beta)
+
+
 def test_expected_error_overflowing_exponent_raises_domain_error():
     # phi * r / beta = 1 / 1e-320 is beyond float64: no -inf, no numpy warning
     s = RewardSample(np.array([1.0, -1.0, -2.0]), beta=1e-320)

@@ -65,6 +65,14 @@ def test_config_validation():
         TrainConfig(tau=0.0)
     with pytest.raises(DomainError):
         TrainConfig(lr=0.0)
+    # an infinite lr or reward scale is named here, not reported as divergence
+    for field in ("lr", "reward_scale"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"{field} must be finite and positive"):
+                TrainConfig(**{field: value})
+    for seed in (-1, 1 << 128):  # outside the range of a Philox key
+        with pytest.raises(DomainError, match="seed"):
+            TrainConfig(seed=seed)
     with pytest.raises(DomainError):
         TrainConfig(batch_size=0)
     with pytest.raises(DomainError):  # the replay never holds a batch: no update
