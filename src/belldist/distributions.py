@@ -86,6 +86,23 @@ class SampleBatch:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def _standardised(self) -> tuple[float, float, np.ndarray]:
+        # (mean, std, z = (x - mean) / std) with z read-only, built once per
+        # batch for all its fits; a batch without spread raises on every call
+        x = self.values
+        if x.min() == x.max():
+            raise DegenerateDataError("fit_mle requires at least 2 distinct values")
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, sd = float(np.mean(x)), float(np.std(x))
+        if not (math.isfinite(sd) and sd > 0):
+            raise DomainError(f"fit_mle needs a standard deviation that is finite and positive "
+                              f"in float64, got {sd}")
+        z = np.subtract(x, m)
+        z /= sd
+        z.setflags(write=False)
+        return m, sd, z
+
 
 # ---------------------------------------------------------------------------
 # Densities, CDFs, quantiles
@@ -144,6 +161,14 @@ def quantile(d: DistSpec, p):
     return out if out.ndim else float(out)
 
 
+def _check_seed(seed) -> None:
+    # a Philox key is an integer in [0, 2**128); a float would be truncated
+    if not isinstance(seed, (int, np.integer)):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 1 << 128:
+        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
+
+
 def uniform_open(seed: int, n: int, stream: int = 0) -> np.ndarray:
     """n deterministic uniforms strictly inside (0, 1) from a Philox stream.
 
@@ -152,8 +177,7 @@ def uniform_open(seed: int, n: int, stream: int = 0) -> np.ndarray:
     integer k: ``random`` gives k / 2**53 exactly, and adding 2**-54 rounds
     the same real number as the integer formula does, so the bits agree.
     """
-    if not 0 <= seed < 1 << 128:  # the range of a Philox key
-        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
+    _check_seed(seed)
     if n < 0:
         raise DomainError(f"number of uniforms must be >= 0, got {n}")
     gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, stream]))
@@ -190,19 +214,23 @@ def sample(d: DistSpec, n: int, seed: int) -> SampleBatch:
 _MAX_NEWTON = 200
 
 
-def _logistic_loglik(t: np.ndarray, scale: float) -> float:
+def _logistic_loglik(t: np.ndarray, scale: float, a: np.ndarray, e: np.ndarray) -> float:
     # Log-likelihood from the standardised residuals t = (x - loc) / scale:
-    # -t - 2 log(1+exp(-t)) written in the overflow-safe even form.  The MLE's
-    # line search passes its trial residuals, which the next Newton step reuses.
-    a = np.abs(t)
-    return -t.size * math.log(scale) - float(np.sum(a)) - 2.0 * float(np.sum(np.log1p(np.exp(-a))))
+    # -t - 2 log(1+exp(-t)) written in the overflow-safe even form.  a and e
+    # are scratch arrays of t's shape; the MLE's line search passes its trial
+    # residuals, which the next Newton step reuses.
+    np.abs(t, out=a)
+    np.negative(a, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=e)
+    return -t.size * math.log(scale) - float(np.sum(a)) - 2.0 * float(np.sum(e))
 
 
 def log_likelihood(d: DistSpec, data: np.ndarray) -> float:
     """Total log-likelihood of ``data`` under ``d``."""
     z = (np.asarray(data, dtype=float) - d.location) / d.scale
     if d.family is Family.LOGISTIC:
-        return _logistic_loglik(z, d.scale)
+        return _logistic_loglik(z, d.scale, np.empty_like(z), np.empty_like(z))
     n = z.size
     if d.family is Family.GUMBEL:
         # exp(-z) overflows to inf far in the left tail; the exact value is -inf
@@ -219,19 +247,23 @@ def _fit_gumbel_std(z: np.ndarray) -> tuple[float, float]:
     # a Newton step that leaves the bracket is replaced by doubling s (while
     # no upper end is known) or by bisection, so the fit converges from any
     # start.  The tolerance is tested on the raw Newton step, before that guard,
-    # so a rounding-level last step is taken as it is, not bisected.
+    # so a rounding-level last step is taken as it is, not bisected.  The
+    # weights w and the products z w, z^2 w go to buffers allocated once.
     sd = float(np.std(z))
     s = sd * math.sqrt(6.0) / math.pi
     zbar = float(np.mean(z))
-    zz = z * z
+    zz = np.multiply(z, z)
+    w = np.empty_like(z)
+    prod = np.empty_like(z)
     lo, hi = 0.0, math.inf
     for _ in range(_MAX_NEWTON):
-        e = -z / s
-        e -= e.max()
-        w = np.exp(e)
+        np.negative(z, out=w)
+        w /= s
+        w -= w.max()
+        np.exp(w, out=w)
         sw = float(np.sum(w))
-        m1 = float(np.sum(z * w)) / sw
-        m2 = float(np.sum(zz * w)) / sw
+        m1 = float(np.sum(np.multiply(z, w, out=prod))) / sw
+        m2 = float(np.sum(np.multiply(zz, w, out=prod))) / sw
         g = s - zbar + m1
         if g < 0.0:
             lo = s
@@ -249,9 +281,12 @@ def _fit_gumbel_std(z: np.ndarray) -> tuple[float, float]:
     else:
         raise ConvergenceError(f"Gumbel MLE did not converge in {_MAX_NEWTON} Newton steps "
                                f"(scale bracket [{lo}, {hi}] in standard units)")
-    e = -z / s
-    m = e.max()
-    loc = -s * (m + math.log(float(np.mean(np.exp(e - m)))))
+    np.negative(z, out=w)
+    w /= s
+    m = w.max()
+    w -= m
+    np.exp(w, out=w)
+    loc = -s * (m + math.log(float(np.mean(w))))
     return loc, s
 
 
@@ -259,22 +294,32 @@ def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
     # Two-parameter Newton on (location, scale) with analytic score/Hessian and
     # step halving so the log-likelihood never drops below the moment start.
     # The residuals t of the accepted trial step, and their log-likelihood,
-    # carry over to the next iteration.
+    # carry over to the next iteration.  Four buffers serve the whole fit: the
+    # residuals t, the trial residuals t_new (also scratch for the products),
+    # and u, w (also scratch for the log-likelihood); an accepted trial swaps
+    # t and t_new.
     n = z.size
     loc = float(np.mean(z))
     s = max(float(np.std(z)) * math.sqrt(3.0) / math.pi, 1e-12)
-    t = (z - loc) / s
-    cur = _logistic_loglik(t, s)
+    t = np.subtract(z, loc)
+    t /= s
+    t_new, u, w = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    cur = _logistic_loglik(t, s, u, w)
     for _ in range(_MAX_NEWTON):
-        u = np.tanh(0.5 * t)
-        w = 0.5 * (1.0 - u * u)  # d tanh(t/2)/dt
+        np.multiply(t, 0.5, out=u)
+        np.tanh(u, out=u)
+        np.multiply(u, u, out=w)  # w = d tanh(t/2)/dt = (1 - u^2) / 2
+        np.subtract(1.0, w, out=w)
+        w *= 0.5
         sum_u = float(np.sum(u))
-        sum_tu = float(np.sum(t * u))
+        sum_tu = float(np.sum(np.multiply(t, u, out=t_new)))
         g_loc = sum_u / s
         g_s = (sum_tu - n) / s
         h_ll = -float(np.sum(w)) / (s * s)
-        h_ls = -(sum_u + float(np.sum(t * w))) / (s * s)
-        h_ss = (n - 2.0 * sum_tu - float(np.sum(t * t * w))) / (s * s)
+        h_ls = -(sum_u + float(np.sum(np.multiply(t, w, out=t_new)))) / (s * s)
+        np.multiply(t, t, out=t_new)
+        t_new *= w
+        h_ss = (n - 2.0 * sum_tu - float(np.sum(t_new))) / (s * s)
         det = h_ll * h_ss - h_ls * h_ls
         if det <= 0.0 or h_ll >= 0.0:
             d_loc, d_s = g_loc / max(-h_ll, 1e-12), g_s / max(-h_ss, 1e-12)
@@ -286,8 +331,9 @@ def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
             lo_new = loc + scale_step * d_loc
             s_new = s + scale_step * d_s
             if s_new > 0.0:
-                t_new = (z - lo_new) / s_new
-                ll = _logistic_loglik(t_new, s_new)
+                np.subtract(z, lo_new, out=t_new)
+                t_new /= s_new
+                ll = _logistic_loglik(t_new, s_new, u, w)
                 if ll >= cur - 1e-12:
                     break
             scale_step *= 0.5
@@ -295,7 +341,7 @@ def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
             raise ConvergenceError("Logistic MLE line search found no step that keeps the "
                                    "log-likelihood after 60 halvings")
         moved = max(abs(scale_step * d_loc), abs(scale_step * d_s))
-        loc, s, t, cur = lo_new, s_new, t_new, ll
+        loc, s, t, t_new, cur = lo_new, s_new, t_new, t, ll
         if moved < 1e-10 * max(1.0, abs(loc), s):
             return loc, s
     raise ConvergenceError(f"Logistic MLE did not converge in {_MAX_NEWTON} Newton steps")
@@ -316,17 +362,10 @@ def fit_mle(family: Family, data: SampleBatch) -> DistSpec:
     underflows float64 raise ``DomainError``.
     """
     family = Family(family)
-    x = data.values
-    if x.min() == x.max():
-        raise DegenerateDataError("fit_mle requires at least 2 distinct values")
     # Standardize so the solver sees O(1) numbers; this also makes the fit
-    # exactly equivariant under affine maps of the data.
-    with np.errstate(over="ignore", invalid="ignore"):
-        m, sd = float(np.mean(x)), float(np.std(x))
-    if not (math.isfinite(sd) and sd > 0):
-        raise DomainError(f"fit_mle needs a standard deviation that is finite and positive "
-                          f"in float64, got {sd}")
-    z = (x - m) / sd
+    # exactly equivariant under affine maps of the data.  The batch does it
+    # once for all its fits.
+    m, sd, z = data._standardised
     if family is Family.NORMAL:
         return DistSpec(family, m, sd)
     if family is Family.GUMBEL:

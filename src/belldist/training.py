@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, TrainingError
 from .gof import ks_statistic
-from .distributions import Family, SampleBatch, fit_mle
+from .distributions import Family, SampleBatch, _check_seed, fit_mle
 from .losses import LossConfig, l_loss_grad
 from .mdp import TERMINAL, TabularMdp, successor_max
 
@@ -63,8 +63,7 @@ class TrainConfig:
             raise DomainError("sigma must be finite and positive")
         if not 0.0 < self.reward_scale < math.inf:
             raise DomainError("reward_scale must be finite and positive")
-        if not 0 <= self.seed < 1 << 128:  # the range of a Philox key
-            raise DomainError(f"seed must lie in [0, 2**128), got {self.seed}")
+        _check_seed(self.seed)
         if self.approximator not in ("tabular", "mlp"):
             raise DomainError("approximator must be 'tabular' or 'mlp'")
         for name in ("epochs", "replay_capacity", "early_stop_patience"):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -133,6 +134,20 @@ def test_uniform_open_negative_count_raises_domain_error():
 def test_uniform_open_seed_outside_philox_key_range_raises_domain_error(seed):
     with pytest.raises(DomainError, match="seed"):
         uniform_open(seed, 4)
+
+
+@pytest.mark.parametrize("seed", [1.9, 1.0, np.float64(2.0), "1", None])
+def test_uniform_open_non_integer_seed_raises_domain_error(seed):
+    # a float seed used to be truncated: uniform_open(1.9, 3) gave uniform_open(1, 3)
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        uniform_open(seed, 3)
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        sample(DistSpec(Family.NORMAL, 0.0, 1.0), 3, seed=seed)
+
+
+def test_uniform_open_accepts_numpy_integer_seeds():
+    for seed in (np.int64(7), np.uint8(7), np.uint64(7)):
+        assert np.array_equal(uniform_open(seed, 5), uniform_open(7, 5))
 
 
 def uniform_open_oracle(seed: int, n: int, stream: int = 0) -> np.ndarray:
@@ -333,3 +348,50 @@ def test_fit_and_ks_bits_pinned():
                 ks = ks_statistic(batch, fitted)
                 h.update(np.array([fitted.location, fitted.scale, ks]).tobytes())
     assert h.hexdigest() == FIT_KS_DIGEST
+
+
+# SHA-256 as above for batch sizes one past a 64-point block edge, below and
+# above KS's 2**15-point direct evaluation, computed while KS still evaluated
+# the CDF at every point; the block-bound KS must keep every bit.
+FIT_KS_BLOCK_DIGEST = "090e08d401d490694e306e784894810ed886b53ce98b29f97d34238e4feb85b1"
+
+
+def test_fit_and_block_ks_bits_pinned():
+    h = hashlib.sha256()
+    for i, law in enumerate(PIN_LAWS):
+        for n in (513, 4097, 32769, 65537):
+            batch = sample(law, n, seed=100 * i + n)
+            for family in Family:
+                fitted = fit_mle(family, batch)
+                ks = ks_statistic(batch, fitted)
+                h.update(np.array([fitted.location, fitted.scale, ks]).tobytes())
+    assert h.hexdigest() == FIT_KS_BLOCK_DIGEST
+
+
+def test_batch_standardises_once_for_all_fits():
+    batch = sample(DistSpec(Family.LOGISTIC, 0.5, 2.0), 1000, seed=5)
+    fits = [fit_mle(family, batch) for family in Family]
+    m, sd, z = batch._standardised
+    assert batch._standardised[2] is z
+    assert not z.flags.writeable
+    assert (m, sd) == (float(np.mean(batch.values)), float(np.std(batch.values)))
+    assert np.array_equal(z, (batch.values - m) / sd)
+    # a batch that already standardised fits to the same bits as a fresh one
+    assert fits == [fit_mle(family, SampleBatch(batch.values)) for family in Family]
+
+
+@pytest.mark.parametrize("family", [Family.GUMBEL, Family.LOGISTIC])
+def test_fit_peak_allocation_is_its_newton_buffers(family):
+    n = 100_000
+    batch = sample(DistSpec(family, 0.3, 1.2), n, seed=9)
+    fit_mle(Family.NORMAL, batch)  # standardises the batch outside the traced call
+    tracemalloc.start()
+    try:
+        fit_mle(family, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # at most four n-sized buffers (three for Gumbel) allocated once per fit,
+    # and a little slack for small objects
+    buffers = 4 if family is Family.LOGISTIC else 3
+    assert peak <= buffers * 8 * n + 65536

@@ -1,5 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belldist import (
     DegenerateDataError,
@@ -8,9 +13,11 @@ from belldist import (
     Family,
     SampleBatch,
     cdf,
+    fit_mle,
     quantile,
     sample,
 )
+from belldist.distributions import uniform_open
 from belldist.gof import freedman_diaconis_bins, histogram_fit_metrics, ks_statistic, rank_families
 from belldist.mdp import example1_row_errors
 
@@ -58,6 +65,93 @@ def test_ks_matches_absolute_value_form():
                 hi, lo = np.arange(1, n + 1) / n, np.arange(0, n) / n
                 ref = float(max(np.max(np.abs(hi - f)), np.max(np.abs(lo - f))))
                 assert ks_statistic(SampleBatch(values), d) == ref
+
+
+def ks_oracle(batch: SampleBatch, d: DistSpec) -> float:
+    """The full evaluation: F at every sorted point, the max of i/n - F and F - (i-1)/n."""
+    x = np.sort(batch.values)
+    n = x.size
+    f = cdf(d, x)
+    grid = np.arange(n + 1, dtype=float) / n
+    return float(max(np.max(grid[1:] - f), np.max(f - grid[:-1])))
+
+
+def block_ks_cases(n: int, seed: int):
+    """Batches of size n paired with laws: a draw from each family against its
+    own law, its own MLE fit (KS near 0) and a far law (KS near 1); the same
+    draws rounded to one decimal (ties); and Cauchy draws (heavy tails)."""
+    for family in Family:
+        law = DistSpec(family, 0.3, 1.4)
+        batch = sample(law, n, seed=seed)
+        yield batch, law
+        for fitted_family in Family:
+            yield batch, fit_mle(fitted_family, batch)
+        yield batch, DistSpec(family, 40.0, 0.5)
+        yield batch, DistSpec(family, -40.0, 0.5)
+        yield SampleBatch(np.round(batch.values, 1)), law
+    cauchy = SampleBatch(np.tan(math.pi * (uniform_open(seed, n, stream=1) - 0.5)))
+    for family in Family:
+        yield cauchy, DistSpec(family, 0.0, 1.0)
+    # the Logistic fit does not converge on large Cauchy sets, so only these
+    for family in (Family.GUMBEL, Family.NORMAL):
+        yield cauchy, fit_mle(family, cauchy)
+
+
+@pytest.mark.parametrize("n", [2**15, 2**15 + 1, 2**15 + 64, 2**15 + 65, 2**16 + 1])
+def test_ks_block_bound_matches_full_evaluation(n):
+    # n <= 2**15 evaluates every point; above it the 64-point block bound must
+    # give the same float as the full evaluation, at block edges and tails too
+    for batch, d in block_ks_cases(n, seed=n):
+        assert ks_statistic(batch, d) == ks_oracle(batch, d)
+
+
+def test_ks_block_bound_extremes_of_the_statistic():
+    batch = sample(DistSpec(Family.NORMAL, 0.0, 1.0), 2**15 + 1, seed=3)
+    far = ks_statistic(batch, DistSpec(Family.NORMAL, 50.0, 1.0))
+    near = ks_statistic(batch, fit_mle(Family.NORMAL, batch))
+    assert far == ks_oracle(batch, DistSpec(Family.NORMAL, 50.0, 1.0)) == 1.0
+    assert near == ks_oracle(batch, fit_mle(Family.NORMAL, batch)) < 0.02
+
+
+@st.composite
+def large_batches(draw):
+    """Finite batches of 2**15 + 1 to 2**15 + 3000 points, so KS takes the
+    block bound: a location-scale draw, optionally rounded to few digits (long
+    tied runs), with a few extreme entries."""
+    n = draw(st.integers(2**15 + 1, 2**15 + 3000))
+    family = draw(st.sampled_from(list(Family)))
+    law = DistSpec(family, draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-3, 1e3)))
+    values = sample(law, n, seed=draw(st.integers(0, 2**32))).values.copy()
+    digits = draw(st.sampled_from([None, 0, 1, 2]))
+    if digits is not None:
+        values = np.round(values, digits)
+    extremes = draw(st.lists(st.floats(-1e12, 1e12), max_size=5))
+    values[:len(extremes)] = extremes
+    return SampleBatch(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=large_batches(), family=st.sampled_from(list(Family)),
+       location=st.floats(-1e3, 1e3), scale=st.floats(1e-3, 1e3))
+def test_ks_block_bound_matches_full_evaluation_property(batch, family, location, scale):
+    d = DistSpec(family, location, scale)
+    assert ks_statistic(batch, d) == ks_oracle(batch, d)
+
+
+def test_ks_peak_allocation_below_one_array():
+    n = 100_000
+    batch = sample(DistSpec(Family.LOGISTIC, 0.0, 1.0), n, seed=13)
+    fitted = fit_mle(Family.LOGISTIC, batch)
+    batch.sorted  # the sorted copy is built once per batch, outside the traced call
+    tracemalloc.start()
+    try:
+        ks_statistic(batch, fitted)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the block ends and bounds (2n/64 points) and one chunk of at most 64
+    # candidate blocks at a time, so far less than one n-sized array
+    assert peak < 8 * n + 65536
 
 
 def test_ks_small_over_many_seeds():

@@ -73,6 +73,10 @@ def test_config_validation():
     for seed in (-1, 1 << 128):  # outside the range of a Philox key
         with pytest.raises(DomainError, match="seed"):
             TrainConfig(seed=seed)
+    for seed in (2.5, 3.0, "3"):  # a Philox key is an integer; a float was truncated
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            TrainConfig(seed=seed)
+    assert TrainConfig(seed=np.int64(3)).seed == 3
     with pytest.raises(DomainError):
         TrainConfig(batch_size=0)
     with pytest.raises(DomainError):  # the replay never holds a batch: no update
