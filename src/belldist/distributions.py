@@ -46,20 +46,6 @@ class DistSpec:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise DomainError(f"scale must be positive and finite, got {self.scale}")
 
-    @property
-    def mean(self) -> float:
-        if self.family is Family.GUMBEL:
-            return self.location + self.scale * EULER_MASCHERONI
-        return self.location
-
-    @property
-    def std(self) -> float:
-        if self.family is Family.GUMBEL:
-            return self.scale * math.pi / math.sqrt(6.0)
-        if self.family is Family.LOGISTIC:
-            return self.scale * math.pi / math.sqrt(3.0)
-        return self.scale
-
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -110,17 +96,21 @@ class SampleBatch:
 
 def pdf(d: DistSpec, x):
     """Density of ``d`` at ``x`` (scalar or array)."""
-    z = (np.asarray(x, dtype=float) - d.location) / d.scale
-    if d.family is Family.GUMBEL:
-        # far in the left tail exp(-z) overflows to inf and the density is exactly 0
-        with np.errstate(over="ignore"):
+    # z overflows to +-inf far out in either tail, and so does the Gumbel
+    # exp(-z) in the left tail: the density there is exactly 0
+    with np.errstate(over="ignore"):
+        z = (np.asarray(x, dtype=float) - d.location) / d.scale
+        if d.family is Family.GUMBEL:
+            # below -1e3 the density is already 0; the clip keeps z = -inf
+            # from meeting exp(-z) = inf in a NaN
+            z = np.maximum(z, -1e3)
             out = np.exp(-(z + np.exp(-z))) / d.scale
-    elif d.family is Family.LOGISTIC:
-        # exp(-|z|)/(1+exp(-|z|))^2 is symmetric and avoids overflow
-        e = np.exp(-np.abs(z))
-        out = e / (d.scale * (1.0 + e) ** 2)
-    else:
-        out = np.exp(-0.5 * z * z) / (d.scale * math.sqrt(2.0 * math.pi))
+        elif d.family is Family.LOGISTIC:
+            # exp(-|z|)/(1+exp(-|z|))^2 is symmetric and avoids overflow
+            e = np.exp(-np.abs(z))
+            out = e / (d.scale * (1.0 + e) ** 2)
+        else:
+            out = np.exp(-0.5 * z * z) / (d.scale * math.sqrt(2.0 * math.pi))
     return out if out.ndim else float(out)
 
 
@@ -128,20 +118,22 @@ def cdf(d: DistSpec, x):
     """CDF of ``d`` at ``x`` (scalar or array)."""
     from scipy.special import expit, ndtr
 
-    # z is formed once, in a fresh array, and each transform writes into it
+    # z is formed once, in a fresh array, and each transform writes into it;
+    # z overflows to +-inf far out in either tail, and so does the Gumbel
+    # exp(-z) in the left tail: the CDF there is exactly 0 or 1
     x = np.asarray(x, dtype=float)
-    z = np.subtract(x, d.location, out=np.empty(x.shape))
-    z /= d.scale
-    if d.family is Family.GUMBEL:
-        np.negative(z, out=z)
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
+        z = np.subtract(x, d.location, out=np.empty(x.shape))
+        z /= d.scale
+        if d.family is Family.GUMBEL:
+            np.negative(z, out=z)
             np.exp(z, out=z)
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-    elif d.family is Family.LOGISTIC:
-        expit(z, out=z)
-    else:
-        ndtr(z, out=z)
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+        elif d.family is Family.LOGISTIC:
+            expit(z, out=z)
+        else:
+            ndtr(z, out=z)
     return z if z.ndim else float(z)
 
 
@@ -228,15 +220,21 @@ def _logistic_loglik(t: np.ndarray, scale: float, a: np.ndarray, e: np.ndarray) 
 
 def log_likelihood(d: DistSpec, data: np.ndarray) -> float:
     """Total log-likelihood of ``data`` under ``d``."""
-    z = (np.asarray(data, dtype=float) - d.location) / d.scale
-    if d.family is Family.LOGISTIC:
-        return _logistic_loglik(z, d.scale, np.empty_like(z), np.empty_like(z))
-    n = z.size
-    if d.family is Family.GUMBEL:
-        # exp(-z) overflows to inf far in the left tail; the exact value is -inf
-        with np.errstate(over="ignore"):
-            return float(-n * math.log(d.scale) - np.sum(z) - np.sum(np.exp(-z)))
-    return float(-n * math.log(d.scale) - 0.5 * n * math.log(2.0 * math.pi) - 0.5 * np.sum(z * z))
+    # z overflows to +-inf far out in either tail, and so does the Gumbel
+    # exp(-z) in the left tail; the exact value there is -inf
+    with np.errstate(over="ignore"):
+        z = (np.asarray(data, dtype=float) - d.location) / d.scale
+        if d.family is Family.LOGISTIC:
+            return _logistic_loglik(z, d.scale, np.empty_like(z), np.empty_like(z))
+        n = z.size
+        if d.family is Family.GUMBEL:
+            # an infinite exp(-z) sum decides, even where -sum(z) is +inf
+            tail = float(np.sum(np.exp(-z)))
+            if tail == math.inf:
+                return -math.inf
+            return float(-n * math.log(d.scale) - np.sum(z) - tail)
+        return float(-n * math.log(d.scale) - 0.5 * n * math.log(2.0 * math.pi)
+                     - 0.5 * np.sum(z * z))
 
 
 def _fit_gumbel_std(z: np.ndarray) -> tuple[float, float]:

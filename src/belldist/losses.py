@@ -1,4 +1,4 @@
-"""Likelihood-derived losses over Bellman errors and the softmax policy map.
+"""Likelihood-derived losses over Bellman errors.
 
 ``l_loss`` is the negative mean Logistic(0, sigma) log-likelihood of the
 errors with the scale-normalization constant dropped:
@@ -71,36 +71,3 @@ def l_loss_grad(errors, cfg: LossConfig = LossConfig()) -> np.ndarray:
     """
     arr = _as_errors(errors)
     return np.tanh(arr / (2.0 * cfg.sigma)) / (arr.size * cfg.sigma)
-
-
-def taylor_gap(t: float) -> float:
-    """|l_loss term - (log4 + t^2/4)| at a single standardized error t.
-
-    The cubic term of the expansion vanishes (even function); the leading
-    remainder is t^4/96, so gap/t^4 stays below 1/96 + margin near zero.
-    """
-    term = float(_lloss_terms(np.array([float(t)]))[0])
-    return abs(term - (LN4 + 0.25 * t * t))
-
-
-def softmax_policy(q_row, mu_row, zeta: float) -> np.ndarray:
-    """Reference-weighted softmax  mu_a * exp(q_a/zeta) / sum_b mu_b * exp(q_b/zeta).
-
-    Max-subtraction keeps exp in range; entries with mu = 0 keep zero mass.
-    """
-    q = np.asarray(q_row, dtype=float)
-    mu = np.asarray(mu_row, dtype=float)
-    if q.shape != mu.shape or q.ndim != 1 or q.size == 0:
-        raise DomainError("q_row and mu_row must be matching non-empty 1-D vectors")
-    if not zeta > 0:
-        raise DomainError(f"zeta must be positive, got {zeta}")
-    if np.any(mu < 0):
-        raise DomainError("mu_row must be non-negative")
-    total = float(np.sum(mu))
-    if total == 0.0:
-        raise DomainError("mu_row must have positive total mass")
-    if abs(total - 1.0) > 1e-9:
-        raise DomainError(f"mu_row must sum to 1, got {total}")
-    scaled = q / zeta
-    weights = mu * np.exp(scaled - np.max(scaled[mu > 0]))
-    return weights / np.sum(weights)

@@ -58,33 +58,27 @@ class TabularMdp:
         object.__setattr__(self, "transition", trans)
         object.__setattr__(self, "reward", rew)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_states": self.n_states,
-                "n_actions": self.n_actions,
-                "gamma": self.gamma,
-                "transitions": self.transition.tolist(),
-                "rewards": self.reward.tolist(),
-            },
-            sort_keys=True,
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "TabularMdp":
         try:
             obj = json.loads(text)
+            n_states, n_actions, transitions = obj["n_states"], obj["n_actions"], obj["transitions"]
+            # JSON integers only (a bool is no count): int() and the int64 cast
+            # would turn 2.7, "2" and 1.9 into 2, 2 and 1 without a word
+            ints = (n_states, n_actions, *(v for row in transitions for v in row))
+            if not all(type(v) is int for v in ints):
+                raise TypeError("a count or transition entry is not a JSON integer")
             fields = dict(
-                n_states=int(obj["n_states"]),
-                n_actions=int(obj["n_actions"]),
-                transition=np.array(obj["transitions"], dtype=np.int64),
+                n_states=n_states,
+                n_actions=n_actions,
+                transition=np.array(transitions, dtype=np.int64),
                 reward=np.array(obj["rewards"], dtype=float),
                 gamma=float(obj["gamma"]),
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise DomainError(
-                "MDP JSON needs numeric n_states, n_actions, transitions, rewards and gamma"
-                f" ({type(exc).__name__}: {exc})"
+                "MDP JSON needs integer n_states, n_actions and transitions, and numeric"
+                f" rewards and gamma ({type(exc).__name__}: {exc})"
             ) from exc
         return cls(**fields)
 

@@ -61,13 +61,6 @@ def _harmonic_table(n: int) -> np.ndarray:
     return table[: n + 1]
 
 
-def harmonic(m: int) -> float:
-    """H_m = sum_{k=1..m} 1/k, with H_0 = 0."""
-    if m < 0:
-        raise DomainError(f"harmonic number index must be >= 0, got {m}")
-    return float(_harmonic_table(m)[m])
-
-
 def _standard_expectations(n: int) -> np.ndarray:
     # E_i = H_{i-1} - H_{n-i} for i = 1..n
     tab = _harmonic_table(n)
@@ -191,11 +184,3 @@ def sampling_error(n: int, a: float = 0.0, b: float = 1.0) -> SamplingErrorRepor
     # E_n - E_1 = H_{n-1} - (-H_{n-1}), exact in floating point since H_0 = 0
     s_e = float(np.sum(segments) / (2.0 * tab[n - 1]))
     return SamplingErrorReport(n=n, s_e=s_e, bias=s_e, variance=0.0)
-
-
-def empirical_cdf_expectation(n: int, a: float, b: float, t) -> float | np.ndarray:
-    """Step function i/n where i counts order-statistic expectations <= t."""
-    exps = order_stat_table(n, a, b).expectations
-    counts = np.searchsorted(exps, np.asarray(t, dtype=float), side="right")
-    out = counts / n
-    return out if out.ndim else float(out)

@@ -37,12 +37,6 @@ class RewardSample:
         object.__setattr__(self, "rewards", r)
         object.__setattr__(self, "beta", float(self.beta))
 
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        """(positive, negative, zero) reward counts."""
-        r = self.rewards
-        return int(np.sum(r > 0)), int(np.sum(r < 0)), int(np.sum(r == 0))
-
 
 def _logsumexp(a: np.ndarray) -> float:
     """log(sum(exp(a))) of a 1-D array, step for step as scipy 1.17's
@@ -173,15 +167,3 @@ def scaling_curve(sample: RewardSample, phi_grid) -> ScalingCurve:
         cond2=cond2,
         phi_star=phi_star,
     )
-
-
-def analytic_two_level_phi_star(r_pos: float, n_neg: int, r_neg: float, beta: float = 1.0) -> float:
-    """phi* for one positive reward r_pos and n_neg copies of r_neg, in closed
-    form: exp(phi*(r_pos - r_neg)/beta) = -n_neg * r_neg / r_pos.
-
-    Used as the independent oracle for find_phi_star in tests and examples.
-    """
-    if r_pos <= 0 or r_neg >= 0:
-        raise DomainError("need r_pos > 0 and r_neg < 0")
-    ratio = -n_neg * r_neg / r_pos
-    return beta * math.log(ratio) / (r_pos - r_neg)

@@ -13,6 +13,7 @@ import belldist
 from belldist import BelldistError, DistSpec, Family, sample
 from belldist.cli import _csv, _read_values, build_parser, main
 from belldist.distributions import uniform_open
+from conftest import mdp_json
 
 
 def run_cli(args: list[str]) -> int:
@@ -60,6 +61,7 @@ def test_contract_violation_exit_code_one(tmp_path, capsys, argv):
     ["compare", "--env", "chain:3", "--seeds", "0,x"],
     ["train", "--env", "{missing}.json"],
     ["train", "--env", "{partial}"],
+    ["train", "--env", "{fractional}"],  # n_states 2.7 would load as 2
     ["fit", "--input", "{non-numeric}"],
     ["fit", "--input", "{empty-row}"],
     ["fit", "--input", "{no-header}"],
@@ -79,8 +81,8 @@ def test_contract_violation_exit_code_one(tmp_path, capsys, argv):
     ["scaling", "--rewards", "{rewards}", "--beta", "inf"],
     ["sampling-error", "--n", "2", "--a", "nan"],
 ], ids=["sampling-error-n", "train-chain", "train-dag", "normal-max-mc", "fit-input",
-        "compare-seeds", "train-json-missing", "train-json-fields", "fit-input-non-numeric",
-        "fit-input-empty-row", "fit-input-no-header", "scaling-tiny-beta",
+        "compare-seeds", "train-json-missing", "train-json-fields", "train-json-fractional",
+        "fit-input-non-numeric", "fit-input-empty-row", "fit-input-no-header", "scaling-tiny-beta",
         "sampling-error-huge-n", "normal-max-huge-mc", "losscheck-nan-grid",
         "train-batch-exceeds-replay", "example1-negative-seed", "normal-max-negative-seed",
         "train-negative-seed", "compare-negative-seed", "train-infinite-lr",
@@ -89,12 +91,15 @@ def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
     files = {
         "{missing}": tmp_path / "no-such-file",
         "{partial}": tmp_path / "partial.json",
+        "{fractional}": tmp_path / "fractional.json",
         "{non-numeric}": tmp_path / "non-numeric.csv",
         "{empty-row}": tmp_path / "empty-row.csv",
         "{no-header}": tmp_path / "no-header.csv",
         "{rewards}": tmp_path / "rewards.csv",
     }
     files["{partial}"].write_text('{"n_states": 2}')
+    files["{fractional}"].write_text('{"n_states": 2.7, "n_actions": 1, "transitions": [[1], [-1]],'
+                                     ' "rewards": [[0.5], [1.0]], "gamma": 0.9}')
     files["{non-numeric}"].write_text("value\n1.5\nabc\n")
     files["{empty-row}"].write_text("value\n1.5\n\n2.5\n")
     files["{no-header}"].write_text("1.5\n2.5\n")
@@ -341,7 +346,7 @@ def test_mdp_json_env_loading(tmp_path):
     from belldist.mdp import make_chain
 
     env_path = tmp_path / "env.json"
-    env_path.write_text(make_chain(3).to_json())
+    env_path.write_text(mdp_json(make_chain(3)))
     rc = run_cli([
         "train", "--env", str(env_path), "--lr", "0.5", "--epochs", "30",
         "--seed", "0", "--out", str(tmp_path),

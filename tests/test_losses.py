@@ -10,8 +10,6 @@ from belldist.losses import (
     l_loss,
     l_loss_grad,
     mse_loss,
-    softmax_policy,
-    taylor_gap,
 )
 
 
@@ -79,6 +77,11 @@ def test_grad_matches_finite_differences(sigma, eps):
         assert abs(numeric - l_loss_grad(errs, cfg)[i]) < 1e-7
 
 
+def taylor_gap(t: float) -> float:
+    """|l_loss - (log4 + mse_loss/2)| at one standardized error t, as criterion 9 forms it."""
+    return abs(l_loss([t]) - (LN4 + mse_loss([t]) / 2.0))
+
+
 def test_taylor_gap_values():
     assert taylor_gap(0.0) == 0.0
     # quartic remainder: next term after ln4 + t^2/4 is -t^4/96
@@ -119,37 +122,3 @@ def test_loss_config_validation():
         LossConfig(sigma=0.0)
     with pytest.raises(DomainError):
         l_loss(np.array([]))
-
-
-def test_softmax_uniform_symmetry():
-    out = softmax_policy(np.zeros(4), np.full(4, 0.25), zeta=1.0)
-    assert np.allclose(out, 0.25, atol=1e-15)
-    assert abs(out.sum() - 1.0) < 1e-12
-
-
-def test_softmax_concentrates_at_small_zeta():
-    q = np.array([0.0, 1.0, 3.0])
-    out = softmax_policy(q, np.full(3, 1.0 / 3.0), zeta=0.01)
-    assert out[2] > 0.99
-
-
-def test_softmax_shift_invariance():
-    q = np.array([0.4, -1.0, 2.2])
-    mu = np.array([0.5, 0.2, 0.3])
-    a = softmax_policy(q, mu, zeta=0.7)
-    b = softmax_policy(q + 123.4, mu, zeta=0.7)
-    assert np.allclose(a, b, atol=1e-12)
-
-
-def test_softmax_zero_mu_entries_keep_zero_mass():
-    out = softmax_policy(np.array([5.0, 1.0]), np.array([0.0, 1.0]), zeta=1.0)
-    assert out[0] == 0.0 and out[1] == pytest.approx(1.0)
-
-
-def test_softmax_domain():
-    with pytest.raises(DomainError):
-        softmax_policy(np.zeros(2), np.zeros(2), zeta=1.0)
-    with pytest.raises(DomainError):
-        softmax_policy(np.zeros(2), np.full(2, 0.5), zeta=0.0)
-    with pytest.raises(DomainError):
-        softmax_policy(np.zeros(2), np.array([0.9, 0.3]), zeta=1.0)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from belldist.mdp import (
     snapshot_errors,
     solve_qstar,
 )
+from conftest import mdp_json
 
 
 def backward_induction(mdp: TabularMdp) -> np.ndarray:
@@ -65,7 +67,7 @@ def test_mdp_validation():
 
 def test_mdp_json_roundtrip():
     mdp = make_random_dag(6, 3, seed=5)
-    loaded = TabularMdp.from_json(mdp.to_json())
+    loaded = TabularMdp.from_json(mdp_json(mdp))
     assert loaded.n_states == mdp.n_states
     assert np.array_equal(loaded.transition, mdp.transition)
     assert np.array_equal(loaded.reward, mdp.reward)
@@ -82,6 +84,21 @@ def test_mdp_json_roundtrip():
 def test_mdp_from_json_malformed_raises_domain_error(text):
     with pytest.raises(DomainError):
         TabularMdp.from_json(text)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_states", 2.7),
+    ("n_states", "2"),
+    ("n_actions", True),
+    ("transitions", [[1.9], [-1]]),
+], ids=["fractional-count", "string-count", "bool-count", "fractional-transition"])
+def test_mdp_from_json_rejects_non_integer_counts_and_transitions(field, value):
+    # int() and an int64 cast would load these as 2, 2, 1 and state 1
+    valid = {"n_states": 2, "n_actions": 1, "transitions": [[1], [-1]],
+             "rewards": [[0.5], [1.0]], "gamma": 0.9}
+    TabularMdp.from_json(json.dumps(valid))
+    with pytest.raises(DomainError, match="JSON integer"):
+        TabularMdp.from_json(json.dumps({**valid, field: value}))
 
 
 def test_make_example1_shape_and_rewards():

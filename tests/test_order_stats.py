@@ -9,8 +9,6 @@ from belldist import DistSpec, DomainError, Family, cdf, order_stats
 from belldist.distributions import uniform_open
 from belldist.order_stats import (
     _harmonic_table,
-    empirical_cdf_expectation,
-    harmonic,
     order_stat_expectation,
     order_stat_table,
     sampling_error,
@@ -78,11 +76,9 @@ def mc_order_stats(n: int, a: float, b: float, replicates: int, seed: int) -> np
 
 
 def test_harmonic_values():
-    assert harmonic(0) == 0.0
-    assert harmonic(1) == 1.0
-    assert harmonic(4) == pytest.approx(25.0 / 12.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        harmonic(-1)
+    assert _harmonic_table(0)[0] == 0.0
+    assert _harmonic_table(1)[1] == 1.0
+    assert _harmonic_table(4)[4] == pytest.approx(25.0 / 12.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 16384, 16385, 32769, 2**20 + 7])
@@ -102,12 +98,12 @@ def test_harmonic_keeps_one_table(monkeypatch):
     tracemalloc.start()
     try:
         for k in range(10):
-            harmonic(2**20 + k)
+            _harmonic_table(2**20 + k)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert retained <= 9_000_000
-    assert harmonic(2**20 + 9) == harmonic_oracle(2**20 + 9)[-1]
+    assert _harmonic_table(2**20 + 9)[-1] == harmonic_oracle(2**20 + 9)[-1]
 
 
 def test_sampling_error_allocates_block_buffers_beyond_its_segments():
@@ -168,8 +164,6 @@ def test_expectation_is_table_entry_and_scale_is_checked():
             order_stat_expectation(4, 2, 0.0, b)
         with pytest.raises(DomainError):
             order_stat_table(4, 0.0, b)
-        with pytest.raises(DomainError):
-            empirical_cdf_expectation(4, 0.0, b, 0.5)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 33, 1024])
@@ -231,23 +225,3 @@ def test_sampling_error_validates_location_and_scale(a, b):
         sampling_error(2, a, b)
     with pytest.raises(DomainError):
         order_stat_table(2, a, b)
-
-
-def test_empirical_cdf_expectation_steps():
-    exps = order_stat_table(4).expectations
-    assert empirical_cdf_expectation(4, 0.0, 1.0, exps[0] - 1.0) == 0.0
-    assert empirical_cdf_expectation(4, 0.0, 1.0, exps[-1] + 1.0) == 1.0
-    # antisymmetry puts exactly two of four expectations at or below 0
-    assert empirical_cdf_expectation(4, 0.0, 1.0, 0.0) == 0.5
-
-
-def test_step_function_approaches_true_cdf():
-    # sup distance between the expected empirical CDF and the true CDF halves
-    # as n doubles from 2 to 16
-    d = DistSpec(Family.LOGISTIC, 0.0, 1.0)
-    ts = np.linspace(-8.0, 8.0, 4001)
-    sups = []
-    for n in (2, 4, 8, 16):
-        approx = empirical_cdf_expectation(n, 0.0, 1.0, ts)
-        sups.append(float(np.max(np.abs(approx - cdf(d, ts)))))
-    assert all(x > y for x, y in zip(sups, sups[1:]))

@@ -11,7 +11,6 @@ from belldist import DomainError, PreconditionError
 from belldist.distributions import uniform_open
 from belldist.scaling import (
     RewardSample,
-    analytic_two_level_phi_star,
     check_conditions,
     expected_error,
     find_phi_star,
@@ -115,7 +114,6 @@ def test_phi_star_analytic_fixture_one():
     # e^phi = 10 e^-phi  =>  phi* = ln(10)/2
     phi = find_phi_star(sample_one_pos_ten_neg())
     assert phi == pytest.approx(math.log(10.0) / 2.0, abs=1e-10)
-    assert phi == pytest.approx(analytic_two_level_phi_star(1.0, 10, -1.0), abs=1e-10)
 
 
 def test_phi_star_analytic_fixture_two():
@@ -231,8 +229,6 @@ def test_scaling_curve_flags():
 
 
 def test_reward_sample_counts_and_validation():
-    s = RewardSample(np.array([1.0, -2.0, 0.0, 0.0]), beta=1.0)
-    assert s.counts == (1, 1, 2)
     with pytest.raises(DomainError):
         RewardSample(np.array([]), beta=1.0)
     with pytest.raises(DomainError):
