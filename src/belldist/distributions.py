@@ -246,22 +246,23 @@ def _fit_gumbel_std(z: np.ndarray) -> tuple[float, float]:
     # no upper end is known) or by bisection, so the fit converges from any
     # start.  The tolerance is tested on the raw Newton step, before that guard,
     # so a rounding-level last step is taken as it is, not bisected.  The
-    # weights w and the products z w, z^2 w go to buffers allocated once.
+    # weights w go to a buffer allocated once, and the weighted sums are
+    # one-pass einsum reductions.  Division rounds monotonically, so the
+    # largest -z/s is -min(z)/s, found without a pass over w.
     sd = float(np.std(z))
     s = sd * math.sqrt(6.0) / math.pi
     zbar = float(np.mean(z))
+    zmin = float(z.min())
     zz = np.multiply(z, z)
     w = np.empty_like(z)
-    prod = np.empty_like(z)
     lo, hi = 0.0, math.inf
     for _ in range(_MAX_NEWTON):
-        np.negative(z, out=w)
-        w /= s
-        w -= w.max()
+        np.divide(z, -s, out=w)
+        w -= -zmin / s
         np.exp(w, out=w)
         sw = float(np.sum(w))
-        m1 = float(np.sum(np.multiply(z, w, out=prod))) / sw
-        m2 = float(np.sum(np.multiply(zz, w, out=prod))) / sw
+        m1 = float(np.einsum("i,i->", z, w)) / sw
+        m2 = float(np.einsum("i,i->", zz, w)) / sw
         g = s - zbar + m1
         if g < 0.0:
             lo = s
@@ -279,30 +280,39 @@ def _fit_gumbel_std(z: np.ndarray) -> tuple[float, float]:
     else:
         raise ConvergenceError(f"Gumbel MLE did not converge in {_MAX_NEWTON} Newton steps "
                                f"(scale bracket [{lo}, {hi}] in standard units)")
-    np.negative(z, out=w)
-    w /= s
-    m = w.max()
+    m = -zmin / s
+    np.divide(z, -s, out=w)
     w -= m
     np.exp(w, out=w)
     loc = -s * (m + math.log(float(np.mean(w))))
     return loc, s
 
 
+# A line-search trial is accepted if it loses at most this many eps times
+# |log-likelihood| + n, the rounding level of a sum of n terms of that size:
+# a finer test halves converged steps until they round back to the start.
+_LL_SLACK_EPS = 64.0 * np.finfo(float).eps
+
+
 def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
     # Two-parameter Newton on (location, scale) with analytic score/Hessian and
-    # step halving so the log-likelihood never drops below the moment start.
-    # The residuals t of the accepted trial step, and their log-likelihood,
-    # carry over to the next iteration.  Four buffers serve the whole fit: the
-    # residuals t, the trial residuals t_new (also scratch for the products),
-    # and u, w (also scratch for the log-likelihood); an accepted trial swaps
-    # t and t_new.
+    # step halving, so that every accepted point keeps the log-likelihood of
+    # the previous one up to its rounding level and never drops below the
+    # moment start.  Where the Hessian is not negative definite, the fallback
+    # gradient step is bounded: the scale at most halves or doubles and the
+    # location moves by at most one scale.  A step under the tolerance is
+    # taken as it is, without a trial.  The residuals t of the accepted trial
+    # step, and their log-likelihood, carry over to the next iteration.  Four
+    # buffers serve the whole fit: the residuals t, the trial residuals t_new
+    # (also scratch for t w), and u, w (also scratch for the log-likelihood);
+    # an accepted trial swaps t and t_new.
     n = z.size
     loc = float(np.mean(z))
     s = max(float(np.std(z)) * math.sqrt(3.0) / math.pi, 1e-12)
     t = np.subtract(z, loc)
     t /= s
     t_new, u, w = np.empty_like(z), np.empty_like(z), np.empty_like(z)
-    cur = _logistic_loglik(t, s, u, w)
+    start = cur = _logistic_loglik(t, s, u, w)
     for _ in range(_MAX_NEWTON):
         np.multiply(t, 0.5, out=u)
         np.tanh(u, out=u)
@@ -310,20 +320,25 @@ def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
         np.subtract(1.0, w, out=w)
         w *= 0.5
         sum_u = float(np.sum(u))
-        sum_tu = float(np.sum(np.multiply(t, u, out=t_new)))
+        sum_tu = float(np.einsum("i,i->", t, u))
+        sum_tw = float(np.sum(np.multiply(t, w, out=t_new)))
+        sum_ttw = float(np.einsum("i,i->", t, t_new))
         g_loc = sum_u / s
         g_s = (sum_tu - n) / s
         h_ll = -float(np.sum(w)) / (s * s)
-        h_ls = -(sum_u + float(np.sum(np.multiply(t, w, out=t_new)))) / (s * s)
-        np.multiply(t, t, out=t_new)
-        t_new *= w
-        h_ss = (n - 2.0 * sum_tu - float(np.sum(t_new))) / (s * s)
+        h_ls = -(sum_u + sum_tw) / (s * s)
+        h_ss = (n - 2.0 * sum_tu - sum_ttw) / (s * s)
         det = h_ll * h_ss - h_ls * h_ls
         if det <= 0.0 or h_ll >= 0.0:
-            d_loc, d_s = g_loc / max(-h_ll, 1e-12), g_s / max(-h_ss, 1e-12)
+            d_loc = min(max(g_loc / max(-h_ll, 1e-12), -s), s)
+            d_s = min(max(g_s / max(-h_ss, 1e-12), -0.5 * s), s)
         else:
             d_loc = -(h_ss * g_loc - h_ls * g_s) / det
             d_s = -(h_ll * g_s - h_ls * g_loc) / det
+        lo_new, s_new = loc + d_loc, s + d_s
+        if max(abs(d_loc), abs(d_s)) < 1e-10 * max(1.0, abs(lo_new), s_new) and s_new > 0.0:
+            return lo_new, s_new
+        slack = _LL_SLACK_EPS * (abs(cur) + n)
         scale_step = 1.0
         for _ in range(60):
             lo_new = loc + scale_step * d_loc
@@ -332,7 +347,7 @@ def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
                 np.subtract(z, lo_new, out=t_new)
                 t_new /= s_new
                 ll = _logistic_loglik(t_new, s_new, u, w)
-                if ll >= cur - 1e-12:
+                if ll >= cur - slack and ll >= start:
                     break
             scale_step *= 0.5
         else:
@@ -349,11 +364,21 @@ def fit_mle(family: Family, data: SampleBatch) -> DistSpec:
     """Maximum-likelihood fit of ``family`` to ``data``.
 
     Gumbel and Logistic use Newton iterations from moment-matched starting
-    values (step tolerance 1e-10, at most 200 iterations); the returned
-    log-likelihood is never below the starting value.  The Gumbel Newton
+    values (at most 200 iterations).  Both stop on the same rule: once a raw
+    Newton step is below 1e-10 relative (and keeps the scale positive), it
+    is taken as it is, unevaluated, and the fit returns.  The Gumbel Newton
     steps are safeguarded by a bracket on the root of the profile score, so
-    they converge from any start.  A fit that reaches the iteration limit, or
-    whose Logistic line search finds no acceptable step, raises
+    they converge from any start.  The Logistic steps are halved until the
+    trial's log-likelihood is at least the start's and loses at most
+    64 eps (|log-likelihood| + n) against the current point, the rounding
+    level of the log-likelihood's sum; a stricter test would halve steps
+    that float64 can no longer tell apart.  So every accepted Logistic point
+    is at or above the starting log-likelihood, and the returned one differs
+    from the last accepted one by a step under the tolerance.  Where the
+    Logistic Hessian is not negative definite (heavy tails), the fallback
+    gradient step at most halves or doubles the scale and moves the location
+    by at most one scale.  A fit that reaches the iteration limit, or whose
+    Logistic line search finds no acceptable step, raises
     ``ConvergenceError``.  Normal is closed-form (sample mean, population
     standard deviation).  Data with a single distinct value raise
     ``DegenerateDataError``; data whose standard deviation overflows or

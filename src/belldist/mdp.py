@@ -63,17 +63,23 @@ class TabularMdp:
         try:
             obj = json.loads(text)
             n_states, n_actions, transitions = obj["n_states"], obj["n_actions"], obj["transitions"]
+            rewards, gamma = obj["rewards"], obj["gamma"]
             # JSON integers only (a bool is no count): int() and the int64 cast
             # would turn 2.7, "2" and 1.9 into 2, 2 and 1 without a word
             ints = (n_states, n_actions, *(v for row in transitions for v in row))
             if not all(type(v) is int for v in ints):
                 raise TypeError("a count or transition entry is not a JSON integer")
+            # JSON numbers only: float() and the float cast would turn "0.9",
+            # "1.5" and true into 0.9, 1.5 and 1.0
+            nums = (gamma, *(v for row in rewards for v in row))
+            if not all(type(v) in (int, float) for v in nums):
+                raise TypeError("gamma or a reward entry is not a JSON number")
             fields = dict(
                 n_states=n_states,
                 n_actions=n_actions,
                 transition=np.array(transitions, dtype=np.int64),
-                reward=np.array(obj["rewards"], dtype=float),
-                gamma=float(obj["gamma"]),
+                reward=np.array(rewards, dtype=float),
+                gamma=float(gamma),
             )
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise DomainError(

@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,12 +296,71 @@ def test_fit_gumbel_heavy_tails_reaches_scipy_loglik():
     assert ours > -70_461.0
 
 
-def test_fit_logistic_line_search_failure_raises():
-    # 5000 Cauchy draws: the Hessian is indefinite at the moment start and no
-    # halving of the fallback step keeps the log-likelihood
-    x = np.tan(math.pi * (uniform_open(0, 5000, stream=1) - 0.5))
+@pytest.mark.parametrize("n", [2000, 5000, 10_000, 100_000])
+def test_fit_logistic_cauchy_reaches_scipy_loglik(n):
+    # Cauchy draws: the Hessian is indefinite at the moment start, and the
+    # unbounded fallback step was so long that no halving kept the
+    # log-likelihood; bounded, it walks to the maximum
+    x = np.tan(math.pi * (uniform_open(0, n, stream=1) - 0.5))
+    ours = log_likelihood(fit_mle(Family.LOGISTIC, SampleBatch(x)), x)
+    theirs = log_likelihood(DistSpec(Family.LOGISTIC, *logistic.fit(x)), x)
+    assert ours >= theirs - 1e-12 * abs(theirs)
+    if n == 5000:
+        assert ours == pytest.approx(-24288.5041691, abs=1e-7)
+
+
+def test_fit_logistic_line_search_failure_raises(monkeypatch):
+    # every trial point scores -inf, so no halving keeps the log-likelihood
+    real = distributions._logistic_loglik
+    calls = []
+
+    def start_only(*args):
+        calls.append(None)
+        return real(*args) if len(calls) == 1 else -math.inf
+
+    monkeypatch.setattr(distributions, "_logistic_loglik", start_only)
+    batch = sample(DistSpec(Family.NORMAL, 0.3, 1.2), 1000, seed=1)
     with pytest.raises(ConvergenceError, match="line search"):
-        fit_mle(Family.LOGISTIC, SampleBatch(x))
+        fit_mle(Family.LOGISTIC, batch)
+    assert len(calls) == 61
+
+
+def test_fit_logistic_stops_at_float64_resolution(monkeypatch):
+    # Logistic fit to Normal data: the last Newton steps change the
+    # log-likelihood by less than its rounding; they are taken, not halved
+    # down to nothing (that took 23 evaluations)
+    real = distributions._logistic_loglik
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    batch = sample(DistSpec(Family.NORMAL, 0.3, 1.2), 100_000, seed=1)
+    monkeypatch.setattr(distributions, "_logistic_loglik", counting)
+    fit_mle(Family.LOGISTIC, batch)
+    assert len(calls) <= 6
+
+
+def test_fit_bits_independent_of_blas_threads():
+    # the Newton sums are einsum reductions, not BLAS dot products, whose
+    # bits depend on the thread count from about 1e4 points
+    code = (
+        "from belldist import DistSpec, Family, fit_mle, sample\n"
+        "for family in (Family.GUMBEL, Family.LOGISTIC):\n"
+        "    f = fit_mle(family, sample(DistSpec(family, 0.3, 1.2), 100_000, seed=2))\n"
+        "    print(f.location.hex(), f.scale.hex())\n"
+    )
+    src = str(Path(distributions.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].split()) == 4
 
 
 @pytest.mark.parametrize("family", [Family.GUMBEL, Family.LOGISTIC])
@@ -359,40 +422,131 @@ PIN_LAWS = (
     DistSpec(Family.LOGISTIC, -1.2, 0.6),
     DistSpec(Family.NORMAL, 2.5, 3.0),
 )
-# SHA-256 of the float64 bytes of (location, scale, KS) below, computed before
-# the fits reused their Newton residuals and KS read the batch's sorted copy;
-# a change to either must keep every bit.
-FIT_KS_DIGEST = "b6b5e9f749cc95b66a35d38356089fd2c5299f343bf9bfafbf72f416ed27822f"
+
+
+def pinned_fits(sizes) -> np.ndarray:
+    """(location, scale, KS) of every family's fit to every law's batch of every size."""
+    rows = []
+    for i, law in enumerate(PIN_LAWS):
+        for n in sizes:
+            batch = sample(law, n, seed=100 * i + n)
+            for family in Family:
+                fitted = fit_mle(family, batch)
+                rows.append((fitted.location, fitted.scale, ks_statistic(batch, fitted)))
+    return np.array(rows)
+
+
+# (location, scale, KS) on the grids below from the Newton fits that summed
+# their weighted products with np.sum and accepted a Logistic line-search
+# trial only within 1e-12 of the current log-likelihood.  The fits that stop
+# at float64's resolution must stay within 1e-8 relative of every value.
+OLD_FIT_KS = np.array([
+    (0.3917670869542112, 0.3218963851613473, 0.3466707029383269),
+    (0.5827871888744431, 0.2502080193629726, 0.3239591145148014),
+    (0.5827871888744431, 0.38617221765424486, 0.34134474606854304),
+    (0.10066578995945574, 1.3399950039623716, 0.1481907992268961),
+    (0.6364202413597089, 1.0557949647341174, 0.14275886150692169),
+    (0.9599263753086845, 2.032583978163964, 0.20431088754458288),
+    (0.36193281928159715, 1.6321157888165791, 0.04608845907804937),
+    (1.160214449983287, 1.0842785008268152, 0.043482912380997746),
+    (1.2707049441413212, 1.9379421948200903, 0.06613895415296411),
+    (0.3990865270540819, 1.7044241301073515, 0.012156107097012536),
+    (1.1838780015616759, 1.1767467295916358, 0.046146071481796364),
+    (1.3790728161178, 2.1845089431551297, 0.0800200846975917),
+    (0.4004803210967618, 1.699769209540844, 0.001811539991488531),
+    (1.1867073150119234, 1.180601542628263, 0.0477861951815673),
+    (1.3801297190501371, 2.1759836001750066, 0.07200931242890418),
+    (-2.670151856794514, 0.4705480947370579, 0.3466707029383269),
+    (-2.3909186961922595, 0.36575405076439815, 0.3239591145148014),
+    (-2.3909186961922595, 0.564506498470021, 0.3413447460685429),
+    (-2.49647117661043, 1.2036763550683622, 0.22488606422575186),
+    (-1.8742078939590057, 0.508349269183617, 0.1430161676281868),
+    (-1.9578526067649624, 0.9952106492934634, 0.17843417111592602),
+    (-1.7098946160448623, 1.5178824755683162, 0.17214129843262183),
+    (-1.158664492493568, 0.5804640052490216, 0.04127752154292763),
+    (-1.1567760271596594, 1.0736749609651965, 0.04991865824360209),
+    (-1.7813942650221104, 1.2301411004087552, 0.1017768147139495),
+    (-1.223770540755695, 0.6063479248911551, 0.012878986864929942),
+    (-1.2322674279752155, 1.0975084938878563, 0.02801430895162907),
+    (-1.7458631551351143, 1.1889367303048184, 0.08760030456062151),
+    (-1.200744848297993, 0.6010294413107974, 0.001588948571891291),
+    (-1.2011903658537282, 1.0895874929844243, 0.023433393297015437),
+    (4.389819087374965, 0.5907107583151271, 0.346670702938327),
+    (4.74035930609216, 0.4591557273323963, 0.3239591145148014),
+    (4.74035930609216, 0.7086630793211066, 0.3413447460685429),
+    (0.7249134315320764, 3.535757754007459, 0.1916444893995593),
+    (2.473374334155771, 1.831288202436228, 0.11011077796727381),
+    (2.4348004840711783, 3.353018572348257, 0.13164892057198213),
+    (0.9066618450452242, 2.9501820647206896, 0.08123423390372286),
+    (2.4491145426411722, 1.7488882281655622, 0.04389102631562214),
+    (2.4251032584327596, 3.0202319164871105, 0.03476748090706372),
+    (1.0710374836511611, 2.981623597385882, 0.06816082622355224),
+    (2.5736123038323613, 1.709707557005118, 0.01775448481634323),
+    (2.5690108430544, 2.9927285672205173, 0.008886068040953432),
+    (0.9811418973856212, 2.98982330696591, 0.059833926126172166),
+    (2.4802198964766333, 1.7165161795440986, 0.01554095765796265),
+    (2.481198956939543, 3.000264454854716, 0.001666002122669541),
+])
+# SHA-256 of the float64 bytes of (location, scale, KS) below, computed after
+# the Newton fits took one-pass einsum sums and a line-search slack at the
+# log-likelihood's rounding level; a change that keeps the fits must keep
+# every bit.
+FIT_KS_DIGEST = "9b8a68620a84c23331f99dc4db6e9004e583577ef0ab8ab9aba3bfbd9d710100"
 
 
 def test_fit_and_ks_bits_pinned():
-    h = hashlib.sha256()
-    for i, law in enumerate(PIN_LAWS):
-        for n in (2, 17, 256, 5000, 100_000):
-            batch = sample(law, n, seed=100 * i + n)
-            for family in Family:
-                fitted = fit_mle(family, batch)
-                ks = ks_statistic(batch, fitted)
-                h.update(np.array([fitted.location, fitted.scale, ks]).tobytes())
-    assert h.hexdigest() == FIT_KS_DIGEST
+    fits = pinned_fits((2, 17, 256, 5000, 100_000))
+    np.testing.assert_allclose(fits, OLD_FIT_KS, rtol=1e-8, atol=0.0)
+    assert hashlib.sha256(fits.tobytes()).hexdigest() == FIT_KS_DIGEST
 
 
-# SHA-256 as above for batch sizes one past a 64-point block edge, below and
-# above KS's 2**15-point direct evaluation, computed while KS still evaluated
-# the CDF at every point; the block-bound KS must keep every bit.
-FIT_KS_BLOCK_DIGEST = "090e08d401d490694e306e784894810ed886b53ce98b29f97d34238e4feb85b1"
+# As above for batch sizes one past a 64-point block edge, below and above
+# KS's 2**15-point direct evaluation; the block-bound KS must keep every bit.
+OLD_FIT_KS_BLOCK = np.array([
+    (0.44201729782353605, 1.6838289988322088, 0.03714055859262422),
+    (1.1975487533331393, 1.2140189165854491, 0.07013031582974935),
+    (1.4405592229827842, 2.258756972386852, 0.0983058468040705),
+    (0.3961519219669617, 1.6635906171669599, 0.007963773862546389),
+    (1.1689949580239374, 1.1594535885671076, 0.05307481970034204),
+    (1.3568354304960946, 2.1337327283249765, 0.07143196619227721),
+    (0.4064991372567369, 1.7042633024648817, 0.0043153077737798085),
+    (1.1958134958518067, 1.1902134227280925, 0.050454498338629125),
+    (1.392785178263713, 2.1967360940103724, 0.07172992802434991),
+    (0.40250742161413666, 1.6909137627704576, 0.003205733558111268),
+    (1.1846555003239037, 1.176992426659975, 0.048431245815645875),
+    (1.378258939484999, 2.1651281722003124, 0.07374205737349038),
+    (-1.8201640317563674, 1.160103178927908, 0.10953449158136874),
+    (-1.2920290074624898, 0.5644359405038557, 0.02429569962241951),
+    (-1.2959083304276484, 1.0485026032434763, 0.050492919544350645),
+    (-1.730898805204604, 1.2454129215929983, 0.1082519374788985),
+    (-1.2078214988484275, 0.5923159315427391, 0.011486695382705081),
+    (-1.2011663165189028, 1.0786019446339172, 0.03310157747390552),
+    (-1.7389884551362222, 1.1919739663735502, 0.08785340170237632),
+    (-1.194359183328413, 0.6030433354451088, 0.0034343245694350433),
+    (-1.193337212254097, 1.092315346208827, 0.022920978020575467),
+    (-1.7514141400555356, 1.1912263507977483, 0.08818866083533217),
+    (-1.2008301699110293, 0.6024867664537937, 0.0025807918104994165),
+    (-1.203954343541128, 1.0921017799338661, 0.02297711435957156),
+    (0.7330846686082604, 3.0132968623611047, 0.0869122391494142),
+    (2.2384994630255624, 1.674509231470653, 0.029730657570809393),
+    (2.221511391030668, 2.9523096078092013, 0.025951921121193156),
+    (0.9533556744103291, 2.9791993508673786, 0.06146920463253358),
+    (2.45764698837893, 1.7191620707785171, 0.023332378364917306),
+    (2.4531464225958985, 2.9979574684182677, 0.009557525314959014),
+    (1.0204215014537181, 2.970456186918876, 0.05896354349849586),
+    (2.505493460486555, 1.7127028678753395, 0.01708096697618755),
+    (2.512332001077287, 2.990048650723783, 0.004341874856265526),
+    (1.003494348559756, 3.0004193341097034, 0.060893798450760206),
+    (2.5034668428199978, 1.7166281041713476, 0.017152272054119955),
+    (2.503944725089262, 3.0016145792853397, 0.0022041544340603014),
+])
+FIT_KS_BLOCK_DIGEST = "ef1cbf86be87bfc7cf6efabb604fb9b496d09151317ab8093fd252e38c09451b"
 
 
 def test_fit_and_block_ks_bits_pinned():
-    h = hashlib.sha256()
-    for i, law in enumerate(PIN_LAWS):
-        for n in (513, 4097, 32769, 65537):
-            batch = sample(law, n, seed=100 * i + n)
-            for family in Family:
-                fitted = fit_mle(family, batch)
-                ks = ks_statistic(batch, fitted)
-                h.update(np.array([fitted.location, fitted.scale, ks]).tobytes())
-    assert h.hexdigest() == FIT_KS_BLOCK_DIGEST
+    fits = pinned_fits((513, 4097, 32769, 65537))
+    np.testing.assert_allclose(fits, OLD_FIT_KS_BLOCK, rtol=1e-8, atol=0.0)
+    assert hashlib.sha256(fits.tobytes()).hexdigest() == FIT_KS_BLOCK_DIGEST
 
 
 def test_batch_standardises_once_for_all_fits():
@@ -418,7 +572,7 @@ def test_fit_peak_allocation_is_its_newton_buffers(family):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # at most four n-sized buffers (three for Gumbel) allocated once per fit,
+    # at most four n-sized buffers (two for Gumbel) allocated once per fit,
     # and a little slack for small objects
-    buffers = 4 if family is Family.LOGISTIC else 3
+    buffers = 4 if family is Family.LOGISTIC else 2
     assert peak <= buffers * 8 * n + 65536

@@ -101,6 +101,20 @@ def test_mdp_from_json_rejects_non_integer_counts_and_transitions(field, value):
         TabularMdp.from_json(json.dumps({**valid, field: value}))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gamma", "0.9"),
+    ("rewards", [["1.5"], [1.0]]),
+    ("rewards", [[True], [False]]),
+], ids=["string-gamma", "string-reward", "bool-reward"])
+def test_mdp_from_json_rejects_non_numeric_gamma_and_rewards(field, value):
+    # float() and a float cast would load these as 0.9, 1.5 and 1.0
+    valid = {"n_states": 2, "n_actions": 1, "transitions": [[1], [-1]],
+             "rewards": [[0.5], [1]], "gamma": 0.9}
+    TabularMdp.from_json(json.dumps(valid))
+    with pytest.raises(DomainError, match="JSON number"):
+        TabularMdp.from_json(json.dumps({**valid, field: value}))
+
+
 def test_make_example1_shape_and_rewards():
     mdp = make_example1()
     assert (mdp.n_states, mdp.n_actions) == (5, 5000)
