@@ -153,10 +153,16 @@ def quantile(d: DistSpec, p):
     return out if out.ndim else float(out)
 
 
+def _check_int(value, name: str) -> None:
+    # a count, index or seed is an int or numpy integer; a float, even an
+    # integral one, would be truncated or fail deep inside numpy
+    if not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_seed(seed) -> None:
-    # a Philox key is an integer in [0, 2**128); a float would be truncated
-    if not isinstance(seed, (int, np.integer)):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
+    # a Philox key is an integer in [0, 2**128)
+    _check_int(seed, "seed")
     if not 0 <= seed < 1 << 128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
 

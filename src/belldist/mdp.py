@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistSpec, Family, normal_max_quantile, quantile, uniform_open
+from .distributions import (
+    DistSpec,
+    Family,
+    _check_int,
+    normal_max_quantile,
+    quantile,
+    uniform_open,
+)
 from .errors import ConvergenceError, DomainError
 
 TERMINAL = -1
@@ -217,6 +224,7 @@ def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPr
     """
     from scipy.special import logsumexp
 
+    _check_int(t, "iteration index")
     if t < 1:
         raise DomainError(f"iteration index must be >= 1, got {t}")
     if not beta1 > 0:
@@ -311,6 +319,7 @@ def example1_row_errors(t: int, seed: int, init: DistSpec | None = None) -> Erro
     F^{-1}(u^(1/n)) trick, so iterations beyond the literal table's collapse
     horizon remain cheap and exact.
     """
+    _check_int(t, "iteration index")
     if t < 1:
         raise DomainError(f"iteration index must be >= 1, got {t}")
     if init is None:

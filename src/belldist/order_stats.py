@@ -8,16 +8,20 @@ variance term vanishes, so the sampling error reduces to the mean squared
 bias against the true CDF with the evaluation point drawn uniformly between
 the extreme expectations.  That integral has a closed form through the
 antiderivatives of F and F^2 (F' = F(1-F)/B implies int F^2 = int F - B*F),
-and it depends on N only: both A and B cancel exactly.
+and it depends on N only: both A and B cancel exactly.  The expectations are
+antisymmetric about A and F(-t) = 1 - F(t), so the integral over the upper
+half of the range equals that over the lower half; only the lower half is
+evaluated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistSpec, Family
+from .distributions import DistSpec, Family, _check_int
 from .errors import DomainError
 
 
@@ -84,6 +88,7 @@ def order_stat_table(n: int, a: float = 0.0, b: float = 1.0) -> OrderStatTable:
 
     The scale is checked by the ``DistSpec``, built before the expectations.
     """
+    _check_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     return OrderStatTable(
@@ -95,6 +100,7 @@ def order_stat_table(n: int, a: float = 0.0, b: float = 1.0) -> OrderStatTable:
 
 def order_stat_expectation(n: int, i: int, a: float, b: float) -> float:
     """E[x_(i)] of n Logistic(a, b) draws: entry i - 1 of ``order_stat_table``."""
+    _check_int(i, "order index")  # n is checked by order_stat_table
     if not 1 <= i <= n:
         raise DomainError(f"order index must satisfy 1 <= i <= n, got i={i}, n={n}")
     return float(order_stat_table(n, a, b).expectations[i - 1])
@@ -109,34 +115,13 @@ class SamplingErrorReport:
 
 
 def _point_terms(h: np.ndarray, e: np.ndarray, soft: np.ndarray, cdf: np.ndarray) -> None:
-    # The standard logistic antiderivative log(1 + exp(h)) = max(h, 0) +
-    # log1p(exp(-|h|)) into ``soft`` and the CDF 1/(1 + exp(-h)) into ``cdf``;
-    # ``e`` is scratch.  The grid is sorted, so a block with h[0] >= 0 has
-    # -|h| = -h and max(h, 0) = h, and one exp(-h) serves both terms; a block
-    # with h[-1] <= 0 has -|h| = h and max(h, 0) = 0, which adds nothing.
-    # Only the block that straddles 0 takes the general form.  Each branch
-    # rounds the same operations as the general form, so the bits agree.
-    if h[0] >= 0.0:
-        np.negative(h, out=e)
-        np.exp(e, out=e)
-        np.log1p(e, out=soft)
-        soft += h
-        np.add(e, 1.0, out=cdf)
-    else:
-        if h[-1] <= 0.0:
-            np.exp(h, out=e)
-            np.log1p(e, out=soft)
-        else:
-            np.abs(h, out=e)
-            np.negative(e, out=e)
-            np.exp(e, out=e)
-            np.log1p(e, out=e)
-            np.maximum(h, 0.0, out=soft)
-            soft += e
-        np.negative(h, out=cdf)
-        np.exp(cdf, out=cdf)
-        cdf += 1.0
-    np.divide(1.0, cdf, out=cdf)
+    # For grid points h <= 0: the standard logistic antiderivative
+    # log(1 + exp(h)) into ``soft`` and the CDF exp(h) / (1 + exp(h)) into
+    # ``cdf``, from one exponential per point kept in ``e``.
+    np.exp(h, out=e)
+    np.log1p(e, out=soft)
+    np.add(e, 1.0, out=cdf)
+    np.divide(e, cdf, out=cdf)
 
 
 def sampling_error(n: int, a: float = 0.0, b: float = 1.0) -> SamplingErrorReport:
@@ -147,9 +132,16 @@ def sampling_error(n: int, a: float = 0.0, b: float = 1.0) -> SamplingErrorRepor
         int_{e_i}^{e_{i+1}} (F - i/n)^2 dt
           = (1 - 2c) * (L(e_{i+1}) - L(e_i)) - B*(F(e_{i+1}) - F(e_i)) + c^2 * (e_{i+1} - e_i)
     in standardized coordinates, where L is the F antiderivative and c = i/n.
+    The grid is antisymmetric, e_{n+1-i} = -e_i exactly in floating point,
+    and F(-t) = 1 - F(t), so segment i equals segment n - i.  Only the
+    (n - 1) // 2 segments on t <= 0 are evaluated, and counted twice; there
+    c <= 1/2, which keeps the formula clear of the cancellation it suffers
+    near c = 1.  For even n the middle segment [-2/n, 2/n] at c = 1/2 is its
+    own mirror image, with integral 1/n - tanh(1/n).
     The value depends only on n; (a, b) are validated as a ``DistSpec`` but
     cancel identically.
     """
+    _check_int(n, "n")
     if n < 2:
         raise DomainError(f"sampling_error requires n >= 2, got {n}")
     DistSpec(Family.LOGISTIC, a, b)
@@ -159,13 +151,14 @@ def sampling_error(n: int, a: float = 0.0, b: float = 1.0) -> SamplingErrorRepor
     # Every step writes into block-sized buffers allocated once per call.
     tab = _harmonic_table(n)
     rev = tab[::-1]
-    segments = np.empty(n - 1)
-    width = min(_BLOCK, n - 1)
+    half = (n - 1) // 2
+    segments = np.empty(half)
+    width = min(_BLOCK, half)
     h, e, soft, cdf = (np.empty(width + 1) for _ in range(4))
     idx = np.arange(1, width + 1, dtype=float)  # exact: integers below 2**53
     c = np.empty(width)
-    for start in range(0, n - 1, _BLOCK):
-        stop = min(start + _BLOCK, n - 1)
+    for start in range(0, half, _BLOCK):
+        stop = min(start + _BLOCK, half)
         m = stop - start
         hb, eb, seg, cb = h[: m + 1], e[:m], segments[start:stop], c[:m]
         np.subtract(tab[start : stop + 1], rev[start + 1 : stop + 2], out=hb)
@@ -181,6 +174,8 @@ def sampling_error(n: int, a: float = 0.0, b: float = 1.0) -> SamplingErrorRepor
         np.multiply(cb, cb, out=cb)
         cb *= eb
         seg += cb
-    # E_n - E_1 = H_{n-1} - (-H_{n-1}), exact in floating point since H_0 = 0
-    s_e = float(np.sum(segments) / (2.0 * tab[n - 1]))
+    middle = 1.0 / n - math.tanh(1.0 / n) if n % 2 == 0 else 0.0
+    # E_n - E_1 = H_{n-1} - (-H_{n-1}), exact in floating point since H_0 = 0;
+    # the factor 2 of the width cancels the one of the two mirrored halves
+    s_e = float((np.sum(segments) + 0.5 * middle) / tab[n - 1])
     return SamplingErrorReport(n=n, s_e=s_e, bias=s_e, variance=0.0)

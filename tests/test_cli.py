@@ -378,9 +378,9 @@ def test_every_subcommand_accepts_seed_and_reruns_identically(tmp_path):
 
 
 # SHA-256 over the output files (name and bytes, manifest excluded) of the
-# runs in test_outputs_match_pinned_digest, taken after the Newton fits began
-# to stop at float64's resolution, which moved the fit and example1 files.
-# Tabular runs only, so no output depends on BLAS.
+# runs in test_outputs_match_pinned_digest, taken after sampling_error began
+# to evaluate only the lower half of its antisymmetric grid, which moved the
+# sampling-error file.  Tabular runs only, so no output depends on BLAS.
 PINNED_RUNS = [
     ["klbound", "--astar", "100", "--gamma", "0.99"],
     ["sampling-error", "--n", "2,16,256"],
@@ -392,7 +392,11 @@ PINNED_RUNS = [
      "--seed", "1"],
     ["compare", "--env", "dag:8,3", "--lr", "0.5", "--epochs", "20", "--seeds", "0,1"],
 ]
-OUTPUTS_DIGEST = "89474522fadfd848cf3ba422695a1cd6856ed36066dc01a4841fef0a9291693d"
+OUTPUTS_DIGEST = "1b24976a273ac3980fbc09a9a69d953be1b8af1fa733ebeec0e09b965645926f"
+# s_e at n = 2, 16, 256 as the sampling-error run wrote them when every one
+# of the n - 1 segments was evaluated
+OLD_SAMPLING_ERRORS = np.array([0.018941421369995104, 0.00031690728890739346,
+                                1.253858732393636e-06])
 # (location, scale, KS) of every fit report these runs write, in the order
 # read below, from the fits that summed with np.sum and accepted a Logistic
 # trial only within 1e-12 of the current log-likelihood
@@ -438,4 +442,8 @@ def test_outputs_match_pinned_digest(tmp_path):
             if f.name != "run_manifest.json":  # manifest records wall time
                 h.update(f.name.encode() + b"\0" + f.read_bytes())
     np.testing.assert_allclose(reported_fits(tmp_path), OLD_REPORTED_FITS, rtol=1e-8, atol=0.0)
+    sampling_errors = np.loadtxt(tmp_path / "run1" / "sampling_error.csv", delimiter=",",
+                                 skiprows=1)
+    np.testing.assert_array_equal(sampling_errors[:, 0], [2, 16, 256])
+    np.testing.assert_allclose(sampling_errors[:, 1], OLD_SAMPLING_ERRORS, rtol=1e-10, atol=0.0)
     assert h.hexdigest() == OUTPUTS_DIGEST

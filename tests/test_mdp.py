@@ -340,6 +340,17 @@ def test_row_errors_domain():
         example1_row_errors(1, seed=1, init=DistSpec(Family.LOGISTIC, 0, 1))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: predict_gumbel(make_example1(n_actions=5), 2.5, 0.0, 1.0),
+    lambda: example1_row_errors(1.5, seed=0),
+], ids=["predict_gumbel", "example1_row_errors"])
+def test_non_integer_iteration_is_domain_error(call):
+    # predict_gumbel raised a bare TypeError; example1_row_errors returned a
+    # snapshot with t = 1.5
+    with pytest.raises(DomainError, match="iteration index must be an integer"):
+        call()
+
+
 def test_row_errors_gumbel_init_moments():
     # With a Gumbel(0, 1) init the gap law is exactly
     # Gumbel(c_t - gamma*maxQ*(s'), beta_t) for c_1 = gamma*log(n),

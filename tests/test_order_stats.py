@@ -30,24 +30,52 @@ SE_REFERENCE = {
 }
 
 
-# Exact float64 bits of the unblocked kernel (one expression over all n - 1
-# segments).  The kernels work in blocks of 2**14 elements: n - 1 = 2**14 and
-# 2**14 + 1 put the last segment on and just past the first block edge.  The
-# grid is antisymmetric about its exact 0, and a block on one side of 0 takes
-# a shortcut: at n = 32767 the 0 lies inside block 0, at 32768 block 0
-# straddles 0, and at 32769 the 0 is the edge point shared by block 0 (all
-# h <= 0) and block 1 (all h >= 0).
+# Exact float64 bits of the unblocked kernel (one expression over the
+# (n - 1) // 2 segments of the lower half, plus the closed-form middle segment
+# for even n).  The kernel works in blocks of 2**14 segments: n = 32767 and
+# 32768 leave the lower half one segment short of a full block, n = 32769
+# fills it exactly, and n = 32771 puts the last segment just past its edge.
 SE_BITS = {
-    2: 0.018941421369995104,
-    3: 0.008668994221391585,
-    17: 0.00028087591236803375,
-    4096: 4.919541533741019e-09,
-    16385: 3.078343944535184e-10,
-    16386: 3.07796857806802e-10,
-    32767: 7.70133024630871e-11,
-    32768: 7.700855744224148e-11,
-    32769: 7.700389879498886e-11,
-    2**20: 7.535182857733846e-14,
+    2: 0.01894142136999513,
+    3: 0.008668994221391538,
+    17: 0.00028087591236801744,
+    4096: 4.919541569037406e-09,
+    16385: 3.0783442753240003e-10,
+    16386: 3.0779686877394507e-10,
+    32767: 7.701326832459374e-11,
+    32768: 7.700857124957145e-11,
+    32769: 7.700387125362555e-11,
+    32771: 7.699447585056476e-11,
+    2**20: 7.534459936161077e-14,
+}
+
+# The segment formula of ``sampling_error`` evaluated at 40 significant
+# digits, summed over all n - 1 segments without the mirror fold:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 40
+#
+#     def s_e(n):
+#         h = [mp.mpf(0)]  # H_0..H_{n-1}
+#         for k in range(1, n):
+#             h.append(h[-1] + mp.mpf(1) / k)
+#         e = [h[i - 1] - h[n - i] for i in range(1, n + 1)]  # E_1..E_n
+#         soft = [mp.log1p(mp.exp(t)) for t in e]  # int F
+#         cdf = [1 / (1 + mp.exp(-t)) for t in e]
+#         total = mp.mpf(0)
+#         for i in range(1, n):
+#             c = mp.mpf(i) / n
+#             total += ((1 - 2 * c) * (soft[i] - soft[i - 1]) - (cdf[i] - cdf[i - 1])
+#                       + c * c * (e[i] - e[i - 1]))
+#         return total / (e[-1] - e[0])
+#
+# It takes minutes at n = 2**20, so the values are stored, each with the
+# relative tolerance the float64 kernel meets.
+SE_MPMATH = {
+    4096: (4.9195415650687458e-9, 1e-7),
+    32768: (7.7008569717325436e-11, 1e-7),
+    32769: (7.7003871375592232e-11, 1e-7),
+    2**20: (7.5344702512709585e-14, 1e-5),
 }
 
 
@@ -115,9 +143,9 @@ def test_sampling_error_allocates_block_buffers_beyond_its_segments():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the n - 1 segment integrals, six buffers of at most 2**14 + 1 floats
-    # allocated once per call, and a little slack for small objects
-    assert peak - 8 * (n - 1) <= 6 * 8 * (order_stats._BLOCK + 1) + 65536
+    # the (n - 1) // 2 segment integrals, six buffers of at most 2**14 + 1
+    # floats allocated once per call, and a little slack for small objects
+    assert peak - 8 * ((n - 1) // 2) <= 6 * 8 * (order_stats._BLOCK + 1) + 65536
 
 
 def test_expectation_single_draw_is_location():
@@ -191,6 +219,34 @@ def test_sampling_error_bits_pinned(n, expected):
     assert sampling_error(n).s_e == expected
 
 
+@pytest.mark.parametrize("n", sorted(SE_MPMATH))
+def test_sampling_error_matches_mpmath(n):
+    expected, rtol = SE_MPMATH[n]
+    assert abs(sampling_error(n).s_e / expected - 1.0) < rtol
+
+
+def test_sampling_error_continuous_in_n():
+    # the true relative step from 2**20 to 2**20 + 1 is about -1.9e-6
+    assert abs(sampling_error(2**20 + 1).s_e / sampling_error(2**20).s_e - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("n", [2, 3, 16385, 16386, 32768, 32769, 32770])
+def test_sampling_error_evaluates_only_the_lower_half(monkeypatch, n):
+    seen = []
+    point_terms = order_stats._point_terms
+
+    def recording(h, *buffers):
+        seen.append(h.copy())
+        point_terms(h, *buffers)
+
+    monkeypatch.setattr(order_stats, "_point_terms", recording)
+    sampling_error(n)
+    points = np.concatenate(seen) if seen else np.empty(0)
+    assert np.all(points <= 0.0)
+    # grid points 0..(n - 1) // 2, each block repeating its left neighbour's last
+    assert points.size == (n - 1) // 2 + len(seen)
+
+
 def test_monotone_decreasing_in_n():
     vals = [sampling_error(n).s_e for n in (2, 4, 8, 16, 32, 64, 128, 256)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
@@ -214,6 +270,24 @@ def test_sampling_error_domain():
         sampling_error(1)
     with pytest.raises(DomainError):
         sampling_error(4, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sampling_error(3.0),
+    lambda: order_stat_table(3.5),
+    lambda: order_stat_expectation(4.0, 2, 0.0, 1.0),
+    lambda: order_stat_expectation(4, 2.0, 0.0, 1.0),
+], ids=["sampling_error-n", "order_stat_table-n", "order_stat_expectation-n",
+        "order_stat_expectation-i"])
+def test_non_integer_size_or_index_is_domain_error(call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_size_and_index_accepted():
+    assert sampling_error(np.int64(16)).s_e == sampling_error(16).s_e
+    assert order_stat_expectation(np.int32(4), np.int64(2), 0.0, 1.0) == \
+        order_stat_expectation(4, 2, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf),
