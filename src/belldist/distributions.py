@@ -215,8 +215,9 @@ _MAX_NEWTON = 200
 def _logistic_loglik(t: np.ndarray, scale: float, a: np.ndarray, e: np.ndarray) -> float:
     # Log-likelihood from the standardised residuals t = (x - loc) / scale:
     # -t - 2 log(1+exp(-t)) written in the overflow-safe even form.  a and e
-    # are scratch arrays of t's shape; the MLE's line search passes its trial
-    # residuals, which the next Newton step reuses.
+    # are scratch arrays of t's shape.  It is also the Logistic MLE's
+    # objective: each trial passes its residuals a z - b and scale 1/a, and
+    # the next Newton step reads those residuals.
     np.abs(t, out=a)
     np.negative(a, out=e)
     np.exp(e, out=e)
@@ -243,148 +244,128 @@ def log_likelihood(d: DistSpec, data: np.ndarray) -> float:
                      - 0.5 * np.sum(z * z))
 
 
-def _fit_gumbel_std(z: np.ndarray) -> tuple[float, float]:
-    # Profile likelihood: for fixed scale the location is closed-form, and the
-    # remaining 1-D score  g(s) = s - mean(z) + sum(z w)/sum(w),  w = exp(-z/s),
-    # is strictly increasing in s, with g(0+) = min(z) - mean(z) < 0 and
-    # g(s) -> inf.  The signs of g seen so far bracket the root in [lo, hi];
-    # a Newton step that leaves the bracket is replaced by doubling s (while
-    # no upper end is known) or by bisection, so the fit converges from any
-    # start.  The tolerance is tested on the raw Newton step, before that guard,
-    # so a rounding-level last step is taken as it is, not bisected.  The
-    # weights w go to a buffer allocated once, and the weighted sums are
-    # one-pass einsum reductions.  Division rounds monotonically, so the
-    # largest -z/s is -min(z)/s, found without a pass over w.
-    sd = float(np.std(z))
-    s = sd * math.sqrt(6.0) / math.pi
-    zbar = float(np.mean(z))
-    zmin = float(z.min())
-    zz = np.multiply(z, z)
-    w = np.empty_like(z)
-    lo, hi = 0.0, math.inf
-    for _ in range(_MAX_NEWTON):
-        np.divide(z, -s, out=w)
-        w -= -zmin / s
-        np.exp(w, out=w)
-        sw = float(np.sum(w))
-        m1 = float(np.einsum("i,i->", z, w)) / sw
-        m2 = float(np.einsum("i,i->", zz, w)) / sw
-        g = s - zbar + m1
-        if g < 0.0:
-            lo = s
-        elif g > 0.0:
-            hi = s
-        gp = 1.0 + (m2 - m1 * m1) / (s * s)
-        step = g / gp
-        new = s - step
-        if abs(step) < 1e-10 * max(1.0, abs(new)) and new > 0.0:
-            s = new
-            break
-        if not lo < new < hi:
-            new = 2.0 * s if hi == math.inf else 0.5 * (lo + hi)
-        s = new
-    else:
-        raise ConvergenceError(f"Gumbel MLE did not converge in {_MAX_NEWTON} Newton steps "
-                               f"(scale bracket [{lo}, {hi}] in standard units)")
-    m = -zmin / s
-    np.divide(z, -s, out=w)
-    w -= m
-    np.exp(w, out=w)
-    loc = -s * (m + math.log(float(np.mean(w))))
-    return loc, s
-
-
 # A line-search trial is accepted if it loses at most this many eps times
 # |log-likelihood| + n, the rounding level of a sum of n terms of that size:
 # a finer test halves converged steps until they round back to the start.
 _LL_SLACK_EPS = 64.0 * np.finfo(float).eps
 
 
-def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
-    # Two-parameter Newton on (location, scale) with analytic score/Hessian and
-    # step halving, so that every accepted point keeps the log-likelihood of
-    # the previous one up to its rounding level and never drops below the
-    # moment start.  Where the Hessian is not negative definite, the fallback
-    # gradient step is bounded: the scale at most halves or doubles and the
-    # location moves by at most one scale.  A step under the tolerance is
-    # taken as it is, without a trial.  The residuals t of the accepted trial
-    # step, and their log-likelihood, carry over to the next iteration.  Four
-    # buffers serve the whole fit: the residuals t, the trial residuals t_new
-    # (also scratch for t w), and u, w (also scratch for the log-likelihood);
-    # an accepted trial swaps t and t_new.
-    n = z.size
-    loc = float(np.mean(z))
-    s = max(float(np.std(z)) * math.sqrt(3.0) / math.pi, 1e-12)
-    t = np.subtract(z, loc)
-    t /= s
-    t_new, u, w = np.empty_like(z), np.empty_like(z), np.empty_like(z)
-    start = cur = _logistic_loglik(t, s, u, w)
+def _newton_ascent(x: tuple, n: int, newton, loglik, name: str) -> tuple:
+    # Damped Newton ascent on the log-likelihood of n points in parameters x
+    # that start with a = 1/scale > 0.  A log-concave location-scale density
+    # makes it strictly concave in (1/scale, location/scale) (Pratt 1981,
+    # JASA 76), so every Newton step is an ascent direction.  loglik(x)
+    # evaluates a point and leaves its residuals or weights in the fit's
+    # buffers, and newton(x) reads them: it is always called on the last
+    # point evaluated.  A raw step under 1e-10 relative is taken without a
+    # trial; any other is halved until the trial is at least the start's
+    # log-likelihood and loses at most the rounding level against the
+    # current point.
+    start = cur = loglik(x)
     for _ in range(_MAX_NEWTON):
-        np.multiply(t, 0.5, out=u)
-        np.tanh(u, out=u)
-        np.multiply(u, u, out=w)  # w = d tanh(t/2)/dt = (1 - u^2) / 2
-        np.subtract(1.0, w, out=w)
-        w *= 0.5
-        sum_u = float(np.sum(u))
-        sum_tu = float(np.einsum("i,i->", t, u))
-        sum_tw = float(np.sum(np.multiply(t, w, out=t_new)))
-        sum_ttw = float(np.einsum("i,i->", t, t_new))
-        g_loc = sum_u / s
-        g_s = (sum_tu - n) / s
-        h_ll = -float(np.sum(w)) / (s * s)
-        h_ls = -(sum_u + sum_tw) / (s * s)
-        h_ss = (n - 2.0 * sum_tu - sum_ttw) / (s * s)
-        det = h_ll * h_ss - h_ls * h_ls
-        if det <= 0.0 or h_ll >= 0.0:
-            d_loc = min(max(g_loc / max(-h_ll, 1e-12), -s), s)
-            d_s = min(max(g_s / max(-h_ss, 1e-12), -0.5 * s), s)
-        else:
-            d_loc = -(h_ss * g_loc - h_ls * g_s) / det
-            d_s = -(h_ll * g_s - h_ls * g_loc) / det
-        lo_new, s_new = loc + d_loc, s + d_s
-        if max(abs(d_loc), abs(d_s)) < 1e-10 * max(1.0, abs(lo_new), s_new) and s_new > 0.0:
-            return lo_new, s_new
+        d = newton(x)
+        new = tuple(p + q for p, q in zip(x, d))
+        if max(map(abs, d)) < 1e-10 * max(1.0, *map(abs, new)) and new[0] > 0.0:
+            return new
         slack = _LL_SLACK_EPS * (abs(cur) + n)
-        scale_step = 1.0
+        h = 1.0
         for _ in range(60):
-            lo_new = loc + scale_step * d_loc
-            s_new = s + scale_step * d_s
-            if s_new > 0.0:
-                np.subtract(z, lo_new, out=t_new)
-                t_new /= s_new
-                ll = _logistic_loglik(t_new, s_new, u, w)
+            new = tuple(p + h * q for p, q in zip(x, d))
+            if new[0] > 0.0:
+                ll = loglik(new)
                 if ll >= cur - slack and ll >= start:
                     break
-            scale_step *= 0.5
+            h *= 0.5
         else:
-            raise ConvergenceError("Logistic MLE line search found no step that keeps the "
+            raise ConvergenceError(f"{name} MLE line search found no step that keeps the "
                                    "log-likelihood after 60 halvings")
-        moved = max(abs(scale_step * d_loc), abs(scale_step * d_s))
-        loc, s, t, t_new, cur = lo_new, s_new, t_new, t, ll
-        if moved < 1e-10 * max(1.0, abs(loc), s):
-            return loc, s
-    raise ConvergenceError(f"Logistic MLE did not converge in {_MAX_NEWTON} Newton steps")
+        x, cur = new, ll
+        if h * max(map(abs, d)) < 1e-10 * max(1.0, *map(abs, x)):
+            return x
+    raise ConvergenceError(f"{name} MLE did not converge in {_MAX_NEWTON} Newton steps")
+
+
+def _fit_gumbel_std(z: np.ndarray) -> tuple[float, float]:
+    # In a = 1/scale and b = location/scale the log-likelihood is
+    # n log a - a sum(z) + n b - e^b sum(exp(-a z)).  Its maximum over b is
+    # b(a) = a min(z) - log mean(w) with the weights w = exp(-a (z - min z)),
+    # each at most 1, and the profile l(a) = n (log a + b(a) - 1) - a sum(z)
+    # has l' = n (1/a - mean(z) + m1) and l'' = -n (1/a^2 + var) < 0, where m1
+    # and var are the mean and variance of z under w.  One buffer holds w.
+    n = z.size
+    a = math.pi / (float(np.std(z)) * math.sqrt(6.0))
+    sum_z, zmin = float(np.sum(z)), float(z.min())
+    w = np.empty_like(z)
+
+    def log_mean_w(a):
+        np.multiply(z, -a, out=w)
+        np.add(w, a * zmin, out=w)
+        np.exp(w, out=w)
+        return math.log(float(np.sum(w)) / n)
+
+    def loglik(x):
+        return n * (math.log(x[0]) + x[0] * zmin - log_mean_w(x[0]) - 1.0) - x[0] * sum_z
+
+    def newton(x):
+        sw = float(np.sum(w))
+        m1 = float(np.einsum("i,i->", z, w)) / sw
+        var = float(np.einsum("i,i,i->", z, z, w)) / sw - m1 * m1
+        return ((1.0 / x[0] - sum_z / n + m1) / (1.0 / (x[0] * x[0]) + var),)
+
+    (a,) = _newton_ascent((a,), n, newton, loglik, "Gumbel")
+    s = 1.0 / a
+    return zmin - s * log_mean_w(a), s
+
+
+def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
+    # In a = 1/scale and b = location/scale the log-likelihood is
+    # n log a + sum g(a z - b) with g(t) = -t - 2 log(1 + exp(-t)),
+    # g' = -tanh(t/2) and g'' = -(1 - tanh^2(t/2)) / 2.  Three buffers serve
+    # the whole fit: the residuals t and the scratch u, w (u = -g', w = -g'').
+    n = z.size
+    a = math.pi / (float(np.std(z)) * math.sqrt(3.0))
+    b = a * float(np.mean(z))
+    t, u, w = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+
+    def loglik(x):
+        np.multiply(z, x[0], out=t)
+        np.subtract(t, x[1], out=t)
+        return _logistic_loglik(t, 1.0 / x[0], u, w)
+
+    def newton(x):
+        np.multiply(t, 0.5, out=u)
+        np.tanh(u, out=u)
+        np.multiply(u, u, out=w)
+        np.subtract(1.0, w, out=w)
+        np.multiply(w, 0.5, out=w)
+        g_a = n / x[0] - float(np.einsum("i,i->", z, u))
+        g_b = float(np.sum(u))
+        h_aa = -n / (x[0] * x[0]) - float(np.einsum("i,i,i->", z, z, w))
+        h_ab = float(np.einsum("i,i->", z, w))
+        h_bb = -float(np.sum(w))
+        det = h_aa * h_bb - h_ab * h_ab
+        return (h_ab * g_b - h_bb * g_a) / det, (h_ab * g_a - h_aa * g_b) / det
+
+    a, b = _newton_ascent((a, b), n, newton, loglik, "Logistic")
+    return b / a, 1.0 / a
 
 
 def fit_mle(family: Family, data: SampleBatch) -> DistSpec:
     """Maximum-likelihood fit of ``family`` to ``data``.
 
-    Gumbel and Logistic use Newton iterations from moment-matched starting
-    values (at most 200 iterations).  Both stop on the same rule: once a raw
-    Newton step is below 1e-10 relative (and keeps the scale positive), it
-    is taken as it is, unevaluated, and the fit returns.  The Gumbel Newton
-    steps are safeguarded by a bracket on the root of the profile score, so
-    they converge from any start.  The Logistic steps are halved until the
-    trial's log-likelihood is at least the start's and loses at most
-    64 eps (|log-likelihood| + n) against the current point, the rounding
-    level of the log-likelihood's sum; a stricter test would halve steps
-    that float64 can no longer tell apart.  So every accepted Logistic point
-    is at or above the starting log-likelihood, and the returned one differs
-    from the last accepted one by a step under the tolerance.  Where the
-    Logistic Hessian is not negative definite (heavy tails), the fallback
-    gradient step at most halves or doubles the scale and moves the location
-    by at most one scale.  A fit that reaches the iteration limit, or whose
-    Logistic line search finds no acceptable step, raises
+    Gumbel and Logistic are Newton fits from moment-matched starting values.
+    Both densities are log-concave, so the log-likelihood is strictly concave
+    in a = 1/scale and b = location/scale, and every Newton step there is an
+    ascent direction.  The Gumbel fit is a 1-D Newton on the profile in a (b
+    is closed-form given a), the Logistic fit a 2-D Newton in (a, b), and one
+    loop of at most 200 steps serves both.  A raw Newton step below 1e-10
+    relative (that keeps a positive) is taken as it is, unevaluated, and the
+    fit returns.  Any other step is halved until the trial's log-likelihood
+    is at least the start's and loses at most 64 eps (|log-likelihood| + n)
+    against the current point, the rounding level of the log-likelihood's
+    sum; a stricter test would halve steps that float64 can no longer tell
+    apart.  A fit that reaches the iteration limit, or whose line search
+    finds no acceptable step in 60 halvings, raises
     ``ConvergenceError``.  Normal is closed-form (sample mean, population
     standard deviation).  Data with a single distinct value raise
     ``DegenerateDataError``; data whose standard deviation overflows or

@@ -86,9 +86,13 @@ def freedman_diaconis_bins(values: np.ndarray) -> int:
     iqr = q75 - q25
     if iqr <= 0:
         return 50
-    width = 2.0 * iqr / len(values) ** (1.0 / 3.0)
-    span = float(values.max() - values.min())
-    return max(2, int(np.ceil(span / width)))
+    n = len(values)
+    width = 2.0 * iqr / n ** (1.0 / 3.0)
+    span = values.max() - values.min()
+    # quartiles far inside the range make span / width huge, even infinite:
+    # the count is capped at one bin per value while it is still a float
+    with np.errstate(over="ignore", divide="ignore"):
+        return max(2, int(np.ceil(min(span / width, n))))
 
 
 def histogram_fit_metrics(

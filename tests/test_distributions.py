@@ -325,6 +325,25 @@ def test_fit_logistic_line_search_failure_raises(monkeypatch):
     assert len(calls) == 61
 
 
+def test_fit_gumbel_line_search_failure_raises(monkeypatch):
+    # every trial point scores -inf, so no halving keeps the profile
+    # log-likelihood; the Gumbel fit runs the same line search as the Logistic
+    real = distributions._newton_ascent
+    calls = []
+
+    def start_only(x, n, newton, loglik, name):
+        def scored(p):
+            calls.append(None)
+            return loglik(p) if len(calls) == 1 else -math.inf
+        return real(x, n, newton, scored, name)
+
+    monkeypatch.setattr(distributions, "_newton_ascent", start_only)
+    batch = sample(DistSpec(Family.NORMAL, 0.3, 1.2), 1000, seed=1)
+    with pytest.raises(ConvergenceError, match="Gumbel MLE line search"):
+        fit_mle(Family.GUMBEL, batch)
+    assert len(calls) == 61
+
+
 def test_fit_logistic_stops_at_float64_resolution(monkeypatch):
     # Logistic fit to Normal data: the last Newton steps change the
     # log-likelihood by less than its rounding; they are taken, not halved
@@ -488,10 +507,9 @@ OLD_FIT_KS = np.array([
     (2.481198956939543, 3.000264454854716, 0.001666002122669541),
 ])
 # SHA-256 of the float64 bytes of (location, scale, KS) below, computed after
-# the Newton fits took one-pass einsum sums and a line-search slack at the
-# log-likelihood's rounding level; a change that keeps the fits must keep
-# every bit.
-FIT_KS_DIGEST = "9b8a68620a84c23331f99dc4db6e9004e583577ef0ab8ab9aba3bfbd9d710100"
+# both Newton fits became one ascent in the concave coordinates 1/scale and
+# location/scale; a change that keeps the fits must keep every bit.
+FIT_KS_DIGEST = "39e8a07475ce2f7985c88bd0d64acf6c09461eaf0e967f3e71e15e6d5713321c"
 
 
 def test_fit_and_ks_bits_pinned():
@@ -540,7 +558,7 @@ OLD_FIT_KS_BLOCK = np.array([
     (2.5034668428199978, 1.7166281041713476, 0.017152272054119955),
     (2.503944725089262, 3.0016145792853397, 0.0022041544340603014),
 ])
-FIT_KS_BLOCK_DIGEST = "ef1cbf86be87bfc7cf6efabb604fb9b496d09151317ab8093fd252e38c09451b"
+FIT_KS_BLOCK_DIGEST = "9c280448c58f65b8433be45e71e5478257e9fd5a7fadb3018b35937e0184c515"
 
 
 def test_fit_and_block_ks_bits_pinned():
@@ -572,7 +590,7 @@ def test_fit_peak_allocation_is_its_newton_buffers(family):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # at most four n-sized buffers (two for Gumbel) allocated once per fit,
+    # at most three n-sized buffers (one for Gumbel) allocated once per fit,
     # and a little slack for small objects
-    buffers = 4 if family is Family.LOGISTIC else 2
+    buffers = 3 if family is Family.LOGISTIC else 1
     assert peak <= buffers * 8 * n + 65536

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,19 @@ def test_fd_bins_accepted():
     reports = rank_families(batch, "fd")
     assert [r.n_bins for r in reports] == [freedman_diaconis_bins(batch.values)] * 3
     assert all(np.isfinite([r.sse, r.rmse, r.r2]).all() for r in reports)
+
+
+@pytest.mark.parametrize("values", [
+    np.concatenate([np.linspace(0.0, 1e-6, 1000), [1e3]]),
+    np.concatenate([np.linspace(0.0, 1e-200, 1000), [1e200]]),
+], ids=["9.99e9-bins", "overflow"])
+def test_fd_bins_capped_at_one_per_value(values):
+    # quartiles far inside the range: span / width was 9,993,328,891 bins on
+    # the first batch and overflowed to a bare OverflowError on the second
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bins = freedman_diaconis_bins(values)
+    assert 2 <= bins <= len(values)
 
 
 @pytest.mark.parametrize("family", [Family.LOGISTIC, Family.GUMBEL])
