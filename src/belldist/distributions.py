@@ -155,8 +155,9 @@ def quantile(d: DistSpec, p):
 
 def _check_int(value, name: str) -> None:
     # a count, index or seed is an int or numpy integer; a float, even an
-    # integral one, would be truncated or fail deep inside numpy
-    if not isinstance(value, (int, np.integer)):
+    # integral one, would be truncated or fail deep inside numpy, and a bool
+    # is no count (numpy rejects True as an array shape)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
 
 

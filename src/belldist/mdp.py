@@ -130,9 +130,11 @@ def successor_max(successors: np.ndarray, values: np.ndarray) -> np.ndarray:
     """max_a' Q(s', a') for each successor s' in ``successors`` (the whole
     ``mdp.transition`` or entries gathered from it); TERMINAL contributes 0.
 
-    TERMINAL is -1, so it indexes the 0 appended after the per-state maxima.
+    TERMINAL is -1, so it indexes the 0 left after the per-state maxima.
     """
-    return np.append(values.max(axis=1), 0.0)[successors]
+    out = np.zeros(values.shape[0] + 1)
+    values.max(axis=1, out=out[:-1])
+    return out[successors]
 
 
 def bellman_step(mdp: TabularMdp, q: QTable) -> QTable:

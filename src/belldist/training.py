@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, TrainingError
 from .gof import ks_statistic
-from .distributions import Family, SampleBatch, _check_seed, fit_mle
+from .distributions import Family, SampleBatch, _check_int, _check_seed, fit_mle
 from .losses import LossConfig, l_loss_grad
 from .mdp import TERMINAL, TabularMdp, successor_max
 
@@ -53,8 +53,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in (LOSS_MSE, LOSS_LLOSS):
             raise DomainError(f"loss must be '{LOSS_MSE}' or '{LOSS_LLOSS}'")
-        if self.batch_size < 1:
-            raise DomainError("batch_size must be >= 1")
+        # counts: a float one fails deep inside numpy (batch_size and epochs
+        # set array shapes and loop bounds) or, as a patience, runs silently
+        for name in ("batch_size", "epochs", "replay_capacity", "early_stop_patience"):
+            value = getattr(self, name)
+            _check_int(value, name)
+            if value < 1:
+                raise DomainError(f"{name} must be >= 1, got {value}")
         if not 0.0 < self.lr < math.inf:
             raise DomainError("lr must be finite and positive")
         if not 0.0 < self.tau <= 1.0:
@@ -66,9 +71,6 @@ class TrainConfig:
         _check_seed(self.seed)
         if self.approximator not in ("tabular", "mlp"):
             raise DomainError("approximator must be 'tabular' or 'mlp'")
-        for name in ("epochs", "replay_capacity", "early_stop_patience"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.batch_size > self.replay_capacity:
             # the replay never holds a full batch, so no gradient update runs
             raise DomainError(f"batch_size {self.batch_size} exceeds replay_capacity "
@@ -105,6 +107,17 @@ class TrainLog:
 # Q-function approximators
 # ---------------------------------------------------------------------------
 
+def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one per shape."""
+    views = []
+    start = 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
 class QFunction:
     """A parameterisation of the (states x actions) Q table.
 
@@ -124,12 +137,7 @@ class QFunction:
         # descend and mix_from scale a whole vector into this buffer: a fresh
         # temporary of that size on every update page-faults on large tables
         self._scaled = np.empty_like(theta)
-        self.params = []
-        start = 0
-        for shape in shapes:
-            stop = start + math.prod(shape)
-            self.params.append(theta[start:stop].reshape(shape))
-            start = stop
+        self.params = _split(theta, shapes)
 
     def table(self) -> np.ndarray:
         return self.forward()[0]
@@ -179,10 +187,23 @@ class MlpQ(QFunction):
         h = np.tanh(w1 + b1)
         return h @ w2 + b2, h
 
+    def _bind(self, theta: np.ndarray, shapes) -> None:
+        super()._bind(theta, shapes)
+        # grad writes each piece into its view of this buffer, so an update
+        # allocates no pieces and concatenates none
+        self._grad = np.empty_like(theta)
+        self._grad_parts = _split(self._grad, shapes)
+
     def grad(self, dq: np.ndarray, h: np.ndarray) -> np.ndarray:
-        dpre = (dq @ self.params[2].T) * (1.0 - h * h)
+        """The flat gradient, in a buffer that the next call overwrites."""
+        dpre, db1, dw2, db2 = self._grad_parts
         # the one-hot input makes the w1 gradient dpre itself
-        return np.concatenate((dpre.ravel(), dpre.sum(axis=0), (h.T @ dq).ravel(), dq.sum(axis=0)))
+        np.matmul(dq, self.params[2].T, out=dpre)
+        dpre *= 1.0 - h * h
+        dpre.sum(axis=0, out=db1)
+        np.matmul(h.T, dq, out=dw2)
+        dq.sum(axis=0, out=db2)
+        return self._grad
 
 
 def make_qfunc(env: TabularMdp, cfg: TrainConfig, rng: np.random.Generator) -> QFunction:
@@ -261,7 +282,14 @@ def make_update(env: TabularMdp, cfg: TrainConfig, qnet: QFunction, target_net: 
 
 
 def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
-    """Epsilon-greedy replay Q-learning; deterministic given cfg.seed."""
+    """Epsilon-greedy replay Q-learning; deterministic given cfg.seed.
+
+    Each epoch acts for ``steps_per_epoch`` steps, storing the visited cells
+    in a replay ring, then runs ``updates_per_epoch`` updates on batches of
+    ``batch_size`` cells.  All of an epoch's batches come from one draw of
+    replay indices, which gives the same values, in the same order, as one
+    draw per update.
+    """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     qnet = make_qfunc(env, cfg, rng)
     target_net = qnet.clone()
@@ -312,8 +340,12 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
             epoch_errors = np.zeros(0)
             fill = min(written, capacity)
             if fill >= cfg.batch_size:
-                for _ in range(cfg.updates_per_epoch):
-                    epoch_errors = update(replay[rng.integers(fill, size=cfg.batch_size)])
+                # nothing else draws in the update phase, and numpy fills
+                # bounded integers in order from the generator's own stream,
+                # so row k holds what a separate draw for the k-th update would
+                draws = rng.integers(fill, size=(cfg.updates_per_epoch, cfg.batch_size))
+                for cells in replay[draws]:
+                    epoch_errors = update(cells)
                     # the nets have taken a step on these errors; on divergence
                     # they are dropped and only last_good is kept
                     if not np.isfinite(epoch_errors).all():

@@ -286,8 +286,9 @@ def test_fit_loglik_at_least_scipy_fit_property(x, family):
 
 
 def test_fit_gumbel_heavy_tails_reaches_scipy_loglik():
-    # Cauchy draws: plain Newton from the moment start used to stop at the
-    # wrong side of the profile-score root, at a log-likelihood of -7.27e6
+    # Cauchy draws: the log-likelihood is concave in (1/scale,
+    # location/scale), so the damped Newton ascent reaches its maximum from
+    # the moment start, however heavy the tails
     x = np.tan(math.pi * (uniform_open(3, 10_000) - 0.5))
     ours = log_likelihood(fit_mle(Family.GUMBEL, SampleBatch(x)), x)
     loc, scale = gumbel_r.fit(x)
@@ -298,9 +299,9 @@ def test_fit_gumbel_heavy_tails_reaches_scipy_loglik():
 
 @pytest.mark.parametrize("n", [2000, 5000, 10_000, 100_000])
 def test_fit_logistic_cauchy_reaches_scipy_loglik(n):
-    # Cauchy draws: the Hessian is indefinite at the moment start, and the
-    # unbounded fallback step was so long that no halving kept the
-    # log-likelihood; bounded, it walks to the maximum
+    # Cauchy draws: the log-likelihood is concave in (1/scale,
+    # location/scale), so the damped Newton ascent in those coordinates
+    # reaches scipy's maximum from the moment start
     x = np.tan(math.pi * (uniform_open(0, n, stream=1) - 0.5))
     ours = log_likelihood(fit_mle(Family.LOGISTIC, SampleBatch(x)), x)
     theirs = log_likelihood(DistSpec(Family.LOGISTIC, *logistic.fit(x)), x)

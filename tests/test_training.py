@@ -97,10 +97,42 @@ def test_non_finite_sigma_rejected(sigma):
     ("epochs", 0),
     ("replay_capacity", 0),
     ("early_stop_patience", 0),
+    # a float count made run_training raise a bare TypeError, and a float
+    # patience ran without a word
+    ("epochs", 2.5),
+    ("epochs", 3.0),
+    ("batch_size", 2.5),
+    ("replay_capacity", 300.5),
+    ("early_stop_patience", 1.5),
+    ("batch_size", True),
 ])
 def test_config_rejects_out_of_range_counts_and_epsilons(field, value):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=field):
         TrainConfig(**{field: value})
+
+
+def philox_state(rng: np.random.Generator) -> tuple:
+    st = rng.bit_generator.state
+    return (st["state"]["counter"].tolist(), st["buffer"].tolist(), st["buffer_pos"],
+            st["has_uint32"], st["uinteger"])
+
+
+@pytest.mark.parametrize("high", [5, 10_000, 3_000_000_000, 2**33 + 7])
+def test_one_replay_draw_per_epoch_equals_one_per_update(high):
+    # run_training draws an epoch's replay indices at once, and keeps its
+    # digests only because numpy fills bounded integers in order from the
+    # generator's stream: 32-bit draws (Lemire rejections frequent at 3e9)
+    # come from Philox's own half-word buffer, which the acting phase's
+    # scalar draws leave set, and 64-bit ones from its 4-word buffer
+    batched, single = (np.random.Generator(np.random.Philox(key=13)) for _ in range(2))
+    for _ in range(3):
+        for rng in (batched, single):  # the acting phase's per-step pair
+            rng.random()
+            rng.integers(5)
+        rows = batched.integers(high, size=(16, 256))
+        assert np.array_equal(rows, [single.integers(high, size=256) for _ in range(16)])
+    assert philox_state(batched) == philox_state(single)
+    assert batched.random() == single.random()
 
 
 def test_bit_reproducible_per_seed():
