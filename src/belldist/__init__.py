@@ -9,7 +9,9 @@ training harness.
 
 scipy.special is imported inside the functions that call it, never at module
 level: its import costs more than the rest of the package together, and most
-CLI commands never need it.
+CLI commands never need it.  The Gumbel max rule, the location recursion and
+reward scaling share one numpy log-sum-exp kernel instead, so none of them
+imports scipy.
 """
 
 __version__ = "0.1.0"

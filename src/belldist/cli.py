@@ -293,14 +293,14 @@ def cmd_compare(args) -> dict[str, str]:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--env", required=True, help="example1 | chain:N | dag:S,A | path.json")
-    p.add_argument("--loss", choices=["mse", "lloss"], default="mse")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--tau", type=float, default=0.005)
-    p.add_argument("--reward-scale", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--approximator", choices=["tabular", "mlp"], default="tabular")
+    p.add_argument("--loss", choices=["mse", "lloss"], default=TrainConfig.loss)
+    p.add_argument("--sigma", type=float, default=TrainConfig.sigma)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--tau", type=float, default=TrainConfig.tau)
+    p.add_argument("--reward-scale", type=float, default=TrainConfig.reward_scale)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--approximator", choices=["tabular", "mlp"], default=TrainConfig.approximator)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -161,6 +161,30 @@ def _check_int(value, name: str) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def _logsumexp(x, beta: float) -> np.ndarray:
+    # log sum exp(x / beta) over the last axis, step for step as scipy 1.17's
+    # scipy.special.logsumexp computes it, so the bits agree: the max-shift
+    # method of Blanchard, Higham & Higham (IMA J. Numer. Anal. 41(4), 2021).
+    # The maxima leave the sum as their count m, the rest is summed as
+    # exp(a - max), and a row whose result is not finite falls back to the
+    # direct log sum exp(a).  An x / beta beyond float64 raises DomainError;
+    # NaN entries pass through to a NaN row.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = np.divide(x, beta)
+        if np.isinf(a).any():
+            raise DomainError(f"a log-sum-exp exponent x / beta overflows float64 "
+                              f"at beta = {beta}")
+        a_max = a.max(axis=-1, keepdims=True)
+        is_max = a == a_max
+        m = np.count_nonzero(is_max, axis=-1, keepdims=True)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=-1, keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=-1, keepdims=True)))
+    return out[..., 0]
+
+
 def _check_seed(seed) -> None:
     # a Philox key is an integer in [0, 2**128)
     _check_int(seed, "seed")
@@ -292,23 +316,26 @@ def _fit_gumbel_std(z: np.ndarray) -> tuple[float, float]:
     # b(a) = a min(z) - log mean(w) with the weights w = exp(-a (z - min z)),
     # each at most 1, and the profile l(a) = n (log a + b(a) - 1) - a sum(z)
     # has l' = n (1/a - mean(z) + m1) and l'' = -n (1/a^2 + var) < 0, where m1
-    # and var are the mean and variance of z under w.  One buffer holds w.
+    # and var are the mean and variance of z under w.  One buffer holds w,
+    # and sw keeps its sum for the Newton step that follows.
     n = z.size
     a = math.pi / (float(np.std(z)) * math.sqrt(6.0))
     sum_z, zmin = float(np.sum(z)), float(z.min())
     w = np.empty_like(z)
+    sw = 0.0
 
     def log_mean_w(a):
+        nonlocal sw
         np.multiply(z, -a, out=w)
         np.add(w, a * zmin, out=w)
         np.exp(w, out=w)
-        return math.log(float(np.sum(w)) / n)
+        sw = float(np.sum(w))
+        return math.log(sw / n)
 
     def loglik(x):
         return n * (math.log(x[0]) + x[0] * zmin - log_mean_w(x[0]) - 1.0) - x[0] * sum_z
 
     def newton(x):
-        sw = float(np.sum(w))
         m1 = float(np.einsum("i,i->", z, w)) / sw
         var = float(np.einsum("i,i,i->", z, z, w)) / sw - m1 * m1
         return ((1.0 / x[0] - sum_z / n + m1) / (1.0 / (x[0] * x[0]) + var),)

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import EULER_MASCHERONI, DistSpec, Family
+from .distributions import EULER_MASCHERONI, DistSpec, Family, _logsumexp
 from .errors import DomainError, ScaleMismatchError
 
 # Constant from bounding int exp(-(2x+e^-x)) dx piecewise over
@@ -40,17 +40,17 @@ def gumbel_shift_scale(d: DistSpec, c: float, k: float) -> DistSpec:
 def gumbel_max(locations, beta: float) -> DistSpec:
     """Law of max_i X_i for independent X_i ~ Gumbel(locations[i], beta).
 
-    The location is beta * logsumexp(locations / beta), computed with
-    max-subtraction so large location/beta ratios cannot overflow.
+    The location is beta * logsumexp(locations / beta) over all locations,
+    computed with max-subtraction so large location/beta ratios cannot
+    overflow; a ratio beyond float64 itself raises DomainError.
     """
-    from scipy.special import logsumexp
-
     locs = np.asarray(locations, dtype=float)
     if locs.size == 0:
         raise DomainError("gumbel_max requires at least one location")
-    if not beta > 0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    return DistSpec(Family.GUMBEL, beta * float(logsumexp(locs / beta)), beta)
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"beta must be finite and positive, got {beta}")
+    # raveled in memory order, the order in which scipy's sum over every axis added them
+    return DistSpec(Family.GUMBEL, beta * float(_logsumexp(locs.ravel(order="K"), beta)), beta)
 
 
 def gumbel_difference(x: DistSpec, y: DistSpec) -> DistSpec:

@@ -10,6 +10,7 @@ estimate).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .distributions import (
     DistSpec,
     Family,
     _check_int,
+    _logsumexp,
     normal_max_quantile,
     quantile,
     uniform_open,
@@ -222,21 +224,25 @@ def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPr
         c_k = gamma * (c_{k-1} + beta_{k-1} * logsumexp_i(r(s', a_i) / beta_{k-1})).
     A cell whose successor is terminal holds exactly Q_t = r from t = 1 on and
     has no Gumbel law, so its c_t is NaN; at t >= 2 a cell is also NaN when
-    any cell of its successor's row was NaN at t - 1.
+    any cell of its successor's row was NaN at t - 1.  c1 must be finite and
+    beta1 finite and positive; a beta_t that underflows to 0, or a step
+    whose (r + c_{k-1}) / beta_{k-1} overflows float64, raises DomainError.
     """
-    from scipy.special import logsumexp
-
     _check_int(t, "iteration index")
     if t < 1:
         raise DomainError(f"iteration index must be >= 1, got {t}")
-    if not beta1 > 0:
-        raise DomainError(f"beta1 must be positive, got {beta1}")
+    if not math.isfinite(c1):
+        raise DomainError(f"c1 must be finite, got {c1}")
+    if not 0.0 < beta1 < math.inf:
+        raise DomainError(f"beta1 must be finite and positive, got {beta1}")
     beta_t = beta1 * mdp.gamma ** (t - 1)
+    if beta_t == 0.0:
+        raise DomainError(f"beta_t = beta1 * gamma**(t - 1) underflows float64 at t = {t}")
     terminal = mdp.transition == TERMINAL
     c_prev = np.where(terminal, np.nan, float(c1))
     beta = beta1
     for _ in range(2, t + 1):
-        per_state = mdp.gamma * beta * logsumexp((mdp.reward + c_prev) / beta, axis=1)
+        per_state = mdp.gamma * beta * _logsumexp(mdp.reward + c_prev, beta)
         c_prev = np.where(terminal, np.nan, per_state[mdp.transition])
         beta *= mdp.gamma
     return GumbelPrediction(t=t, c_t=c_prev, beta_t=beta_t)

@@ -6,6 +6,8 @@ i.e. -beta*log G(phi) up to the zero-reward count.  G'(phi) is strictly
 increasing, so when there is at least one positive reward and G'(1) < 0 the
 derivative has a unique root phi* > 1: scaling inside [1, phi*] moves the
 (negative) expectation toward zero, scaling past phi* reverses the gain.
+A scaling curve takes its whole grid through the package's numpy
+log-sum-exp at once, as a (grid x rewards) array, so it never imports scipy.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _logsumexp
 from .errors import DomainError, PreconditionError
 
 
@@ -38,39 +41,31 @@ class RewardSample:
         object.__setattr__(self, "beta", float(self.beta))
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a 1-D array, step for step as scipy 1.17's
-    ``scipy.special.logsumexp`` computes it, so the bits agree: the maxima
-    leave the sum as its count m, the rest is summed as exp(a - max), and a
-    result that is not finite falls back to the direct log(sum(exp(a)))."""
-    a_max = a.max()
-    is_max = a == a_max
-    m = float(np.count_nonzero(is_max))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max)) / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a)))
-    return float(out)
+# Most products phi * r in one _expectations block: a long reward vector
+# takes the grid a few points at a time, so memory stays linear in its length
+_BLOCK = 1 << 16
+
+
+def _expectations(sample: RewardSample, phi: np.ndarray) -> np.ndarray:
+    # -beta * logsumexp(phi * r / beta) for each phi of a 1-D grid, one
+    # (grid x rewards) log-sum-exp per block of grid points
+    r, beta = sample.rewards, sample.beta
+    rows = max(1, _BLOCK // r.size)
+    return np.concatenate([-beta * _logsumexp(np.multiply.outer(phi[i:i + rows], r), beta)
+                           for i in range(0, phi.size, rows)])
 
 
 def expected_error(sample: RewardSample, phi: float) -> float:
     """Expected Bellman error -beta * logsumexp(phi * r / beta).
 
-    Any phi > 0 is accepted; values below 1 are outside the regime the
+    Any finite phi > 0 is accepted; values below 1 are outside the regime the
     phi* analysis covers but are still well defined (scaling curves plot
     them), so flagging is left to ScalingCurve.  A phi * r / beta beyond
     float64 (a tiny beta or a huge phi) raises DomainError.
     """
-    if not phi > 0:
-        raise DomainError(f"phi must be positive, got {phi}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = phi * sample.rewards / sample.beta
-    if not np.all(np.isfinite(scaled)):
-        raise DomainError(
-            f"phi * r / beta overflows float64 at phi = {phi}, beta = {sample.beta}"
-        )
-    return -sample.beta * _logsumexp(scaled)
+    if not 0.0 < phi < math.inf:
+        raise DomainError(f"phi must be finite and positive, got {phi}")
+    return float(_expectations(sample, np.array([phi], dtype=float))[0])
 
 
 def check_conditions(sample: RewardSample) -> tuple[bool, bool, float]:
@@ -153,16 +148,15 @@ def scaling_curve(sample: RewardSample, phi_grid) -> ScalingCurve:
     grid = np.asarray(phi_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("phi grid must be a non-empty 1-D vector")
-    if np.any(grid <= 0):
-        raise DomainError("phi grid entries must be positive")
+    if not np.all((grid > 0) & (grid < math.inf)):
+        raise DomainError("phi grid entries must be finite and positive")
     if np.any(np.diff(grid) <= 0):
         raise DomainError("phi grid must be strictly increasing")
     cond1, cond2, _ = check_conditions(sample)
     phi_star = _bisect_phi_star(sample) if (cond1 and cond2) else None
-    values = np.array([expected_error(sample, p) for p in grid])
     return ScalingCurve(
         phi_grid=grid,
-        expectations=values,
+        expectations=_expectations(sample, grid),
         cond1=cond1,
         cond2=cond2,
         phi_star=phi_star,

@@ -595,3 +595,65 @@ def test_fit_peak_allocation_is_its_newton_buffers(family):
     # and a little slack for small objects
     buffers = 3 if family is Family.LOGISTIC else 1
     assert peak <= buffers * 8 * n + 65536
+
+
+# ---------------------------------------------------------------------------
+# The package's log-sum-exp kernel
+# ---------------------------------------------------------------------------
+
+@st.composite
+def lse_arrays(draw):
+    """1-D or 2-D arrays of magnitude up to 700 with tied row maxima and NaN rows."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    x = np.array(draw(st.lists(st.floats(-700.0, 700.0), min_size=rows * cols,
+                               max_size=rows * cols))).reshape(rows, cols)
+    for i in draw(st.lists(st.integers(0, rows * cols - 1), max_size=4)):
+        x.flat[i] = x[i // cols].max()
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        x[i, draw(st.integers(0, cols - 1))] = math.nan
+    return x[0] if draw(st.booleans()) else x
+
+
+@given(x=lse_arrays(), beta=st.floats(1e-2, 1e2))
+def test_logsumexp_bit_identical_to_scipy_property(x, beta):
+    from scipy.special import logsumexp
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = distributions._logsumexp(x, beta)
+    expected = logsumexp(x / beta, axis=-1)
+    assert got.shape == np.shape(expected)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("x, beta", [
+    ([1.0, 2.0], 1e-310),  # x / beta overflows
+    ([1e308, -1e308], 0.5),  # to +inf and to -inf
+    ([[0.0, 1.0], [math.inf, 0.0]], 1.0),  # an infinite entry
+], ids=["tiny-beta", "huge-x", "inf"])
+def test_logsumexp_overflow_raises_domain_error_without_warning(x, beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"overflows float64 at beta = {beta}"):
+            distributions._logsumexp(np.array(x), beta)
+
+
+def test_logsumexp_callers_never_import_scipy():
+    # the Gumbel max rule, the location recursion and reward scaling run on
+    # the numpy kernel, so none of them pays for scipy's import
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from belldist.gumbel_algebra import gumbel_max\n"
+        "from belldist.mdp import make_chain, predict_gumbel\n"
+        "from belldist.scaling import RewardSample, scaling_curve\n"
+        "gumbel_max([[1.0, 2.0], [0.5, 3.0]], 0.5)\n"
+        "predict_gumbel(make_chain(5), 4, 0.0, 1.0)\n"
+        "scaling_curve(RewardSample(np.array([1.0, -1.0, -1.0]), 1.0), np.linspace(0.5, 3.0, 41))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(distributions.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,8 +92,34 @@ def test_gumbel_max_overflow_safe():
 def test_gumbel_max_domain():
     with pytest.raises(DomainError):
         gumbel_max([], 1.0)
-    with pytest.raises(DomainError):
-        gumbel_max([0.0], 0.0)
+    for beta in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            gumbel_max([0.0], beta)
+
+
+@pytest.mark.parametrize("locations, beta", [([1.0, 2.0], 1e-310), ([1e308, -1e308], 0.5)],
+                         ids=["tiny-beta", "huge-locations"])
+def test_gumbel_max_overflowing_ratio_raises_without_warning(locations, beta):
+    # locations / beta beyond float64 used to warn before the DistSpec check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            gumbel_max(locations, beta)
+
+
+@pytest.mark.parametrize("locations", [
+    np.array(2.5),
+    np.arange(12.0).reshape(3, 4) ** 1.5,
+    np.asfortranarray(np.arange(12.0).reshape(3, 4) ** 1.5),
+    (np.arange(30.0).reshape(5, 6) ** 1.5)[::2, ::-1],
+], ids=["0-D", "2-D", "2-D-fortran", "2-D-strided"])
+def test_gumbel_max_keeps_scipy_bits_on_any_shape(locations):
+    # the log-sum-exp runs over every location, as scipy's axis=None did
+    from scipy.special import logsumexp
+
+    for beta in (0.3, 1.0, 7.0):
+        expected = beta * float(logsumexp(locations / beta))
+        assert gumbel_max(locations, beta).location == expected
 
 
 def test_gumbel_difference_laws():

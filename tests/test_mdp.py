@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,50 @@ def test_predict_nan_on_every_exactly_constant_cell(mdp):
         c_t = predict_gumbel(mdp, t, c1=mdp.gamma * math.log(mdp.n_actions), beta1=mdp.gamma).c_t
         assert exact.any()
         assert np.isnan(c_t[exact]).all(), t
+
+
+def predict_gumbel_scipy(mdp: TabularMdp, t: int, c1: float, beta1: float) -> np.ndarray:
+    """The location recursion with scipy's logsumexp, as an oracle for c_t's bits."""
+    from scipy.special import logsumexp
+
+    terminal = mdp.transition == TERMINAL
+    c = np.where(terminal, np.nan, c1)
+    beta = beta1
+    for _ in range(2, t + 1):
+        per_state = mdp.gamma * beta * logsumexp((mdp.reward + c) / beta, axis=1)
+        c = np.where(terminal, np.nan, per_state[mdp.transition])
+        beta *= mdp.gamma
+    return c
+
+
+@pytest.mark.parametrize("mdp", [make_chain(5), make_example1(n_actions=20)]
+                         + [make_random_dag(12, 4, seed=seed) for seed in range(4)],
+                         ids=["chain:5", "example1:20"] + [f"dag:12,4-seed{s}" for s in range(4)])
+def test_predict_bit_identical_to_scipy_recursion(mdp):
+    for c1, beta1 in ((0.0, 1.0), (mdp.gamma * math.log(mdp.n_actions), mdp.gamma), (-0.3, 0.05)):
+        for t in range(1, 7):
+            got = predict_gumbel(mdp, t, c1=c1, beta1=beta1).c_t
+            assert np.array_equal(got, predict_gumbel_scipy(mdp, t, c1, beta1), equal_nan=True)
+
+
+@pytest.mark.parametrize("c1, beta1, match", [
+    (0.0, 1e-310, "overflows"),  # (r + c) / beta is beyond float64 from t = 2
+    (0.0, math.inf, "beta1"),  # gave an all-NaN c_t
+    (0.0, math.nan, "beta1"),
+    (math.inf, 1.0, "c1"),  # gave infinite cells
+    (math.nan, 1.0, "c1"),
+], ids=["tiny-beta1", "inf-beta1", "nan-beta1", "inf-c1", "nan-c1"])
+def test_predict_rejects_non_finite_parameters_without_warning(c1, beta1, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            predict_gumbel(make_chain(5), 3, c1=c1, beta1=beta1)
+
+
+def test_predict_underflowing_scale_raises_domain_error():
+    # 0.99**79999 underflows: the prediction would carry a Gumbel scale of 0
+    with pytest.raises(DomainError, match="underflows"):
+        predict_gumbel(make_chain(5), 80_000, c1=0.0, beta1=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -65,15 +65,46 @@ def rewards_with_ties(draw):
 
 @given(rewards=rewards_with_ties(), beta=st.floats(1e-2, 1e2), phi=st.floats(1e-2, 10.0))
 def test_expected_error_bit_identical_to_scipy_logsumexp(rewards, beta, phi):
-    # scaling carries its own log-sum-exp so that it never imports scipy
+    # the package's numpy log-sum-exp keeps scaling free of scipy and gives scipy's bits
     sample = RewardSample(rewards, beta)
     expected = -sample.beta * float(logsumexp(phi * sample.rewards / sample.beta))
     assert expected_error(sample, phi) == expected
 
 
+@given(rewards=rewards_with_ties(), beta=st.floats(1e-2, 1e2),
+       grid=st.lists(st.floats(1e-2, 10.0), min_size=1, max_size=12, unique=True))
+def test_scaling_curve_bit_identical_to_per_point_scipy(rewards, beta, grid):
+    # the whole grid is one (grid x rewards) log-sum-exp; each row keeps the
+    # bits of the one-point scipy evaluation
+    sample = RewardSample(rewards, beta)
+    grid = np.sort(grid)
+    expected = [-sample.beta * float(logsumexp(p * sample.rewards / sample.beta)) for p in grid]
+    assert scaling_curve(sample, grid).expectations.tolist() == expected
+
+
+def test_scaling_curve_blocks_keep_the_bits(monkeypatch):
+    # a long reward vector is taken a few grid points at a time, with the same bits
+    from belldist import scaling
+
+    s = RewardSample(-np.linspace(0.05, 2.0, 3000), beta=0.7)
+    grid = np.linspace(0.5, 3.0, 41)
+    whole = scaling_curve(s, grid).expectations
+    monkeypatch.setattr(scaling, "_BLOCK", 3 * s.rewards.size + 5)
+    assert np.array_equal(scaling_curve(s, grid).expectations, whole)
+
+
+@pytest.mark.parametrize("grid", [[1.0, math.nan, 3.0], [1.0, 2.0, math.inf], [0.0, 1.0]],
+                         ids=["nan", "inf", "zero"])
+def test_scaling_curve_grid_must_be_finite_and_positive(grid):
+    # a NaN passes an any(grid <= 0) test; only the per-point phi check caught it
+    with pytest.raises(DomainError, match="positive"):
+        scaling_curve(sample_one_pos_ten_neg(), grid)
+
+
 def test_expected_error_domain():
-    with pytest.raises(DomainError):
-        expected_error(sample_one_pos_ten_neg(), 0.0)
+    for phi in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            expected_error(sample_one_pos_ten_neg(), phi)
 
 
 @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
