@@ -3,12 +3,18 @@
 Everything here is a pure function of its inputs and does no file I/O
 (reading and writing value CSVs is the CLI's job).  Sampling is inverse-CDF
 over a counter-based (Philox) generator keyed by the seed, so results are
-reproducible across platforms and thread counts.
+reproducible across platforms and thread counts.  Kernels over arrays of at
+least 2**15 points run in two fixed halves, the upper one on a worker thread
+(``_halves``); the split does not depend on the core count, so neither does
+any result.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -144,12 +150,22 @@ def quantile(d: DistSpec, p):
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
         raise DomainError("quantile requires 0 < p < 1")
-    if d.family is Family.GUMBEL:
-        out = d.location - d.scale * np.log(-np.log(p_arr))
-    elif d.family is Family.LOGISTIC:
-        out = d.location + d.scale * logit(p_arr)
-    else:
-        out = d.location + d.scale * ndtri(p_arr)
+    out = np.empty(p_arr.shape)
+
+    def fill(_, p_part, o):
+        # location -+ scale * (-log(-log p), logit p or ndtri p), formed in o
+        if d.family is Family.GUMBEL:
+            np.log(p_part, out=o)
+            np.negative(o, out=o)
+            np.log(o, out=o)
+            o *= d.scale
+            np.subtract(d.location, o, out=o)
+            return
+        (logit if d.family is Family.LOGISTIC else ndtri)(p_part, out=o)
+        o *= d.scale
+        o += d.location
+
+    _halves(fill, p_arr, out)
     return out if out.ndim else float(out)
 
 
@@ -159,6 +175,97 @@ def _check_int(value, name: str) -> None:
     # is no count (numpy rejects True as an array shape)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+# 1-D arrays of at least this many points are split in two halves, the upper
+# one computed on a worker thread.  One hand-off costs about 10 us on a
+# 2-vCPU host, and numpy calls on much shorter arrays spend most of their
+# time waiting for the GIL, so below this size a second core does not pay.
+_PARALLEL_MIN = 1 << 15
+
+# The job queue of the one worker thread that runs every upper half, made on
+# first use and dropped in a forked child, which inherits the queue but not
+# the thread.  A plain thread, not a concurrent.futures pool: that import
+# alone costs about 5 ms and 1.4 MB (it pulls in logging), and a hand-off
+# through a future about 20 us.
+_JOBS = None
+
+
+def _drop_worker() -> None:
+    global _JOBS
+    _JOBS = None
+
+
+os.register_at_fork(after_in_child=_drop_worker)
+
+
+class _Job:
+    """One call for the worker thread, in a copy of its caller's context."""
+
+    def __init__(self, fn, *args):
+        self.context, self.call = contextvars.copy_context(), (fn, *args)
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.value = self.error = None
+
+    def run(self) -> None:
+        try:
+            self.value = self.context.run(*self.call)
+        except BaseException as exc:  # handed to the caller, which raises it
+            self.error = exc
+        self.done.release()
+
+    def outcome(self) -> tuple:
+        """(value, exception) of the call, once it has finished."""
+        with self.done:
+            return self.value, self.error
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get().run()
+
+
+def _halves(fn, *arrays) -> tuple:
+    """fn(start, *parts) on two fixed halves of 1-D ``arrays``, or one call.
+
+    Arrays of at least ``_PARALLEL_MIN`` points are split at numpy's own
+    pairwise-summation split h = n//2 - (n//2) % 8: the lower half runs
+    inline, the upper half on the worker thread, and both results come back
+    as a pair; smaller or not 1-D arrays give fn(0, *arrays) alone.  ``start``
+    is the index of the part's first point.  Because np.sum adds the partial
+    sums of a[:h] and a[h:] at the top of its own pairwise tree, the two
+    halves' np.sum results add up to the whole array's sum bit for bit.  The
+    split is always in two, whatever the core count, so every result is the
+    same on every host.  The upper half runs in a copy of the caller's
+    context, so the caller's ``np.errstate`` governs both halves.  fn must
+    never call ``_halves`` itself: the one worker would wait on itself.
+    """
+    n = arrays[0].shape[0] if arrays[0].ndim == 1 else 0
+    if n < _PARALLEL_MIN:
+        return (fn(0, *arrays),)
+    global _JOBS
+    if _JOBS is None:
+        from queue import SimpleQueue
+
+        _JOBS = SimpleQueue()
+        threading.Thread(target=_serve, args=(_JOBS,), name="belldist-half", daemon=True).start()
+    h = n // 2 - (n // 2) % 8
+    upper = _Job(fn, h, *(a[h:] for a in arrays))
+    _JOBS.put(upper)
+    try:
+        lower = fn(0, *(a[:h] for a in arrays))
+    finally:
+        value, error = upper.outcome()  # the upper half is done before its buffers are used again
+    if error is not None:
+        raise error
+    return lower, value
+
+
+def _summed(fn, *arrays) -> tuple:
+    # fn's tuples of partial sums over the halves of ``arrays``, added term by term
+    parts = _halves(fn, *arrays)
+    return parts[0] if len(parts) == 1 else tuple(p + q for p, q in zip(*parts))
 
 
 def _logsumexp(x, beta: float) -> np.ndarray:
@@ -199,13 +306,22 @@ def uniform_open(seed: int, n: int, stream: int = 0) -> np.ndarray:
     one seed are independent.  Each value is (k + 1/2) / 2**53 for a 53-bit
     integer k: ``random`` gives k / 2**53 exactly, and adding 2**-54 rounds
     the same real number as the integer formula does, so the bits agree.
+    Philox is counter-based, so the upper half of a long draw starts by
+    advancing the counter to where one long draw would be.
     """
     _check_seed(seed)
     if n < 0:
         raise DomainError(f"number of uniforms must be >= 0, got {n}")
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, stream]))
-    out = gen.random(n)
-    out += 0.5 / _TWO53
+    out = np.empty(n)
+
+    def fill(start, part):
+        bits = np.random.Philox(key=seed, counter=[0, 0, 0, stream])
+        if start:
+            bits.advance(start // 4)  # one counter step gives four doubles; 8 divides start
+        np.random.Generator(bits).random(out=part)
+        part += 0.5 / _TWO53
+
+    _halves(fill, out)
     return out
 
 
@@ -237,17 +353,17 @@ def sample(d: DistSpec, n: int, seed: int) -> SampleBatch:
 _MAX_NEWTON = 200
 
 
-def _logistic_loglik(t: np.ndarray, scale: float, a: np.ndarray, e: np.ndarray) -> float:
-    # Log-likelihood from the standardised residuals t = (x - loc) / scale:
-    # -t - 2 log(1+exp(-t)) written in the overflow-safe even form.  a and e
-    # are scratch arrays of t's shape.  It is also the Logistic MLE's
-    # objective: each trial passes its residuals a z - b and scale 1/a, and
-    # the next Newton step reads those residuals.
+def _logistic_sums(t: np.ndarray, a: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    # sum |t| and sum log(1 + exp(-|t|)) over the standardised residuals
+    # t = (x - loc) / scale, with a and e scratch arrays of t's shape.  The
+    # Logistic log-likelihood is -n log(scale) - sum|t| - 2 sum log(1 +
+    # exp(-|t|)): -t - 2 log(1+exp(-t)) written in the overflow-safe even
+    # form.
     np.abs(t, out=a)
     np.negative(a, out=e)
     np.exp(e, out=e)
     np.log1p(e, out=e)
-    return -t.size * math.log(scale) - float(np.sum(a)) - 2.0 * float(np.sum(e))
+    return float(a.sum()), float(e.sum())
 
 
 def log_likelihood(d: DistSpec, data: np.ndarray) -> float:
@@ -256,9 +372,10 @@ def log_likelihood(d: DistSpec, data: np.ndarray) -> float:
     # exp(-z) in the left tail; the exact value there is -inf
     with np.errstate(over="ignore"):
         z = (np.asarray(data, dtype=float) - d.location) / d.scale
-        if d.family is Family.LOGISTIC:
-            return _logistic_loglik(z, d.scale, np.empty_like(z), np.empty_like(z))
         n = z.size
+        if d.family is Family.LOGISTIC:
+            sum_abs, sum_log = _logistic_sums(z, np.empty_like(z), np.empty_like(z))
+            return -n * math.log(d.scale) - sum_abs - 2.0 * sum_log
         if d.family is Family.GUMBEL:
             # an infinite exp(-z) sum decides, even where -sum(z) is +inf
             tail = float(np.sum(np.exp(-z)))
@@ -316,33 +433,42 @@ def _fit_gumbel_std(z: np.ndarray) -> tuple[float, float]:
     # b(a) = a min(z) - log mean(w) with the weights w = exp(-a (z - min z)),
     # each at most 1, and the profile l(a) = n (log a + b(a) - 1) - a sum(z)
     # has l' = n (1/a - mean(z) + m1) and l'' = -n (1/a^2 + var) < 0, where m1
-    # and var are the mean and variance of z under w.  One buffer holds w,
-    # and sw keeps its sum for the Newton step that follows.
+    # and var are the mean and variance of z under w.  One buffer holds w;
+    # each evaluation also forms the weighted sums of z and z^2 that the
+    # Newton step reads, in the same pass over each half of the data.
     n = z.size
     a = math.pi / (float(np.std(z)) * math.sqrt(6.0))
     sum_z, zmin = float(np.sum(z)), float(z.min())
     w = np.empty_like(z)
-    sw = 0.0
+    sums = ()  # sum w, sum z w, sum z^2 w at the last point evaluated
 
-    def log_mean_w(a):
-        nonlocal sw
-        np.multiply(z, -a, out=w)
-        np.add(w, a * zmin, out=w)
-        np.exp(w, out=w)
-        sw = float(np.sum(w))
-        return math.log(sw / n)
+    def log_mean_w(a, moments=True):
+        nonlocal sums
+
+        def weigh(_, zh, wh):
+            np.multiply(zh, -a, out=wh)
+            np.add(wh, a * zmin, out=wh)
+            np.exp(wh, out=wh)
+            if not moments:
+                return (float(wh.sum()),)
+            return (float(wh.sum()), float(np.einsum("i,i->", zh, wh)),
+                    float(np.einsum("i,i,i->", zh, zh, wh)))
+
+        sums = _summed(weigh, z, w)
+        return math.log(sums[0] / n)
 
     def loglik(x):
         return n * (math.log(x[0]) + x[0] * zmin - log_mean_w(x[0]) - 1.0) - x[0] * sum_z
 
     def newton(x):
-        m1 = float(np.einsum("i,i->", z, w)) / sw
-        var = float(np.einsum("i,i,i->", z, z, w)) / sw - m1 * m1
+        sw, szw, szzw = sums
+        m1 = szw / sw
+        var = szzw / sw - m1 * m1
         return ((1.0 / x[0] - sum_z / n + m1) / (1.0 / (x[0] * x[0]) + var),)
 
     (a,) = _newton_ascent((a,), n, newton, loglik, "Gumbel")
     s = 1.0 / a
-    return zmin - s * log_mean_w(a), s
+    return zmin - s * log_mean_w(a, moments=False), s
 
 
 def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
@@ -350,27 +476,38 @@ def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
     # n log a + sum g(a z - b) with g(t) = -t - 2 log(1 + exp(-t)),
     # g' = -tanh(t/2) and g'' = -(1 - tanh^2(t/2)) / 2.  Three buffers serve
     # the whole fit: the residuals t and the scratch u, w (u = -g', w = -g'').
+    # Each evaluation forms the log-likelihood's two sums and then the five
+    # sums of the Newton step, in one pass over each half of the data.
     n = z.size
     a = math.pi / (float(np.std(z)) * math.sqrt(3.0))
     b = a * float(np.mean(z))
     t, u, w = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    sums = ()  # sum z u, sum u, sum z^2 w, sum z w, sum w at the last point evaluated
 
     def loglik(x):
-        np.multiply(z, x[0], out=t)
-        np.subtract(t, x[1], out=t)
-        return _logistic_loglik(t, 1.0 / x[0], u, w)
+        nonlocal sums
+
+        def evaluate(_, zh, th, uh, wh):
+            np.multiply(zh, x[0], out=th)
+            np.subtract(th, x[1], out=th)
+            ll_sums = _logistic_sums(th, uh, wh)
+            np.multiply(th, 0.5, out=uh)
+            np.tanh(uh, out=uh)
+            np.multiply(uh, uh, out=wh)
+            np.subtract(1.0, wh, out=wh)
+            np.multiply(wh, 0.5, out=wh)
+            return (*ll_sums, float(np.einsum("i,i->", zh, uh)), float(uh.sum()),
+                    float(np.einsum("i,i,i->", zh, zh, wh)), float(np.einsum("i,i->", zh, wh)),
+                    float(wh.sum()))
+
+        sum_abs, sum_log, *sums = _summed(evaluate, z, t, u, w)
+        return -n * math.log(1.0 / x[0]) - sum_abs - 2.0 * sum_log
 
     def newton(x):
-        np.multiply(t, 0.5, out=u)
-        np.tanh(u, out=u)
-        np.multiply(u, u, out=w)
-        np.subtract(1.0, w, out=w)
-        np.multiply(w, 0.5, out=w)
-        g_a = n / x[0] - float(np.einsum("i,i->", z, u))
-        g_b = float(np.sum(u))
-        h_aa = -n / (x[0] * x[0]) - float(np.einsum("i,i,i->", z, z, w))
-        h_ab = float(np.einsum("i,i->", z, w))
-        h_bb = -float(np.sum(w))
+        szu, g_b, szzw, h_ab, sw = sums
+        g_a = n / x[0] - szu
+        h_aa = -n / (x[0] * x[0]) - szzw
+        h_bb = -sw
         det = h_aa * h_bb - h_ab * h_ab
         return (h_ab * g_b - h_bb * g_a) / det, (h_ab * g_a - h_aa * g_b) / det
 

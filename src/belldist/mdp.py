@@ -224,9 +224,11 @@ def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPr
         c_k = gamma * (c_{k-1} + beta_{k-1} * logsumexp_i(r(s', a_i) / beta_{k-1})).
     A cell whose successor is terminal holds exactly Q_t = r from t = 1 on and
     has no Gumbel law, so its c_t is NaN; at t >= 2 a cell is also NaN when
-    any cell of its successor's row was NaN at t - 1.  c1 must be finite and
-    beta1 finite and positive; a beta_t that underflows to 0, or a step
-    whose (r + c_{k-1}) / beta_{k-1} overflows float64, raises DomainError.
+    any cell of its successor's row was NaN at t - 1.  Once every cell is
+    NaN no later step can change that, and the recursion stops.  c1 must be
+    finite and beta1 finite and positive; a beta_t that underflows to 0, or a
+    step whose (r + c_{k-1}) / beta_{k-1} overflows float64, raises
+    DomainError.
     """
     _check_int(t, "iteration index")
     if t < 1:
@@ -242,6 +244,8 @@ def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPr
     c_prev = np.where(terminal, np.nan, float(c1))
     beta = beta1
     for _ in range(2, t + 1):
+        if np.isnan(c_prev).all():
+            break  # NaN everywhere stays NaN everywhere; beta_t is already known
         per_state = mdp.gamma * beta * _logsumexp(mdp.reward + c_prev, beta)
         c_prev = np.where(terminal, np.nan, per_state[mdp.transition])
         beta *= mdp.gamma

@@ -21,13 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistSpec, Family, _check_int
+from .distributions import DistSpec, Family, _check_int, _halves
 from .errors import DomainError
 
 
 # Kernels walk their arrays in blocks of this many elements, so that every
 # temporary stays cache-sized instead of growing with n.
 _BLOCK = 1 << 14
+
+# 1.._BLOCK: a block's segment indices before its offset is added (exact:
+# integers below 2**53), kept so that no call allocates them.
+_INDEX = np.arange(1, _BLOCK + 1, dtype=float)
+_INDEX.setflags(write=False)
 
 
 # H_0..H_m for the largest m asked so far (read-only), and the extended
@@ -114,14 +119,14 @@ class SamplingErrorReport:
     variance: float  # identically zero: the expected empirical CDF is deterministic
 
 
-def _point_terms(h: np.ndarray, e: np.ndarray, soft: np.ndarray, cdf: np.ndarray) -> None:
-    # For grid points h <= 0: the standard logistic antiderivative
-    # log(1 + exp(h)) into ``soft`` and the CDF exp(h) / (1 + exp(h)) into
-    # ``cdf``, from one exponential per point kept in ``e``.
+def _point_terms(h: np.ndarray, e: np.ndarray, cdf: np.ndarray) -> None:
+    # For grid points h <= 0: the CDF exp(h) / (1 + exp(h)) into ``cdf`` and
+    # the standard logistic antiderivative log(1 + exp(h)) over ``h``, from
+    # one exponential per point kept in ``e``.
     np.exp(h, out=e)
-    np.log1p(e, out=soft)
     np.add(e, 1.0, out=cdf)
     np.divide(e, cdf, out=cdf)
+    np.log1p(e, out=h)
 
 
 def sampling_error(n: int, a: float = 0.0, b: float = 1.0) -> SamplingErrorReport:
@@ -145,35 +150,47 @@ def sampling_error(n: int, a: float = 0.0, b: float = 1.0) -> SamplingErrorRepor
     if n < 2:
         raise DomainError(f"sampling_error requires n >= 2, got {n}")
     DistSpec(Family.LOGISTIC, a, b)
-    # One pass over blocks of segments [start, stop): the grid points
-    # E_{start+1}..E_{stop+1} are formed from the harmonic table and each
+    # One pass over blocks of segments [start, start + m): the grid points
+    # E_{start+1}..E_{start+m+1} are formed from the harmonic table and each
     # transcendental is evaluated once per point, not once per segment end.
-    # Every step writes into block-sized buffers allocated once per call.
+    # Every step writes into the block's own segments or into three
+    # block-sized buffers allocated once per part.  From 2**15 segments on,
+    # the two halves of ``segments`` are filled on two threads, each with its
+    # own three buffers.  Each segment is computed point by point, so its bits
+    # depend neither on the blocks nor on the halves.
     tab = _harmonic_table(n)
     rev = tab[::-1]
     half = (n - 1) // 2
     segments = np.empty(half)
-    width = min(_BLOCK, half)
-    h, e, soft, cdf = (np.empty(width + 1) for _ in range(4))
-    idx = np.arange(1, width + 1, dtype=float)  # exact: integers below 2**53
-    c = np.empty(width)
-    for start in range(0, half, _BLOCK):
-        stop = min(start + _BLOCK, half)
-        m = stop - start
-        hb, eb, seg, cb = h[: m + 1], e[:m], segments[start:stop], c[:m]
-        np.subtract(tab[start : stop + 1], rev[start + 1 : stop + 2], out=hb)
-        _point_terms(hb, e[: m + 1], soft[: m + 1], cdf[: m + 1])
-        np.add(idx[:m], start, out=cb)
-        cb /= n
-        # (1 - 2c) * diff(L) - diff(F) + c*c * diff(h), in that order
-        np.multiply(cb, 2.0, out=seg)
-        np.subtract(1.0, seg, out=seg)
-        seg *= np.subtract(soft[1 : m + 1], soft[:m], out=eb)
-        seg -= np.subtract(cdf[1 : m + 1], cdf[:m], out=eb)
-        np.subtract(hb[1:], hb[:m], out=eb)
-        np.multiply(cb, cb, out=cb)
-        cb *= eb
-        seg += cb
+
+    def fill(first, part):
+        width = min(_BLOCK, part.size)
+        pts, scratch, cdf = (np.empty(width + 1) for _ in range(3))
+        for lo in range(0, part.size, _BLOCK):
+            m = min(_BLOCK, part.size - lo)
+            start = first + lo
+            h, d, f, seg = pts[: m + 1], scratch[:m], cdf[: m + 1], part[lo : lo + m]
+            grid = tab[start : start + m + 1], rev[start + 1 : start + m + 2]
+            np.subtract(*grid, out=h)
+            _point_terms(h, scratch[: m + 1], f)
+            # (1 - 2c) * diff(L) - diff(F) + c*c * diff(h), in that order,
+            # at c = i/n; L has replaced the grid points, which are formed
+            # again for the last term
+            np.add(_INDEX[:m], start, out=seg)
+            seg /= n
+            seg *= 2.0
+            np.subtract(1.0, seg, out=seg)
+            seg *= np.subtract(h[1:], h[:m], out=d)
+            seg -= np.subtract(f[1:], f[:m], out=d)
+            np.subtract(*grid, out=h)
+            np.subtract(h[1:], h[:m], out=d)
+            c = np.add(_INDEX[:m], start, out=f[:m])
+            c /= n
+            np.multiply(c, c, out=c)
+            d *= c
+            seg += d
+
+    _halves(fill, segments)
     middle = 1.0 / n - math.tanh(1.0 / n) if n % 2 == 0 else 0.0
     # E_n - E_1 = H_{n-1} - (-H_{n-1}), exact in floating point since H_0 = 0;
     # the factor 2 of the width cancels the one of the two mirrored halves

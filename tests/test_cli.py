@@ -203,21 +203,26 @@ def test_light_commands_never_import_scipy(tmp_path):
     rewards = write_values(tmp_path / "rewards.csv", [1.0] + [-1.0] * 10)
     runs = [[rewards if a == "{rewards}" else a for a in argv] + ["--out", str(tmp_path / f"run{i}")]
             for i, argv in enumerate(SCIPY_FREE_RUNS)]
-    # one interpreter for every run; its last stdout line is the exit codes
-    # and the scipy modules it ended up with
+    # one interpreter for every run; its last stdout line is the exit codes,
+    # the scipy and concurrent modules it ended up with and its threads.  No
+    # light command reaches 2**15 points, so none starts the worker thread of
+    # the two-half kernels, or pays for concurrent.futures (about 5 ms).
     child = (
-        "import json, sys\n"
+        "import json, sys, threading\n"
         "from belldist.cli import main\n"
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        "found = [sorted(m for m in sys.modules if m.split('.')[0] == top) for top in ('scipy', 'concurrent')]\n"
+        "print(json.dumps([codes, *found, threading.active_count()]))\n"
     )
     src = str(Path(belldist.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], env=env,
                           capture_output=True, text=True, check=True)
-    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    codes, scipy_modules, concurrent_modules, threads = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(runs)
     assert scipy_modules == []
+    assert concurrent_modules == []
+    assert threads == 1
 
 
 def test_klbound_json(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import hashlib
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -161,6 +163,118 @@ def test_uniform_open_matches_integer_formula(n, stream):
         assert np.array_equal(uniform_open(seed, n, stream), uniform_open_oracle(seed, n, stream))
 
 
+# ---------------------------------------------------------------------------
+# Two fixed halves for arrays of at least 2**15 points
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(distributions._PARALLEL_MIN, 300_000), seed=st.integers(0, 2**32 - 1),
+       decades=st.floats(0.0, 100.0))
+def test_halves_split_where_numpy_sum_splits_property(n, seed, decades):
+    # np.sum adds a[:h] and a[h:] at the top of its pairwise tree, so the two
+    # halves' sums give the whole sum's bits; a numpy that splits elsewhere
+    # fails here before it moves any fit
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) * 10.0 ** rng.uniform(-decades, decades, n)
+    lower, upper = distributions._halves(lambda start, part: (start, float(np.sum(part))), a)
+    assert lower[0] == 0 and upper[0] == n // 2 - (n // 2) % 8
+    assert lower[1] + upper[1] == float(np.sum(a))
+
+
+@pytest.mark.parametrize("stream", [0, 1, 2])
+@pytest.mark.parametrize("n", [2**15 - 1, 2**15, 2**15 + 1, 100_001])
+def test_uniform_open_halves_keep_single_draw_bits(n, stream):
+    # the upper half's Philox counter is advanced to where one long draw is
+    gen = np.random.Generator(np.random.Philox(key=2024, counter=[0, 0, 0, stream]))
+    expected = gen.random(n) + 0.5 / float(1 << 53)
+    assert np.array_equal(uniform_open(2024, n, stream), expected)
+
+
+@pytest.mark.parametrize("n", [2**15 - 1, 100_001])
+@pytest.mark.parametrize("family", list(Family))
+def test_quantile_halves_keep_single_call_bits(family, n):
+    from scipy.special import logit, ndtri
+
+    d = DistSpec(family, -0.7, 1.9)
+    p = uniform_open(5, n)
+    expected = {
+        Family.GUMBEL: d.location - d.scale * np.log(-np.log(p)),
+        Family.LOGISTIC: d.location + d.scale * logit(p),
+        Family.NORMAL: d.location + d.scale * ndtri(p),
+    }[family]
+    assert np.array_equal(quantile(d, p), expected)
+
+
+def test_upper_half_runs_under_the_callers_errstate():
+    # the one point that underflows lies in the upper half, computed on the
+    # worker thread; the caller's np.errstate still applies there
+    n = 40_000
+    p = np.full(n, 0.5)
+    p[n - 100] = 0.5 + 1e-10  # logit 4e-10 times scale 1e-300 underflows
+    x = uniform_open(1, n)
+    x[n - 100] = 1e4  # far from the rest: its Gumbel weight exp(-a (z - min z)) underflows
+    batch = SampleBatch(x)
+    quantile(DistSpec(Family.LOGISTIC, 0.0, 1e-300), p)
+    fit_mle(Family.GUMBEL, batch)
+    with np.errstate(under="raise"):
+        with pytest.raises(FloatingPointError, match="underflow"):
+            quantile(DistSpec(Family.LOGISTIC, 0.0, 1e-300), p)
+        with pytest.raises(FloatingPointError, match="underflow"):
+            fit_mle(Family.GUMBEL, batch)
+
+
+def test_halves_from_many_threads_keep_their_bits():
+    # four callers, more than the cores, share the one worker thread; each
+    # gets the bits of its own serial call
+    from belldist.order_stats import sampling_error
+
+    def work(seed):
+        batch = sample(DistSpec(Family.LOGISTIC, 0.3, 1.2), 40_000, seed=seed)
+        return (batch.values.tobytes(), fit_mle(Family.LOGISTIC, batch),
+                sampling_error(65_537 + 2 * seed).s_e)
+
+    expected = [work(seed) for seed in range(4)]
+    got = [None] * 4
+
+    def run(seed):
+        got[seed] = work(seed)
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+
+
+def _fit_in_child(expected) -> None:
+    fitted = fit_mle(Family.LOGISTIC, sample(DistSpec(Family.LOGISTIC, 0.3, 1.2), 100_000, seed=3))
+    sys.exit(0 if (fitted.location, fitted.scale) == expected else 3)
+
+
+def test_forked_child_starts_its_own_worker():
+    # the parent's worker thread does not survive a fork; a child that
+    # inherited its job queue would wait forever on its first upper half
+    fitted = fit_mle(Family.LOGISTIC, sample(DistSpec(Family.LOGISTIC, 0.3, 1.2), 100_000, seed=3))
+    assert distributions._JOBS is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=_fit_in_child, args=((fitted.location, fitted.scale),))
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung
+    assert child.exitcode == 0
+
+
 def test_sample_mean_clt_bounds():
     n = 100_000
     logi = sample(DistSpec(Family.LOGISTIC, 0, 1), n, seed=11)
@@ -312,14 +426,16 @@ def test_fit_logistic_cauchy_reaches_scipy_loglik(n):
 
 def test_fit_logistic_line_search_failure_raises(monkeypatch):
     # every trial point scores -inf, so no halving keeps the log-likelihood
-    real = distributions._logistic_loglik
+    real = distributions._newton_ascent
     calls = []
 
-    def start_only(*args):
-        calls.append(None)
-        return real(*args) if len(calls) == 1 else -math.inf
+    def start_only(x, n, newton, loglik, name):
+        def scored(p):
+            calls.append(None)
+            return loglik(p) if len(calls) == 1 else -math.inf
+        return real(x, n, newton, scored, name)
 
-    monkeypatch.setattr(distributions, "_logistic_loglik", start_only)
+    monkeypatch.setattr(distributions, "_newton_ascent", start_only)
     batch = sample(DistSpec(Family.NORMAL, 0.3, 1.2), 1000, seed=1)
     with pytest.raises(ConvergenceError, match="line search"):
         fit_mle(Family.LOGISTIC, batch)
@@ -349,15 +465,17 @@ def test_fit_logistic_stops_at_float64_resolution(monkeypatch):
     # Logistic fit to Normal data: the last Newton steps change the
     # log-likelihood by less than its rounding; they are taken, not halved
     # down to nothing (that took 23 evaluations)
-    real = distributions._logistic_loglik
+    real = distributions._newton_ascent
     calls = []
 
-    def counting(*args):
-        calls.append(None)
-        return real(*args)
+    def counting(x, n, newton, loglik, name):
+        def scored(p):
+            calls.append(None)
+            return loglik(p)
+        return real(x, n, newton, scored, name)
 
     batch = sample(DistSpec(Family.NORMAL, 0.3, 1.2), 100_000, seed=1)
-    monkeypatch.setattr(distributions, "_logistic_loglik", counting)
+    monkeypatch.setattr(distributions, "_newton_ascent", counting)
     fit_mle(Family.LOGISTIC, batch)
     assert len(calls) <= 6
 
@@ -508,9 +626,10 @@ OLD_FIT_KS = np.array([
     (2.481198956939543, 3.000264454854716, 0.001666002122669541),
 ])
 # SHA-256 of the float64 bytes of (location, scale, KS) below, computed after
-# both Newton fits became one ascent in the concave coordinates 1/scale and
-# location/scale; a change that keeps the fits must keep every bit.
-FIT_KS_DIGEST = "39e8a07475ce2f7985c88bd0d64acf6c09461eaf0e967f3e71e15e6d5713321c"
+# fits of at least 2**15 points began to add the einsum sums of two halves
+# (the rows below that size kept every bit); a change that keeps the fits
+# must keep every bit.
+FIT_KS_DIGEST = "64d63a59486f422cf56e573cd5934afdf2bb382bd034f5ca16922b66c6de4eda"
 
 
 def test_fit_and_ks_bits_pinned():
@@ -559,7 +678,7 @@ OLD_FIT_KS_BLOCK = np.array([
     (2.5034668428199978, 1.7166281041713476, 0.017152272054119955),
     (2.503944725089262, 3.0016145792853397, 0.0022041544340603014),
 ])
-FIT_KS_BLOCK_DIGEST = "9c280448c58f65b8433be45e71e5478257e9fd5a7fadb3018b35937e0184c515"
+FIT_KS_BLOCK_DIGEST = "3204f9efdd88d5d71419cf029b368c137925d3bfadd1824c638358144ff9ea8c"
 
 
 def test_fit_and_block_ks_bits_pinned():

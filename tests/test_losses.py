@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from belldist import DomainError
 from belldist.losses import (
@@ -122,3 +125,63 @@ def test_loss_config_validation():
         LossConfig(sigma=0.0)
     with pytest.raises(DomainError):
         l_loss(np.array([]))
+
+
+@pytest.mark.parametrize("fn, errors, sigma", [
+    ("l_loss", [1e308, 1e308], 1.0),  # the sum of the terms overflows
+    ("mse_loss", [1e200, 1.0], None),  # a square overflows
+    ("l_loss", [1.0, 2.0], 1e-310),  # err / sigma overflows
+], ids=["l_loss-sum", "mse_loss-square", "l_loss-tiny-sigma"])
+def test_loss_overflow_raises_domain_error_without_warning(fn, errors, sigma):
+    args = (np.array(errors),) if sigma is None else (np.array(errors), LossConfig(sigma=sigma))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"{fn} overflows float64"):
+            {"l_loss": l_loss, "mse_loss": mse_loss}[fn](*args)
+
+
+def test_grad_saturates_without_warning_at_tiny_sigma():
+    # err / (2 sigma) overflows, and tanh of it is exactly +-1
+    cfg = LossConfig(sigma=1e-310)
+    errs = np.tile([1.0, -1.0, 0.0, 1e-300], 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grads = l_loss_grad(errs, cfg)
+        # a bound 1/(N sigma) beyond float64 is an overflow of the gradient
+        with pytest.raises(DomainError, match="l_loss_grad overflows float64"):
+            l_loss_grad(errs[:2], cfg)
+    assert np.array_equal(grads, np.tile([1.0, -1.0, 0.0, 1.0], 16) / (errs.size * 1e-310))
+
+
+@st.composite
+def error_vectors(draw):
+    """Finite errors: moderate ones mixed with any float64, extremes included."""
+    moderate = st.floats(-1e3, 1e3)
+    anything = st.floats(allow_nan=False, allow_infinity=False)
+    return np.array(draw(st.lists(st.one_of(moderate, anything), min_size=1, max_size=20)))
+
+
+@given(errors=error_vectors(), sigma=st.floats(1e-300, 1e300))
+def test_losses_overflow_contract_property(errors, sigma):
+    # every loss keeps the bits of its plain formula, or raises DomainError
+    # where that formula overflows; no numpy warning either way
+    cfg = LossConfig(sigma=sigma)
+    with np.errstate(over="ignore"):
+        at = np.abs(errors / sigma)
+        plain = {
+            l_loss: float(np.mean(at + 2.0 * np.log1p(np.exp(-at)))),
+            mse_loss: float(np.mean(0.5 * errors * errors)),
+        }
+        grad = np.tanh(errors / (2.0 * sigma)) / (errors.size * sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, value in plain.items():
+            args = (errors,) if fn is mse_loss else (errors, cfg)
+            if value == math.inf:
+                with pytest.raises(DomainError, match=f"{fn.__name__} overflows float64"):
+                    fn(*args)
+            else:
+                assert fn(*args) == value
+        got = l_loss_grad(errors, cfg)
+    assert np.array_equal(got, grad)
+    assert np.all(np.abs(got) <= 1.0 / (errors.size * sigma))

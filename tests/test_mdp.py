@@ -367,6 +367,26 @@ def test_predict_underflowing_scale_raises_domain_error():
         predict_gumbel(make_chain(5), 80_000, c1=0.0, beta1=1.0)
 
 
+def test_predict_stops_once_every_cell_is_nan(monkeypatch):
+    # chain:5 is NaN on every cell from t = 6: steps 2..6 run the kernel, and
+    # the other 59,994 steps, which cannot change an all-NaN table, do not
+    from belldist import mdp as mdp_module
+
+    real = mdp_module._logsumexp
+    calls = []
+
+    def counting(x, beta):
+        calls.append(None)
+        return real(x, beta)
+
+    monkeypatch.setattr(mdp_module, "_logsumexp", counting)
+    chain = make_chain(5)
+    pred = predict_gumbel(chain, 60_000, c1=0.0, beta1=1.0)
+    assert len(calls) <= 5
+    assert np.isnan(pred.c_t).all()
+    assert pred.beta_t == chain.gamma ** 59_999
+
+
 # ---------------------------------------------------------------------------
 # independent-successor benchmark rows
 # ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ SE_REFERENCE = {
 # for even n).  The kernel works in blocks of 2**14 segments: n = 32767 and
 # 32768 leave the lower half one segment short of a full block, n = 32769
 # fills it exactly, and n = 32771 puts the last segment just past its edge.
+# From 2**15 segments on, two threads fill the two halves of the segments:
+# n = 65535 stays one segment below that, n = 65537 and 65539 split.  The
+# entries at 65535..65539 were computed before the split, on one thread.
 SE_BITS = {
     2: 0.01894142136999513,
     3: 0.008668994221391538,
@@ -46,6 +49,9 @@ SE_BITS = {
     32768: 7.700857124957145e-11,
     32769: 7.700387125362555e-11,
     32771: 7.699447585056476e-11,
+    65535: 1.9261666622291214e-11,
+    65537: 1.9260491405342197e-11,
+    65539: 1.9259316289975404e-11,
     2**20: 7.534459936161077e-14,
 }
 
