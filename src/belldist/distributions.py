@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDataError, DomainError
+from .errors import (ConvergenceError, DegenerateDataError, DomainError, _check_count,
+                     _check_positive)
 
 # Euler-Mascheroni constant; the mean of a standard Gumbel is exactly this.
 EULER_MASCHERONI = 0.57721566490153286061
@@ -49,8 +50,7 @@ class DistSpec:
         object.__setattr__(self, "scale", float(self.scale))
         if not math.isfinite(self.location):
             raise DomainError(f"location must be finite, got {self.location}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise DomainError(f"scale must be positive and finite, got {self.scale}")
+        _check_positive(self.scale, "scale")
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,8 @@ def quantile(d: DistSpec, p):
     from scipy.special import logit, ndtri
 
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
+    # min and max are NaN when any p is, and then both tests fail
+    if p_arr.size and not (0.0 < p_arr.min() and p_arr.max() < 1.0):
         raise DomainError("quantile requires 0 < p < 1")
     out = np.empty(p_arr.shape)
 
@@ -167,14 +168,6 @@ def quantile(d: DistSpec, p):
 
     _halves(fill, p_arr, out)
     return out if out.ndim else float(out)
-
-
-def _check_int(value, name: str) -> None:
-    # a count, index or seed is an int or numpy integer; a float, even an
-    # integral one, would be truncated or fail deep inside numpy, and a bool
-    # is no count (numpy rejects True as an array shape)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 # 1-D arrays of at least this many points are split in two halves, the upper
@@ -199,31 +192,19 @@ def _drop_worker() -> None:
 os.register_at_fork(after_in_child=_drop_worker)
 
 
-class _Job:
-    """One call for the worker thread, in a copy of its caller's context."""
-
-    def __init__(self, fn, *args):
-        self.context, self.call = contextvars.copy_context(), (fn, *args)
-        self.done = threading.Lock()
-        self.done.acquire()
-        self.value = self.error = None
-
-    def run(self) -> None:
-        try:
-            self.value = self.context.run(*self.call)
-        except BaseException as exc:  # handed to the caller, which raises it
-            self.error = exc
-        self.done.release()
-
-    def outcome(self) -> tuple:
-        """(value, exception) of the call, once it has finished."""
-        with self.done:
-            return self.value, self.error
-
-
 def _serve(jobs) -> None:
     while True:
-        jobs.get().run()
+        _run_job(*jobs.get())
+
+
+def _run_job(context, fn, args, done) -> None:
+    # fn(*args) in the caller's copied context, with (value, exception) put
+    # on ``done``; the job's arrays are released when this call returns, not
+    # held by the waiting worker until the next job
+    try:
+        done.put((context.run(fn, *args), None))
+    except BaseException as exc:  # handed to the caller, which raises it
+        done.put((None, exc))
 
 
 def _halves(fn, *arrays) -> tuple:
@@ -251,12 +232,12 @@ def _halves(fn, *arrays) -> tuple:
         _JOBS = SimpleQueue()
         threading.Thread(target=_serve, args=(_JOBS,), name="belldist-half", daemon=True).start()
     h = n // 2 - (n // 2) % 8
-    upper = _Job(fn, h, *(a[h:] for a in arrays))
-    _JOBS.put(upper)
+    done = type(_JOBS)()  # the upper half's reply: a SimpleQueue, without a per-call import
+    _JOBS.put((contextvars.copy_context(), fn, (h, *(a[h:] for a in arrays)), done))
     try:
         lower = fn(0, *(a[:h] for a in arrays))
     finally:
-        value, error = upper.outcome()  # the upper half is done before its buffers are used again
+        value, error = done.get()  # the upper half is done before its buffers are used again
     if error is not None:
         raise error
     return lower, value
@@ -272,10 +253,10 @@ def _logsumexp(x, beta: float) -> np.ndarray:
     # log sum exp(x / beta) over the last axis, step for step as scipy 1.17's
     # scipy.special.logsumexp computes it, so the bits agree: the max-shift
     # method of Blanchard, Higham & Higham (IMA J. Numer. Anal. 41(4), 2021).
-    # The maxima leave the sum as their count m, the rest is summed as
-    # exp(a - max), and a row whose result is not finite falls back to the
-    # direct log sum exp(a).  An x / beta beyond float64 raises DomainError;
-    # NaN entries pass through to a NaN row.
+    # The maxima leave the sum as their count m and the rest is summed as
+    # exp(a - max).  An x / beta beyond float64 raises DomainError, so the
+    # result is finite on every row without a NaN entry; NaN entries pass
+    # through to a NaN row.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         a = np.divide(x, beta)
         if np.isinf(a).any():
@@ -286,16 +267,13 @@ def _logsumexp(x, beta: float) -> np.ndarray:
         m = np.count_nonzero(is_max, axis=-1, keepdims=True)
         s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=-1, keepdims=True) / m
         out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=-1, keepdims=True)))
     return out[..., 0]
 
 
 def _check_seed(seed) -> None:
     # a Philox key is an integer in [0, 2**128)
-    _check_int(seed, "seed")
-    if not 0 <= seed < 1 << 128:
+    _check_count(seed, "seed")
+    if seed >= 1 << 128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
 
 
@@ -310,8 +288,8 @@ def uniform_open(seed: int, n: int, stream: int = 0) -> np.ndarray:
     advancing the counter to where one long draw would be.
     """
     _check_seed(seed)
-    if n < 0:
-        raise DomainError(f"number of uniforms must be >= 0, got {n}")
+    _check_count(n, "number of uniforms")
+    _check_count(stream, "stream")
     out = np.empty(n)
 
     def fill(start, part):
@@ -339,8 +317,7 @@ def normal_max_quantile(u, n: float) -> np.ndarray:
 
 def sample(d: DistSpec, n: int, seed: int) -> SampleBatch:
     """Draw n values from ``d`` by inverse CDF; deterministic per (d, n, seed)."""
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
+    _check_count(n, "sample size", 1)
     u = uniform_open(seed, n)
     return SampleBatch(quantile(d, u))
 

@@ -1,8 +1,13 @@
 """Semantic exception hierarchy for belldist.
 
 Public functions raise these instead of bare ValueError so callers (and the
-CLI exit-code mapping) can distinguish contract violations from bugs.
+CLI exit-code mapping) can distinguish contract violations from bugs.  The
+two argument checks that nearly every module shares live here too.
 """
+
+import math
+
+import numpy as np
 
 
 class BelldistError(Exception):
@@ -35,3 +40,19 @@ class TrainingError(BelldistError, RuntimeError):
     def __init__(self, message, last_good=None):
         super().__init__(message)
         self.last_good = last_good
+
+
+def _check_count(value, name: str, low: int = 0) -> None:
+    # a count, size, index or seed is an int or numpy integer of at least
+    # low; a float, even an integral one, would be truncated or fail deep
+    # inside numpy, and a bool is no count (numpy rejects True as a shape)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_positive(value, name: str) -> None:
+    # a scale, step size or temperature: NaN, 0 and +-inf all fail
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value}")

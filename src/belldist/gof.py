@@ -13,7 +13,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import DistSpec, Family, SampleBatch
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, _check_count
 
 
 # Batches above _KS_DIRECT points are cut into blocks of _KS_BLOCK sorted
@@ -106,8 +106,7 @@ def histogram_fit_metrics(
     values = data.values
     if float(values.max() - values.min()) == 0.0:
         raise DegenerateDataError("histogram metrics require data with spread")
-    if not isinstance(n_bins, (int, np.integer)) or n_bins < 2:
-        raise DomainError(f"n_bins must be an integer >= 2, got {n_bins!r}")
+    _check_count(n_bins, "n_bins", 2)
     heights, edges = np.histogram(values, bins=int(n_bins), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     model = np.asarray(dist.pdf(d, centers))

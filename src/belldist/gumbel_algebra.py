@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .distributions import EULER_MASCHERONI, DistSpec, Family, _logsumexp
-from .errors import DomainError, ScaleMismatchError
+from .errors import DomainError, ScaleMismatchError, _check_positive
 
 # Constant from bounding int exp(-(2x+e^-x)) dx piecewise over
 # (-inf,-5], [-5,0], [0,inf):  20/e^2 + 10*exp(-sqrt(e)) + 1/2 - 1/(2e).
@@ -30,10 +30,9 @@ _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def gumbel_shift_scale(d: DistSpec, c: float, k: float) -> DistSpec:
-    """Law of k*X + c for X ~ d (Gumbel); requires k > 0."""
+    """Law of k*X + c for X ~ d (Gumbel); requires a finite k > 0."""
     _require_gumbel(d, "gumbel_shift_scale")
-    if not k > 0:
-        raise DomainError(f"scale factor must be positive, got {k}")
+    _check_positive(k, "scale factor")
     return DistSpec(Family.GUMBEL, k * d.location + c, k * d.scale)
 
 
@@ -47,8 +46,7 @@ def gumbel_max(locations, beta: float) -> DistSpec:
     locs = np.asarray(locations, dtype=float)
     if locs.size == 0:
         raise DomainError("gumbel_max requires at least one location")
-    if not 0.0 < beta < math.inf:
-        raise DomainError(f"beta must be finite and positive, got {beta}")
+    _check_positive(beta, "beta")
     # raveled in memory order, the order in which scipy's sum over every axis added them
     return DistSpec(Family.GUMBEL, beta * float(_logsumexp(locs.ravel(order="K"), beta)), beta)
 
@@ -74,13 +72,21 @@ def gumbel_exp_moment_bounds(a: float) -> tuple[float, float]:
 
     Returns ``(bound_exp, bound_xexp)``.  Both are strict upper bounds, not
     suprema:  the exact moments are exp(-a) and (a + v - 1) exp(-a), with v
-    the Euler-Mascheroni constant.
+    the Euler-Mascheroni constant.  An ``a`` at which either bound is not
+    finite in float64 (NaN, an infinity, a below about -708 or above about
+    3.6e307) raises ``DomainError``.
     """
-    bound_exp = EXP_MOMENT_CONST * math.exp(-a)
+    try:
+        e = math.exp(-a)
+    except OverflowError:
+        e = math.inf
+    bound_exp = EXP_MOMENT_CONST * e
     if a > 0:
-        bound_xexp = (0.15 + a * EXP_MOMENT_CONST) * math.exp(-a)
+        bound_xexp = (0.15 + a * EXP_MOMENT_CONST) * e
     else:
-        bound_xexp = 0.15 * math.exp(-a)
+        bound_xexp = 0.15 * e
+    if not (bound_exp < math.inf and bound_xexp < math.inf):
+        raise DomainError(f"the exp-moment bounds at a = {a} are not finite in float64")
     return bound_exp, bound_xexp
 
 
@@ -129,8 +135,7 @@ def kl_numeric(a: float, b: float, gamma: float) -> float:
     The result depends on (a/b, gamma) only.  A non-finite a* or a KL beyond
     the float64 range raises DomainError.
     """
-    if not b > 0:
-        raise DomainError(f"scale b must be positive, got {b}")
+    _check_positive(b, "scale b")
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
     a_star = a / b
@@ -158,8 +163,7 @@ def kl_bound(a_star: float, gamma: float) -> KlBoundReport:
     derivation assumes), which is why the report exposes both numbers instead
     of asserting the comparison.
     """
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
+    numeric = kl_numeric(a_star, 1.0, gamma)  # checks gamma and a_star
     v = EULER_MASCHERONI
     if a_star > 0:
         branch = KlBranch.A_POSITIVE
@@ -169,7 +173,6 @@ def kl_bound(a_star: float, gamma: float) -> KlBoundReport:
     else:
         branch = KlBranch.A_NONPOSITIVE
         bound = math.log(1.0 / gamma) + (1.0 - gamma) * (0.15 - a_star - v)
-    numeric = kl_numeric(a_star, 1.0, gamma)
     return KlBoundReport(a_star=a_star, gamma=gamma, bound=bound, numeric_kl=numeric, branch=branch)
 
 

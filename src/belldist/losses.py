@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_positive
 
 LN4 = math.log(4.0)
 
@@ -30,8 +30,7 @@ class LossConfig:
 
     def __post_init__(self):
         # an infinite sigma makes every gradient exactly 0
-        if not 0.0 < self.sigma < math.inf:
-            raise DomainError(f"sigma must be finite and positive, got {self.sigma}")
+        _check_positive(self.sigma, "sigma")
 
 
 def _as_errors(errors) -> np.ndarray:

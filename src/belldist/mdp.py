@@ -18,13 +18,12 @@ import numpy as np
 from .distributions import (
     DistSpec,
     Family,
-    _check_int,
     _logsumexp,
     normal_max_quantile,
     quantile,
     uniform_open,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _check_count, _check_positive
 
 TERMINAL = -1
 
@@ -49,11 +48,11 @@ class TabularMdp:
     gamma: float
 
     def __post_init__(self):
+        _check_count(self.n_states, "n_states", 1)
+        _check_count(self.n_actions, "n_actions", 1)
         trans = np.asarray(self.transition, dtype=np.int64)
         rew = np.asarray(self.reward, dtype=float)
         shape = (self.n_states, self.n_actions)
-        if self.n_states < 1 or self.n_actions < 1:
-            raise DomainError("n_states and n_actions must be >= 1")
         if trans.shape != shape or rew.shape != shape:
             raise DomainError(f"transition/reward must have shape {shape}")
         if not np.all((trans == TERMINAL) | ((trans >= 0) & (trans < self.n_states))):
@@ -230,13 +229,10 @@ def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPr
     step whose (r + c_{k-1}) / beta_{k-1} overflows float64, raises
     DomainError.
     """
-    _check_int(t, "iteration index")
-    if t < 1:
-        raise DomainError(f"iteration index must be >= 1, got {t}")
+    _check_count(t, "iteration index", 1)
     if not math.isfinite(c1):
         raise DomainError(f"c1 must be finite, got {c1}")
-    if not 0.0 < beta1 < math.inf:
-        raise DomainError(f"beta1 must be finite and positive, got {beta1}")
+    _check_positive(beta1, "beta1")
     beta_t = beta1 * mdp.gamma ** (t - 1)
     if beta_t == 0.0:
         raise DomainError(f"beta_t = beta1 * gamma**(t - 1) underflows float64 at t = {t}")
@@ -259,6 +255,7 @@ def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPr
 def make_example1(n_actions: int = EXAMPLE1_ACTIONS) -> TabularMdp:
     """Five-state feed-forward benchmark: every action at state i moves to
     state i+1 (the last state ends the episode) with constant reward 1."""
+    _check_count(n_actions, "n_actions", 1)
     n_states = EXAMPLE1_STATES
     transition = np.empty((n_states, n_actions), dtype=np.int64)
     for s in range(n_states):
@@ -273,8 +270,7 @@ FORWARD, STAY = 0, 1
 def make_chain(n_states: int) -> TabularMdp:
     """Chain with two actions: FORWARD earns 1 and advances (the last state
     terminates); STAY earns 0 and self-loops.  Optimal policy: FORWARD."""
-    if n_states < 2:
-        raise DomainError("chain needs at least 2 states")
+    _check_count(n_states, "n_states", 2)
     transition = np.empty((n_states, 2), dtype=np.int64)
     reward = np.zeros((n_states, 2))
     for s in range(n_states):
@@ -287,8 +283,8 @@ def make_chain(n_states: int) -> TabularMdp:
 def make_random_dag(n_states: int, n_actions: int, seed: int) -> TabularMdp:
     """Random episodic DAG: T(s, a) is uniform over later states and TERMINAL,
     so every trajectory reaches the end in at most n_states steps."""
-    if n_states < 2 or n_actions < 1:
-        raise DomainError("random DAG needs >= 2 states and >= 1 action")
+    _check_count(n_states, "n_states", 2)
+    _check_count(n_actions, "n_actions", 1)
     u = uniform_open(seed, 2 * n_states * n_actions)
     pick = u[: n_states * n_actions].reshape(n_states, n_actions)
     rew_u = u[n_states * n_actions :].reshape(n_states, n_actions)
@@ -331,9 +327,7 @@ def example1_row_errors(t: int, seed: int, init: DistSpec | None = None) -> Erro
     F^{-1}(u^(1/n)) trick, so iterations beyond the literal table's collapse
     horizon remain cheap and exact.
     """
-    _check_int(t, "iteration index")
-    if t < 1:
-        raise DomainError(f"iteration index must be >= 1, got {t}")
+    _check_count(t, "iteration index", 1)
     if init is None:
         init = DistSpec(Family.NORMAL, 0.0, 1.0)
     if init.family not in (Family.GUMBEL, Family.NORMAL):

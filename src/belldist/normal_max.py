@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _check_count
 
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
@@ -50,8 +50,7 @@ def normal_max_gumbel(n: int) -> NormalMaxParams:
     """
     from scipy.special import lambertw
 
-    if n < 2:
-        raise DomainError(f"normal_max_gumbel requires n >= 2, got {n}")
+    _check_count(n, "n", 2)
     # the standard Normal density is D0 * exp(-C * |x|^nu) at nu = 2, with
     # theta = nu - 1; D0 is C^((1 - nu)/nu) / (2 * Gamma(1/nu)) written so that
     # it keeps that formula's bits (1/sqrt(2*pi) is one ulp below it)

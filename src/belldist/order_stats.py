@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistSpec, Family, _check_int, _halves
-from .errors import DomainError
+from .distributions import DistSpec, Family, _halves
+from .errors import DomainError, _check_count
 
 
 # Kernels walk their arrays in blocks of this many elements, so that every
@@ -93,9 +93,7 @@ def order_stat_table(n: int, a: float = 0.0, b: float = 1.0) -> OrderStatTable:
 
     The scale is checked by the ``DistSpec``, built before the expectations.
     """
-    _check_int(n, "n")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_count(n, "n", 1)
     return OrderStatTable(
         n=n,
         dist=DistSpec(Family.LOGISTIC, a, b),
@@ -105,7 +103,7 @@ def order_stat_table(n: int, a: float = 0.0, b: float = 1.0) -> OrderStatTable:
 
 def order_stat_expectation(n: int, i: int, a: float, b: float) -> float:
     """E[x_(i)] of n Logistic(a, b) draws: entry i - 1 of ``order_stat_table``."""
-    _check_int(i, "order index")  # n is checked by order_stat_table
+    _check_count(i, "order index")  # n is checked by order_stat_table
     if not 1 <= i <= n:
         raise DomainError(f"order index must satisfy 1 <= i <= n, got i={i}, n={n}")
     return float(order_stat_table(n, a, b).expectations[i - 1])
@@ -146,9 +144,7 @@ def sampling_error(n: int, a: float = 0.0, b: float = 1.0) -> SamplingErrorRepor
     The value depends only on n; (a, b) are validated as a ``DistSpec`` but
     cancel identically.
     """
-    _check_int(n, "n")
-    if n < 2:
-        raise DomainError(f"sampling_error requires n >= 2, got {n}")
+    _check_count(n, "n", 2)
     DistSpec(Family.LOGISTIC, a, b)
     # One pass over blocks of segments [start, start + m): the grid points
     # E_{start+1}..E_{start+m+1} are formed from the harmonic table and each

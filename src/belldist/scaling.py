@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _logsumexp
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, _check_positive
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ class RewardSample:
             raise DomainError("rewards must be a non-empty 1-D vector")
         if not np.all(np.isfinite(r)):
             raise DomainError("rewards must be finite")
-        if not 0.0 < self.beta < math.inf:
-            raise DomainError(f"beta must be finite and positive, got {self.beta}")
+        _check_positive(self.beta, "beta")
         r.setflags(write=False)
         object.__setattr__(self, "rewards", r)
         object.__setattr__(self, "beta", float(self.beta))
@@ -63,8 +62,7 @@ def expected_error(sample: RewardSample, phi: float) -> float:
     them), so flagging is left to ScalingCurve.  A phi * r / beta beyond
     float64 (a tiny beta or a huge phi) raises DomainError.
     """
-    if not 0.0 < phi < math.inf:
-        raise DomainError(f"phi must be finite and positive, got {phi}")
+    _check_positive(phi, "phi")
     return float(_expectations(sample, np.array([phi], dtype=float))[0])
 
 

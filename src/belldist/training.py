@@ -18,14 +18,17 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, TrainingError
+from .errors import DomainError, TrainingError, _check_count, _check_positive
 from .gof import ks_statistic
-from .distributions import Family, SampleBatch, _check_int, _check_seed, fit_mle
+from .distributions import Family, SampleBatch, _check_seed, fit_mle
 from .losses import LossConfig, l_loss_grad
 from .mdp import TERMINAL, TabularMdp, successor_max
 
 LOSS_MSE = "mse"
 LOSS_LLOSS = "lloss"
+
+# an episode restarts from state 0 after this many steps per state
+_EPISODE_STEPS_PER_STATE = 4
 
 
 @dataclass(frozen=True)
@@ -56,18 +59,11 @@ class TrainConfig:
         # counts: a float one fails deep inside numpy (batch_size and epochs
         # set array shapes and loop bounds) or, as a patience, runs silently
         for name in ("batch_size", "epochs", "replay_capacity", "early_stop_patience"):
-            value = getattr(self, name)
-            _check_int(value, name)
-            if value < 1:
-                raise DomainError(f"{name} must be >= 1, got {value}")
-        if not 0.0 < self.lr < math.inf:
-            raise DomainError("lr must be finite and positive")
+            _check_count(getattr(self, name), name, 1)
+        for name in ("lr", "sigma", "reward_scale"):
+            _check_positive(getattr(self, name), name)
         if not 0.0 < self.tau <= 1.0:
             raise DomainError("tau must lie in (0, 1]")
-        if not 0.0 < self.sigma < math.inf:
-            raise DomainError("sigma must be finite and positive")
-        if not 0.0 < self.reward_scale < math.inf:
-            raise DomainError("reward_scale must be finite and positive")
         _check_seed(self.seed)
         if self.approximator not in ("tabular", "mlp"):
             raise DomainError("approximator must be 'tabular' or 'mlp'")
@@ -244,12 +240,12 @@ def loss_output_grad(errors: np.ndarray, loss: str, loss_cfg: LossConfig) -> np.
     return -l_loss_grad(errors, loss_cfg)
 
 
-def greedy_return(env: TabularMdp, policy: np.ndarray, start: int = 0) -> float:
+def greedy_return(env: TabularMdp, policy: np.ndarray) -> float:
     """Undiscounted return of following ``policy`` (one action per state, the
-    argmax of a Q table's rows) from ``start``, over at most 4 * n_states
-    steps (the episode cap of training)."""
-    s, total = start, 0.0
-    for _ in range(4 * env.n_states):
+    argmax of a Q table's rows) from state 0, over at most as many steps as
+    a training episode."""
+    s, total = 0, 0.0
+    for _ in range(_EPISODE_STEPS_PER_STATE * env.n_states):
         a = policy[s]
         total += env.reward[s, a]
         nxt = int(env.transition[s, a])
@@ -298,7 +294,7 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     capacity = cfg.replay_capacity
     replay = np.zeros(capacity, dtype=np.int64)
     written = 0
-    cap = 4 * env.n_states  # steps before an episode restarts from state 0
+    cap = _EPISODE_STEPS_PER_STATE * env.n_states
     n_actions = env.n_actions
     rows = env.transition.tolist()
 

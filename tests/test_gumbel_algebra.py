@@ -177,6 +177,13 @@ def test_exp_moment_bounds_dominate_quadrature(a):
     assert m_xexp == pytest.approx((a + EULER_MASCHERONI - 1.0) * math.exp(-a), rel=1e-8, abs=1e-12)
 
 
+@pytest.mark.parametrize("a", [-800.0, -math.inf, math.nan])
+def test_exp_moment_bounds_beyond_float64_raise_domain_error(a):
+    # exp(800) overflowed in a bare OverflowError, and NaN returned (nan, nan)
+    with pytest.raises(DomainError, match="not finite in float64"):
+        gumbel_exp_moment_bounds(a)
+
+
 def test_kl_numeric_near_one_vanishes():
     assert kl_numeric(0.0, 1.0, 1.0 - 1e-12) < 1e-9
 
@@ -203,6 +210,8 @@ def test_kl_numeric_domain():
         kl_numeric(0.0, -1.0, 0.9)
     with pytest.raises(DomainError):
         kl_numeric(0.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="scale b must be finite and positive"):
+        kl_numeric(1.0, math.inf, 0.9)
 
 
 @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, 1.0), (1e308, 1e-10), (1000.0, 1.0)])

@@ -405,14 +405,20 @@ def test_row_errors_domain():
         example1_row_errors(1, seed=1, init=DistSpec(Family.LOGISTIC, 0, 1))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: predict_gumbel(make_example1(n_actions=5), 2.5, 0.0, 1.0),
-    lambda: example1_row_errors(1.5, seed=0),
-], ids=["predict_gumbel", "example1_row_errors"])
-def test_non_integer_iteration_is_domain_error(call):
-    # predict_gumbel raised a bare TypeError; example1_row_errors returned a
-    # snapshot with t = 1.5
-    with pytest.raises(DomainError, match="iteration index must be an integer"):
+@pytest.mark.parametrize("call, name", [
+    (lambda: predict_gumbel(make_example1(n_actions=5), 2.5, 0.0, 1.0), "iteration index"),
+    (lambda: example1_row_errors(1.5, seed=0), "iteration index"),
+    (lambda: make_chain(3.0), "n_states"),
+    (lambda: make_random_dag(4.0, 2, 0), "n_states"),
+    (lambda: make_example1(2.5), "n_actions"),
+    (lambda: TabularMdp(2.0, 1, np.array([[1], [-1]]), np.ones((2, 1)), 0.9), "n_states"),
+], ids=["predict_gumbel", "example1_row_errors", "make_chain", "make_random_dag",
+        "make_example1", "TabularMdp"])
+def test_non_integer_iteration_is_domain_error(call, name):
+    # an iteration index, like a state or action count, is an integer:
+    # predict_gumbel and the builders raised a bare TypeError, while
+    # example1_row_errors and TabularMdp accepted 1.5 and 2.0
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
         call()
 
 

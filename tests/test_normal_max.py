@@ -35,6 +35,8 @@ def test_lambert_defect_identity(n):
 def test_domain():
     with pytest.raises(DomainError):
         normal_max_gumbel(1)
+    with pytest.raises(DomainError, match="n must be an integer"):
+        normal_max_gumbel(2.5)
 
 
 @pytest.mark.parametrize("n", [10**300, 10**400])
