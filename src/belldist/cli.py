@@ -50,17 +50,19 @@ def _json(obj, indent: int | None = 2) -> str:
     return json.dumps(obj, sort_keys=True, indent=indent)
 
 
-def _csv(header: list[str], rows) -> str:
-    """CSV text with a header row; floats (numpy's too) are written as
-    ``repr(float(v))``, the shortest text that reads back to the same bits."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], columns) -> str:
+    """CSV text with a header row, from one sequence per column.  A float
+    column (numpy's too) is written as ``repr`` of each value, the shortest
+    text that reads back to the same bits; any other column as ``str``."""
+    cells = []
+    for column in columns:
+        column = np.asarray(column)
+        cells.append(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _read_values(path: str) -> SampleBatch:
-    """A single-column CSV with header 'value', as ``_csv(["value"], ...)`` writes it."""
+    """A single-column CSV with header 'value', as ``_csv(["value"], [values])`` writes it."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -124,13 +126,11 @@ def cmd_example1(args) -> dict[str, str]:
     files = {}
     for t in range(1, args.iters + 1):
         snap = example1_row_errors(t, seed=args.seed, init=init)
+        rows, n_actions = snap.eps_gap.shape
         files[f"errors_t{t}.csv"] = _csv(
             ["t", "state", "action", "eps_gap", "bellman_err"],
-            (
-                (snap.t, state, a, gap, err)
-                for state, (gap_row, err_row) in enumerate(zip(snap.eps_gap, snap.bellman_err))
-                for a, (gap, err) in enumerate(zip(gap_row, err_row))
-            ),
+            [np.full(rows * n_actions, snap.t), np.arange(rows).repeat(n_actions),
+             np.tile(np.arange(n_actions), rows), snap.eps_gap_flat, snap.bellman_err_flat],
         )
         fits = {
             "eps_gap": [r.to_dict() for r in gof.rank_families(SampleBatch(snap.eps_gap_flat))],
@@ -157,11 +157,11 @@ def cmd_fit(args) -> dict[str, str]:
         "fit_reports.json": text + "\n",
         "fit_summary.csv": _csv(
             ["family", "r2", "sse", "rmse", "ks", "location", "scale", "n_bins", "n_samples"],
-            [
+            zip(*[
                 (r.family.value, r.r2, r.sse, r.rmse, r.ks, r.params.location,
                  r.params.scale, r.n_bins, r.n_samples)
                 for r in reports
-            ],
+            ]),
         ),
     }
 
@@ -202,7 +202,7 @@ def cmd_sampling_error(args) -> dict[str, str]:
     rows = [(n, sampling_error(n, args.a, args.b).s_e) for n in sizes]
     for n, se in rows:
         print(f"{n},{se:.6e}")
-    return {"sampling_error.csv": _csv(["n", "s_e"], rows)}
+    return {"sampling_error.csv": _csv(["n", "s_e"], zip(*rows))}
 
 
 def cmd_scaling(args) -> dict[str, str]:
@@ -220,10 +220,7 @@ def cmd_scaling(args) -> dict[str, str]:
     return {
         "scaling_curve.csv": _csv(
             ["phi", "expected_error", "below_regime"],
-            [
-                (p, e, int(b))
-                for p, e, b in zip(curve.phi_grid, curve.expectations, curve.below_regime)
-            ],
+            [curve.phi_grid, curve.expectations, curve.below_regime.astype(int)],
         ),
         "scaling_summary.json": _json(summary) + "\n",
     }
@@ -238,7 +235,7 @@ def cmd_losscheck(args) -> dict[str, str]:
         mse_plus = LN4 + 0.5 * mse_loss(np.array([t]))
         rows.append((t, ll, mse_plus, abs(ll - mse_plus)))
     print(f"wrote {Path(args.out) / 'losscheck.csv'}")
-    return {"losscheck.csv": _csv(["t", "lloss", "mse_plus_ln4", "gap"], rows)}
+    return {"losscheck.csv": _csv(["t", "lloss", "mse_plus_ln4", "gap"], zip(*rows))}
 
 
 def _train_config(args) -> TrainConfig:
@@ -258,10 +255,10 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args) -> dict[str, str]:
     env = parse_env(args.env, seed=args.seed)
     log = run_training(env, _train_config(args))
-    files = {"reward_curve.csv": _csv(["epoch", "reward"], enumerate(log.rewards))}
+    files = {"reward_curve.csv": _csv(["epoch", "reward"], [range(log.epochs_run), log.rewards])}
     for epoch, errs in enumerate(log.bellman_errors):
         if errs.size:
-            files[f"bellman_errors_epoch{epoch}.csv"] = _csv(["value"], zip(errs))
+            files[f"bellman_errors_epoch{epoch}.csv"] = _csv(["value"], [errs])
     files["policy.json"] = _json({"greedy_policy": log.final_policy.tolist(),
                                   "epochs_run": log.epochs_run}, indent=None) + "\n"
     print(f"trained {log.epochs_run} epochs; final return {log.rewards[-1]}")

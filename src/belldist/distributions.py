@@ -46,8 +46,13 @@ class DistSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        object.__setattr__(self, "location", float(self.location))
-        object.__setattr__(self, "scale", float(self.scale))
+        try:
+            object.__setattr__(self, "location", float(self.location))
+            object.__setattr__(self, "scale", float(self.scale))
+        except (TypeError, ValueError) as exc:
+            # a location that converted is a float now, so scale failed
+            name = "scale" if isinstance(self.location, float) else "location"
+            raise DomainError(f"{name} must be a real number, got {getattr(self, name)!r}") from exc
         if not math.isfinite(self.location):
             raise DomainError(f"location must be finite, got {self.location}")
         _check_positive(self.scale, "scale")
@@ -285,15 +290,21 @@ def uniform_open(seed: int, n: int, stream: int = 0) -> np.ndarray:
     integer k: ``random`` gives k / 2**53 exactly, and adding 2**-54 rounds
     the same real number as the integer formula does, so the bits agree.
     Philox is counter-based, so the upper half of a long draw starts by
-    advancing the counter to where one long draw would be.
+    advancing the counter to where one long draw would be.  ``stream`` is the
+    counter's top 64-bit word, so it lies in [0, 2**64).
     """
     _check_seed(seed)
     _check_count(n, "number of uniforms")
     _check_count(stream, "stream")
+    if stream >= 1 << 64:
+        raise DomainError(f"stream must lie in [0, 2**64), got {stream}")
+    # uint64 words: numpy converts a list holding a stream past int64's range
+    # through float64, where the streams from 2**63 up round onto one another
+    counter = np.array([0, 0, 0, stream], dtype=np.uint64)
     out = np.empty(n)
 
     def fill(start, part):
-        bits = np.random.Philox(key=seed, counter=[0, 0, 0, stream])
+        bits = np.random.Philox(key=seed, counter=counter)
         if start:
             bits.advance(start // 4)  # one counter step gives four doubles; 8 divides start
         np.random.Generator(bits).random(out=part)

@@ -53,6 +53,12 @@ def _check_count(value, name: str, low: int = 0) -> None:
 
 
 def _check_positive(value, name: str) -> None:
-    # a scale, step size or temperature: NaN, 0 and +-inf all fail
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be finite and positive, got {value}")
+    # a scale, step size or temperature: NaN, 0 and +-inf all fail, and so
+    # does a value that does not compare with a float (a str, None); that
+    # failure is caught, not tested for first, so a number pays nothing extra
+    try:
+        if 0.0 < value < math.inf:
+            return
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be finite and positive, got {value!r}") from None
+    raise DomainError(f"{name} must be finite and positive, got {value}")

@@ -80,6 +80,28 @@ def l_loss(errors, cfg: LossConfig = LossConfig()) -> float:
     return _finite_mean(_lloss_terms(t), "l_loss", cfg.sigma)
 
 
+def _l_loss_grad_scale(n: int, sigma: float) -> float:
+    # N * sigma, the divisor of the Logistic gradient; a bound 1/(N*sigma)
+    # beyond float64 raises DomainError
+    scale = n * sigma
+    if 1.0 / scale == math.inf:
+        raise DomainError(f"l_loss_grad overflows float64: its bound 1/(N*sigma) at "
+                          f"N = {n}, sigma = {sigma}")
+    return scale
+
+
+def _l_loss_grad_kernel(errors: np.ndarray, sigma: float, scale: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    # tanh(err/(2*sigma)) / scale: l_loss_grad at scale = N*sigma, and its
+    # negative, bit for bit, at scale = -(N*sigma), as division is
+    # sign-symmetric.  err/(2*sigma) may overflow to +-inf, where tanh
+    # saturates at exactly +-1; the caller decides about the warning.
+    out = np.divide(errors, 2.0 * sigma, out=out)
+    np.tanh(out, out=out)
+    out /= scale
+    return out
+
+
 def l_loss_grad(errors, cfg: LossConfig = LossConfig()) -> np.ndarray:
     """Per-element gradient of l_loss: tanh(err/(2*sigma)) / (N*sigma).
 
@@ -88,11 +110,8 @@ def l_loss_grad(errors, cfg: LossConfig = LossConfig()) -> np.ndarray:
     1/(N*sigma) beyond float64 raises DomainError.
     """
     arr = _as_errors(errors)
-    scale = arr.size * cfg.sigma
-    if 1.0 / scale == math.inf:
-        raise DomainError(f"l_loss_grad overflows float64: its bound 1/(N*sigma) at "
-                          f"N = {arr.size}, sigma = {cfg.sigma}")
+    scale = _l_loss_grad_scale(arr.size, cfg.sigma)
     if 2.0 * cfg.sigma >= 1.0:  # err/(2*sigma) cannot leave float64's range
-        return np.tanh(arr / (2.0 * cfg.sigma)) / scale
+        return _l_loss_grad_kernel(arr, cfg.sigma, scale)
     with np.errstate(over="ignore"):
-        return np.tanh(arr / (2.0 * cfg.sigma)) / scale
+        return _l_loss_grad_kernel(arr, cfg.sigma, scale)

@@ -127,15 +127,20 @@ def init_q(mdp: TabularMdp, init: DistSpec, seed: int) -> QTable:
     return QTable(values=values, iteration=0)
 
 
-def successor_max(successors: np.ndarray, values: np.ndarray) -> np.ndarray:
+def successor_max(successors: np.ndarray, values: np.ndarray,
+                  row_max: np.ndarray | None = None) -> np.ndarray:
     """max_a' Q(s', a') for each successor s' in ``successors`` (the whole
     ``mdp.transition`` or entries gathered from it); TERMINAL contributes 0.
 
     TERMINAL is -1, so it indexes the 0 left after the per-state maxima.
+    ``row_max``, a buffer of S + 1 entries whose last entry is 0, takes the
+    maxima in place of a fresh zeroed array; a caller that runs this once per
+    training update keeps one.
     """
-    out = np.zeros(values.shape[0] + 1)
-    values.max(axis=1, out=out[:-1])
-    return out[successors]
+    if row_max is None:
+        row_max = np.zeros(values.shape[0] + 1)
+    values.max(axis=1, out=row_max[:-1])
+    return row_max[successors]
 
 
 def bellman_step(mdp: TabularMdp, q: QTable) -> QTable:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, TrainingError, _check_count, _check_positive
 from .gof import ks_statistic
 from .distributions import Family, SampleBatch, _check_seed, fit_mle
-from .losses import LossConfig, l_loss_grad
+from .losses import _l_loss_grad_kernel, _l_loss_grad_scale
 from .mdp import TERMINAL, TabularMdp, successor_max
 
 LOSS_MSE = "mse"
@@ -216,28 +216,24 @@ def table_grad(cells, grad_out, shape: tuple[int, int]) -> np.ndarray:
     return np.bincount(cells, weights=grad_out, minlength=shape[0] * shape[1]).reshape(shape)
 
 
-def td_errors(q_table: np.ndarray, target_table: np.ndarray, cells, reward: np.ndarray,
-              successors: np.ndarray, gamma: float) -> np.ndarray:
-    """Target-minus-estimate residuals at flat cells ``s * A + a``.
+def td_errors(q_table: np.ndarray, target_table: np.ndarray, cells, rewards: np.ndarray,
+              successors: np.ndarray, gamma: float, target_max: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Target-minus-estimate residuals at flat cells ``s * A + a``, written
+    into ``out``.
 
-    ``reward`` and ``successors`` are an MDP's reward and transition tables,
-    flattened, with the reward already scaled; the MDP is deterministic, so
-    they fix a cell's target.  Only the batch's cells are gathered, and
-    ``successor_max`` applies the terminal rule to their successors, exactly
-    as ``bellman_step`` applies it to the whole table.
+    ``rewards`` and ``successors`` are the batch's scaled rewards and
+    successor states, gathered at ``cells`` from the MDP's tables; the MDP is
+    deterministic, so they fix a cell's target.  ``successor_max`` writes the
+    target's row maxima into ``target_max``, a buffer of S + 1 entries whose
+    last entry is 0, and applies the terminal rule to the successors, exactly
+    as ``bellman_step`` applies it to the whole table.  The residual is
+    ``rewards + gamma * next_max - Q[cells]``, rounded in that order.
     """
-    next_max = successor_max(successors[cells], target_table)
-    return reward[cells] + gamma * next_max - q_table.reshape(-1)[cells]
-
-
-def loss_output_grad(errors: np.ndarray, loss: str, loss_cfg: LossConfig) -> np.ndarray:
-    """d(loss)/d(prediction) per batch element; errors are target - estimate.
-
-    ``loss_cfg`` is read by the Logistic loss only.
-    """
-    if loss == LOSS_MSE:
-        return -errors / errors.size
-    return -l_loss_grad(errors, loss_cfg)
+    np.multiply(gamma, successor_max(successors, target_table, target_max), out=out)
+    out += rewards
+    out -= q_table.reshape(-1)[cells]
+    return out
 
 
 def greedy_return(env: TabularMdp, policy: np.ndarray) -> float:
@@ -256,23 +252,47 @@ def greedy_return(env: TabularMdp, policy: np.ndarray) -> float:
 
 
 def make_update(env: TabularMdp, cfg: TrainConfig, qnet: QFunction, target_net: QFunction):
-    """The gradient update of ``run_training``, as a function of one batch of
-    flat cells ``s * A + a``: a descent step of ``qnet`` on the batch's loss,
-    then a Polyak step of ``target_net`` toward ``qnet``.  It returns the
-    batch's TD errors.  The per-run constants are computed here, once."""
+    """The gradient updates of ``run_training``, as a function of a block of
+    flat cells ``s * A + a`` with one batch of ``batch_size`` cells per row.
+
+    For each row in turn, ``update(cells, errs)`` takes a descent step of
+    ``qnet`` on the batch's loss, then a Polyak step of ``target_net`` toward
+    ``qnet``, and writes the batch's TD errors into the same row of ``errs``.
+    It gathers the whole block's scaled rewards and successors at once.  It
+    does not look for divergence: ``run_training`` checks a whole epoch's
+    errors after its updates.
+
+    The per-run constants and buffers are made here, once: the scaled reward
+    table, the target-max buffer of ``td_errors`` and the loss gradient's
+    constants.  The gradient's sign is folded into its divisor, -N for the
+    squared error and -(N * sigma) for the Logistic loss, which gives the
+    same bits as negating the gradient; the Logistic gradient's bound is
+    checked here, not per update.
+    """
     # scaling before the gather gives the same bits as scaling after it
     reward = env.reward.reshape(-1) * cfg.reward_scale
     successors = env.transition.reshape(-1)
-    loss_cfg = LossConfig(sigma=cfg.sigma)
+    target_max = np.zeros(env.n_states + 1)
     q_shape = (env.n_states, env.n_actions)
+    gamma, lr, tau, sigma = env.gamma, cfg.lr, cfg.tau, cfg.sigma
+    grad_out = np.empty(cfg.batch_size)
+    if cfg.loss == LOSS_MSE:
+        neg_n = -float(cfg.batch_size)
 
-    def update(cells: np.ndarray) -> np.ndarray:
-        q_table, cache = qnet.forward()
-        errs = td_errors(q_table, target_net.table(), cells, reward, successors, env.gamma)
-        grad_out = loss_output_grad(errs, cfg.loss, loss_cfg)
-        qnet.descend(qnet.grad(table_grad(cells, grad_out, q_shape), cache), cfg.lr)
-        target_net.mix_from(qnet, cfg.tau)
-        return errs
+        def output_grad(errs):
+            return np.divide(errs, neg_n, out=grad_out)
+    else:
+        neg_scale = -_l_loss_grad_scale(cfg.batch_size, sigma)
+
+        def output_grad(errs):
+            return _l_loss_grad_kernel(errs, sigma, neg_scale, grad_out)
+
+    def update(cells: np.ndarray, errs: np.ndarray) -> None:
+        for batch, rewards, succ, out in zip(cells, reward[cells], successors[cells], errs):
+            q_table, cache = qnet.forward()
+            td_errors(q_table, target_net.table(), batch, rewards, succ, gamma, target_max, out)
+            qnet.descend(qnet.grad(table_grad(batch, output_grad(out), q_shape), cache), lr)
+            target_net.mix_from(qnet, tau)
 
     return update
 
@@ -284,7 +304,11 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     in a replay ring, then runs ``updates_per_epoch`` updates on batches of
     ``batch_size`` cells.  All of an epoch's batches come from one draw of
     replay indices, which gives the same values, in the same order, as one
-    draw per update.
+    draw per update; ``make_update`` gathers their rewards and successors
+    once per epoch.  The updates write their TD errors into one
+    (updates_per_epoch, batch_size) block, and one finite check of that block
+    after the epoch's updates detects divergence; the last row is the epoch's
+    logged error batch.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     qnet = make_qfunc(env, cfg, rng)
@@ -311,6 +335,7 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     # sees it; that check, not a numpy warning, reports the divergence
     with np.errstate(over="ignore", invalid="ignore"):
         update = make_update(env, cfg, qnet, target_net)
+        errs = np.empty((cfg.updates_per_epoch, cfg.batch_size))
         # the net only changes in the update phase, so the greedy policy of
         # one epoch's end is the next epoch's acting policy
         policy = np.argmax(qnet.table(), axis=1)
@@ -339,13 +364,14 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
                 # nothing else draws in the update phase, and numpy fills
                 # bounded integers in order from the generator's own stream,
                 # so row k holds what a separate draw for the k-th update would
-                draws = rng.integers(fill, size=(cfg.updates_per_epoch, cfg.batch_size))
-                for cells in replay[draws]:
-                    epoch_errors = update(cells)
-                    # the nets have taken a step on these errors; on divergence
-                    # they are dropped and only last_good is kept
-                    if not np.isfinite(epoch_errors).all():
-                        raise TrainingError("training diverged (non-finite errors)", last_good)
+                update(replay[rng.integers(fill, size=errs.shape)], errs)
+                # the nets have taken their steps on these errors; on divergence
+                # they are dropped and only last_good is kept, as it is set
+                # only at an epoch's end
+                if not np.isfinite(errs).all():
+                    raise TrainingError("training diverged (non-finite errors)", last_good)
+                # a copy: the next epoch overwrites the block
+                epoch_errors = errs[-1].copy()
 
             table = qnet.table().copy()  # a tabular table() is the live array
             policy = np.argmax(table, axis=1)

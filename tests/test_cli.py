@@ -132,7 +132,7 @@ def test_unwritable_out_exit_code_one(tmp_path, capsys):
 def test_value_csv_roundtrip(tmp_path):
     batch = sample(DistSpec(Family.LOGISTIC, 0.1, 0.9), 257, seed=3)
     path = tmp_path / "values.csv"
-    path.write_text(_csv(["value"], zip(batch.values)))
+    path.write_text(_csv(["value"], [batch.values]))
     assert path.read_text().splitlines()[0] == "value"
     assert np.array_equal(_read_values(str(path)).values, batch.values)
 

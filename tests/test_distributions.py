@@ -55,6 +55,13 @@ def test_distspec_rejects_bad_scale():
         DistSpec(Family.NORMAL, 0.0, -1.0)
     with pytest.raises(DomainError):
         DistSpec(Family.LOGISTIC, math.nan, 1.0)
+    # a value that is not a number raised a bare ValueError or TypeError
+    with pytest.raises(DomainError, match="scale must be a real number"):
+        DistSpec(Family.NORMAL, 0.0, "x")
+    with pytest.raises(DomainError, match="scale must be a real number"):
+        DistSpec(Family.NORMAL, 0.0, None)
+    with pytest.raises(DomainError, match="location must be a real number"):
+        DistSpec(Family.NORMAL, "x", 1.0)
 
 
 def test_pdf_anchor_values():
@@ -140,6 +147,38 @@ def test_uniform_open_negative_count_raises_domain_error():
         uniform_open(0, 3, stream=1.5)
     with pytest.raises(DomainError, match="stream must be >= 0"):
         uniform_open(0, 3, stream=-1)
+    # the stream is one 64-bit counter word; 2**64 raised a bare OverflowError
+    for stream in (1 << 64, 1 << 70):
+        with pytest.raises(DomainError, match=r"stream must lie in \[0, 2\*\*64\)"):
+            uniform_open(0, 3, stream=stream)
+
+
+# SHA-256 over uniform_open(seed, n, stream) for the streams and (seed, n)
+# pairs of test_uniform_open_streams_below_2_63_keep_their_draws, taken from
+# the list-built Philox counter that the uint64 one replaced
+LOW_STREAM_DIGEST = "4b7227da9fc94e6bf78b86d2cc3c4334d009a5201d5ea82460fd8c8e2255c28e"
+
+
+def test_uniform_open_streams_below_2_63_keep_their_draws():
+    h = hashlib.sha256()
+    for stream in (0, 1, 5, 2**32 + 3, 2**62, 2**63 - 1):
+        for seed, n in ((0, 9), (123, 40000)):  # 40000 points: two halves
+            h.update(uniform_open(seed, n, stream).tobytes())
+    assert h.hexdigest() == LOW_STREAM_DIGEST
+
+
+@pytest.mark.filterwarnings("error")
+def test_uniform_open_streams_from_2_63_are_their_own():
+    # the list-built counter aliased every stream in [2**63, 2**64) and warned
+    # at 2**64 - 1; each stream below 2**64 now draws its own values
+    streams = [0, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1, np.uint64(2**64 - 2)]
+    draws = {uniform_open(0, 4, stream).tobytes() for stream in streams}
+    assert len(draws) == len(streams)
+    # the upper half of a long draw advances the low words, not the stream
+    n = 2**15 + 8
+    gen = np.random.Generator(np.random.Philox(
+        key=9, counter=np.array([0, 0, 0, 2**64 - 1], dtype=np.uint64)))
+    assert np.array_equal(uniform_open(9, n, 2**64 - 1), gen.random(n) + 0.5 / float(1 << 53))
 
 
 @pytest.mark.parametrize("seed", [-1, -3, 1 << 128])

@@ -212,6 +212,9 @@ def test_kl_numeric_domain():
         kl_numeric(0.0, 1.0, 1.0)
     with pytest.raises(DomainError, match="scale b must be finite and positive"):
         kl_numeric(1.0, math.inf, 0.9)
+    for b in ("2", None):  # raised a bare TypeError
+        with pytest.raises(DomainError, match="scale b must be finite and positive"):
+            kl_numeric(1.0, b, 0.9)
 
 
 @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, 1.0), (1e308, 1e-10), (1000.0, 1.0)])

@@ -25,7 +25,6 @@ from belldist.training import (
     TrainConfig,
     compare_losses,
     greedy_return,
-    loss_output_grad,
     make_qfunc,
     make_update,
     run_training,
@@ -67,7 +66,8 @@ def test_config_validation():
         TrainConfig(lr=0.0)
     # an infinite lr or reward scale is named here, not reported as divergence
     for field in ("lr", "reward_scale"):
-        for value in (math.inf, math.nan):
+        # a str or None raised a bare TypeError
+        for value in (math.inf, math.nan, "0.1", None):
             with pytest.raises(DomainError, match=f"{field} must be finite and positive"):
                 TrainConfig(**{field: value})
     for seed in (-1, 1 << 128):  # outside the range of a Philox key
@@ -184,9 +184,13 @@ def test_table_grad_equals_unbuffered_add_at():
                           expected.reshape(n_states, n_actions))
 
 
-def flat_bellman_inputs(env: TabularMdp, cfg: TrainConfig):
-    """The (reward, successors, gamma) arguments run_training passes td_errors."""
-    return env.reward.reshape(-1) * cfg.reward_scale, env.transition.reshape(-1), env.gamma
+def batch_td_errors(q_table, target_table, env: TabularMdp, cfg: TrainConfig, cells):
+    """td_errors at ``cells`` with the gathered arguments and buffers that
+    make_update passes it, made fresh for this call."""
+    rewards = env.reward.reshape(-1)[cells] * cfg.reward_scale
+    successors = env.transition.reshape(-1)[cells]
+    return td_errors(q_table, target_table, cells, rewards, successors, env.gamma,
+                     np.zeros(env.n_states + 1), np.empty(len(cells)))
 
 
 def cyclic_mdp_with_terminal() -> TabularMdp:
@@ -208,8 +212,7 @@ def test_td_errors_equal_mdp_bellman_error(env, approximator):
     rng = np.random.Generator(np.random.Philox(key=2))
     q = make_qfunc(env, cfg, rng)
     q.theta += rng.standard_normal(q.theta.size)
-    errs = td_errors(q.table(), q.table(), np.arange(env.n_states * env.n_actions),
-                     *flat_bellman_inputs(env, cfg))
+    errs = batch_td_errors(q.table(), q.table(), env, cfg, np.arange(env.n_states * env.n_actions))
     snap = snapshot_errors(env, QTable(q.table()), solve_qstar(env))
     assert np.array_equal(errs, snap.bellman_err.ravel())
 
@@ -288,6 +291,41 @@ def test_tabular_divergence_keeps_last_good_finite():
     assert np.all(np.isfinite(err.value.last_good))
 
 
+# SHA-256 of last_good, and the number of epochs logged, when lr=1e18 makes
+# chain:5 (seed 0) diverge: the tabular run at the 4th of epoch 4's 16
+# updates, the MLP run at the 11th of epoch 3's, its first update epoch, so
+# its last_good is the initial table.  Taken from the loop that checked each
+# update's errors before the next update ran.  The MLP digest goes through
+# one matmul, so it holds for the BLAS build it was taken on.
+DIVERGENCE_PINS = {
+    "tabular": ("5b45c1e2da7023571be07f600857b55ad48b1814cd18ff557e89b38518d27e4b", 4),
+    "mlp": ("6deecdc3425bce629685657525f6104c9485b4802f302a8978777fb742d98dce", 3),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("approximator", sorted(DIVERGENCE_PINS))
+def test_mid_epoch_divergence_matches_pinned_last_good(approximator, monkeypatch):
+    # the finite check runs once per epoch, after all of its updates: a run
+    # that diverges mid-epoch still raises in that epoch, with the snapshot
+    # of the epoch before
+    import belldist.training as training
+
+    logged = 0
+
+    def counted(env, policy):
+        nonlocal logged
+        logged += 1
+        return greedy_return(env, policy)
+
+    monkeypatch.setattr(training, "greedy_return", counted)
+    cfg = TrainConfig(lr=1e18, epochs=50, seed=0, approximator=approximator)
+    with pytest.raises(TrainingError) as err:
+        run_training(make_chain(5), cfg)
+    digest = hashlib.sha256(np.ascontiguousarray(err.value.last_good, "<f8").tobytes())
+    assert (digest.hexdigest(), logged) == DIVERGENCE_PINS[approximator]
+
+
 def test_enhancement_zero_when_arms_tie():
     env = make_chain(4)
     cfg = TrainConfig(lr=0.5, epochs=150, seed=0)
@@ -317,31 +355,30 @@ def test_compare_losses_needs_two_seeds():
 @pytest.mark.parametrize("loss", [LOSS_MSE, LOSS_LLOSS])
 def test_mlp_gradient_matches_finite_differences(loss):
     # 4 states, 3 actions, 5 hidden units: no parameter shape is square or
-    # shared with another, so a transposed or mis-scattered gradient fails
+    # shared with another, so a transposed or mis-scattered gradient fails.
+    # At lr = 1 the step make_update takes is the analytic gradient, to
+    # within rounding at the size of the parameters
     rng = np.random.Generator(np.random.Philox(key=11))
     n_states, n_actions, n = 4, 3, 12
     net = MlpQ(n_states, n_actions, hidden=5, rng=rng)
     target_net = net.clone()
     target_net.mix_from(MlpQ(n_states, n_actions, hidden=5, rng=rng), 0.5)
-    cfg = TrainConfig(loss=loss, sigma=0.8, batch_size=n, lr=0.1, reward_scale=1.5)
+    cfg = TrainConfig(loss=loss, sigma=0.8, batch_size=n, lr=1.0, reward_scale=1.5)
     # random successors, with a TERMINAL entry in every state's row
     trans = rng.integers(n_states, size=(n_states, n_actions))
     trans[np.arange(n_states), rng.integers(n_actions, size=n_states)] = TERMINAL
     env = TabularMdp(n_states, n_actions, trans, rng.standard_normal((n_states, n_actions)), 0.9)
     cells = rng.integers(n_states * n_actions, size=n)
 
-    bellman = flat_bellman_inputs(env, cfg)
     loss_cfg = LossConfig(sigma=cfg.sigma)
 
     def batch_loss(probe):
-        errs = td_errors(probe.table(), target_net.table(), cells, *bellman)
+        errs = batch_td_errors(probe.table(), target_net.table(), env, cfg, cells)
         return mse_loss(errs) if loss == LOSS_MSE else l_loss(errs, loss_cfg)
 
-    q_table, h = net.forward()
-    grad_out = loss_output_grad(td_errors(q_table, target_net.table(), cells, *bellman),
-                                cfg.loss, loss_cfg)
-    analytic = net.grad(table_grad(cells, grad_out, (n_states, n_actions)), h)
-    assert analytic.shape == net.theta.shape
+    stepped = net.clone()
+    make_update(env, cfg, stepped, target_net.clone())(cells[None], np.empty((1, n)))
+    analytic = net.theta - stepped.theta
     step = 1e-6
     offset = 0
     for k, param in enumerate(net.params):
@@ -405,10 +442,11 @@ def test_flat_update_matches_list_of_arrays_oracle(approximator, lr, loss):
     update = make_update(env, cfg, net, target_net)
     params = [p.copy() for p in net.params]
     target_params = [p.copy() for p in target_net.params]
+    errs = np.empty((1, cfg.batch_size))
     for _ in range(50):
         cells = rng.integers(env.n_states * env.n_actions, size=cfg.batch_size)
-        errs = update(cells)
-        assert np.array_equal(errs, oracle_update(params, target_params, env, cells, cfg))
+        update(cells[None], errs)  # a block of one batch: a single update
+        assert np.array_equal(errs[0], oracle_update(params, target_params, env, cells, cfg))
         assert all(np.array_equal(p, q) for p, q in zip(net.params, params))
         assert all(np.array_equal(p, q) for p, q in zip(target_net.params, target_params))
 
