@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateDataError, DomainError, _check_count,
-                     _check_positive)
+from .errors import (ConvergenceError, DegenerateDataError, DomainError, _as_real, _check_count,
+                     _check_elements, _check_positive, _real_array)
 
 # Euler-Mascheroni constant; the mean of a standard Gumbel is exactly this.
 EULER_MASCHERONI = 0.57721566490153286061
@@ -35,6 +35,10 @@ class Family(str, Enum):
     LOGISTIC = "logistic"
     NORMAL = "normal"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"family must be one of {', '.join(f.value for f in cls)}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class DistSpec:
@@ -46,13 +50,8 @@ class DistSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        try:
-            object.__setattr__(self, "location", float(self.location))
-            object.__setattr__(self, "scale", float(self.scale))
-        except (TypeError, ValueError) as exc:
-            # a location that converted is a float now, so scale failed
-            name = "scale" if isinstance(self.location, float) else "location"
-            raise DomainError(f"{name} must be a real number, got {getattr(self, name)!r}") from exc
+        object.__setattr__(self, "location", _as_real(self.location, "location"))
+        object.__setattr__(self, "scale", _as_real(self.scale, "scale"))
         if not math.isfinite(self.location):
             raise DomainError(f"location must be finite, got {self.location}")
         _check_positive(self.scale, "scale")
@@ -60,17 +59,12 @@ class DistSpec:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """An ordered batch of finite real values."""
+    """An ordered batch of finite real values, kept as a read-only copy."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise DomainError("SampleBatch requires a non-empty 1-D vector")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("SampleBatch values must be finite")
-        vals.setflags(write=False)
+        vals = _real_array(self.values, "SampleBatch values", frozen=True, finite=True)
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -166,10 +160,11 @@ def quantile(d: DistSpec, p):
             np.log(o, out=o)
             o *= d.scale
             np.subtract(d.location, o, out=o)
-            return
-        (logit if d.family is Family.LOGISTIC else ndtri)(p_part, out=o)
-        o *= d.scale
-        o += d.location
+        else:
+            (logit if d.family is Family.LOGISTIC else ndtri)(p_part, out=o)
+            o *= d.scale
+            o += d.location
+        return ()
 
     _halves(fill, p_arr, out)
     return out if out.ndim else float(out)
@@ -213,23 +208,23 @@ def _run_job(context, fn, args, done) -> None:
 
 
 def _halves(fn, *arrays) -> tuple:
-    """fn(start, *parts) on two fixed halves of 1-D ``arrays``, or one call.
+    """fn(start, *parts) on two fixed halves of 1-D ``arrays``, summed.
 
-    Arrays of at least ``_PARALLEL_MIN`` points are split at numpy's own
-    pairwise-summation split h = n//2 - (n//2) % 8: the lower half runs
-    inline, the upper half on the worker thread, and both results come back
-    as a pair; smaller or not 1-D arrays give fn(0, *arrays) alone.  ``start``
-    is the index of the part's first point.  Because np.sum adds the partial
-    sums of a[:h] and a[h:] at the top of its own pairwise tree, the two
-    halves' np.sum results add up to the whole array's sum bit for bit.  The
-    split is always in two, whatever the core count, so every result is the
-    same on every host.  The upper half runs in a copy of the caller's
-    context, so the caller's ``np.errstate`` governs both halves.  fn must
-    never call ``_halves`` itself: the one worker would wait on itself.
+    fn returns a tuple of partial sums over the part that starts at index
+    ``start`` (``()`` if it only fills); the halves' tuples are added term by
+    term.  Arrays of at least ``_PARALLEL_MIN`` points are split at numpy's
+    pairwise-summation split h = n//2 - (n//2) % 8, the lower half inline and
+    the upper half on the worker thread; other arrays give fn(0, *arrays).
+    np.sum adds the partial sums of a[:h] and a[h:] at the top of its own
+    tree, so the halves' np.sum terms add up to the whole sum bit for bit;
+    the split is always in two, whatever the core count, so no result
+    depends on it.  The upper half runs in a copy of the caller's context,
+    so the caller's ``np.errstate`` governs both halves.  fn must never call
+    ``_halves`` itself: the one worker would wait on itself.
     """
     n = arrays[0].shape[0] if arrays[0].ndim == 1 else 0
     if n < _PARALLEL_MIN:
-        return (fn(0, *arrays),)
+        return fn(0, *arrays)
     global _JOBS
     if _JOBS is None:
         from queue import SimpleQueue
@@ -245,13 +240,7 @@ def _halves(fn, *arrays) -> tuple:
         value, error = done.get()  # the upper half is done before its buffers are used again
     if error is not None:
         raise error
-    return lower, value
-
-
-def _summed(fn, *arrays) -> tuple:
-    # fn's tuples of partial sums over the halves of ``arrays``, added term by term
-    parts = _halves(fn, *arrays)
-    return parts[0] if len(parts) == 1 else tuple(p + q for p, q in zip(*parts))
+    return tuple(p + q for p, q in zip(lower, value))
 
 
 def _logsumexp(x, beta: float) -> np.ndarray:
@@ -295,6 +284,7 @@ def uniform_open(seed: int, n: int, stream: int = 0) -> np.ndarray:
     """
     _check_seed(seed)
     _check_count(n, "number of uniforms")
+    _check_elements(n, "number of uniforms")
     _check_count(stream, "stream")
     if stream >= 1 << 64:
         raise DomainError(f"stream must lie in [0, 2**64), got {stream}")
@@ -309,6 +299,7 @@ def uniform_open(seed: int, n: int, stream: int = 0) -> np.ndarray:
             bits.advance(start // 4)  # one counter step gives four doubles; 8 divides start
         np.random.Generator(bits).random(out=part)
         part += 0.5 / _TWO53
+        return ()
 
     _halves(fill, out)
     return out
@@ -380,20 +371,20 @@ def log_likelihood(d: DistSpec, data: np.ndarray) -> float:
 _LL_SLACK_EPS = 64.0 * np.finfo(float).eps
 
 
-def _newton_ascent(x: tuple, n: int, newton, loglik, name: str) -> tuple:
+def _newton_ascent(x: tuple, n: int, evaluate, name: str) -> tuple:
     # Damped Newton ascent on the log-likelihood of n points in parameters x
     # that start with a = 1/scale > 0.  A log-concave location-scale density
     # makes it strictly concave in (1/scale, location/scale) (Pratt 1981,
-    # JASA 76), so every Newton step is an ascent direction.  loglik(x)
-    # evaluates a point and leaves its residuals or weights in the fit's
-    # buffers, and newton(x) reads them: it is always called on the last
-    # point evaluated.  A raw step under 1e-10 relative is taken without a
+    # JASA 76), so every Newton step is an ascent direction.  evaluate(x)
+    # returns the log-likelihood at x and the Newton step from x, both from
+    # one pass over the data; the accepted point's step is the next
+    # iteration's.  A raw step under 1e-10 relative is taken without a
     # trial; any other is halved until the trial is at least the start's
     # log-likelihood and loses at most the rounding level against the
     # current point.
-    start = cur = loglik(x)
+    start, d = evaluate(x)
+    cur = start
     for _ in range(_MAX_NEWTON):
-        d = newton(x)
         new = tuple(p + q for p, q in zip(x, d))
         if max(map(abs, d)) < 1e-10 * max(1.0, *map(abs, new)) and new[0] > 0.0:
             return new
@@ -402,16 +393,16 @@ def _newton_ascent(x: tuple, n: int, newton, loglik, name: str) -> tuple:
         for _ in range(60):
             new = tuple(p + h * q for p, q in zip(x, d))
             if new[0] > 0.0:
-                ll = loglik(new)
+                ll, step = evaluate(new)
                 if ll >= cur - slack and ll >= start:
                     break
             h *= 0.5
         else:
             raise ConvergenceError(f"{name} MLE line search found no step that keeps the "
                                    "log-likelihood after 60 halvings")
-        x, cur = new, ll
-        if h * max(map(abs, d)) < 1e-10 * max(1.0, *map(abs, x)):
-            return x
+        if h * max(map(abs, d)) < 1e-10 * max(1.0, *map(abs, new)):
+            return new
+        x, cur, d = new, ll, step
     raise ConvergenceError(f"{name} MLE did not converge in {_MAX_NEWTON} Newton steps")
 
 
@@ -422,18 +413,15 @@ def _fit_gumbel_std(z: np.ndarray) -> tuple[float, float]:
     # each at most 1, and the profile l(a) = n (log a + b(a) - 1) - a sum(z)
     # has l' = n (1/a - mean(z) + m1) and l'' = -n (1/a^2 + var) < 0, where m1
     # and var are the mean and variance of z under w.  One buffer holds w;
-    # each evaluation also forms the weighted sums of z and z^2 that the
-    # Newton step reads, in the same pass over each half of the data.
+    # each evaluation forms it with the weighted sums of z and z^2 in one
+    # pass over each half of the data.
     n = z.size
     a = math.pi / (float(np.std(z)) * math.sqrt(6.0))
     sum_z, zmin = float(np.sum(z)), float(z.min())
     w = np.empty_like(z)
-    sums = ()  # sum w, sum z w, sum z^2 w at the last point evaluated
 
-    def log_mean_w(a, moments=True):
-        nonlocal sums
-
-        def weigh(_, zh, wh):
+    def weigh(a, moments=True):
+        def part(_, zh, wh):
             np.multiply(zh, -a, out=wh)
             np.add(wh, a * zmin, out=wh)
             np.exp(wh, out=wh)
@@ -442,21 +430,19 @@ def _fit_gumbel_std(z: np.ndarray) -> tuple[float, float]:
             return (float(wh.sum()), float(np.einsum("i,i->", zh, wh)),
                     float(np.einsum("i,i,i->", zh, zh, wh)))
 
-        sums = _summed(weigh, z, w)
-        return math.log(sums[0] / n)
+        return _halves(part, z, w)
 
-    def loglik(x):
-        return n * (math.log(x[0]) + x[0] * zmin - log_mean_w(x[0]) - 1.0) - x[0] * sum_z
-
-    def newton(x):
-        sw, szw, szzw = sums
+    def evaluate(x):
+        sw, szw, szzw = weigh(x[0])
         m1 = szw / sw
         var = szzw / sw - m1 * m1
-        return ((1.0 / x[0] - sum_z / n + m1) / (1.0 / (x[0] * x[0]) + var),)
+        ll = n * (math.log(x[0]) + x[0] * zmin - math.log(sw / n) - 1.0) - x[0] * sum_z
+        return ll, ((1.0 / x[0] - sum_z / n + m1) / (1.0 / (x[0] * x[0]) + var),)
 
-    (a,) = _newton_ascent((a,), n, newton, loglik, "Gumbel")
+    (a,) = _newton_ascent((a,), n, evaluate, "Gumbel")
     s = 1.0 / a
-    return zmin - s * log_mean_w(a, moments=False), s
+    (sw,) = weigh(a, moments=False)
+    return zmin - s * math.log(sw / n), s
 
 
 def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
@@ -470,12 +456,9 @@ def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
     a = math.pi / (float(np.std(z)) * math.sqrt(3.0))
     b = a * float(np.mean(z))
     t, u, w = np.empty_like(z), np.empty_like(z), np.empty_like(z)
-    sums = ()  # sum z u, sum u, sum z^2 w, sum z w, sum w at the last point evaluated
 
-    def loglik(x):
-        nonlocal sums
-
-        def evaluate(_, zh, th, uh, wh):
+    def evaluate(x):
+        def part(_, zh, th, uh, wh):
             np.multiply(zh, x[0], out=th)
             np.subtract(th, x[1], out=th)
             ll_sums = _logistic_sums(th, uh, wh)
@@ -488,18 +471,15 @@ def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
                     float(np.einsum("i,i,i->", zh, zh, wh)), float(np.einsum("i,i->", zh, wh)),
                     float(wh.sum()))
 
-        sum_abs, sum_log, *sums = _summed(evaluate, z, t, u, w)
-        return -n * math.log(1.0 / x[0]) - sum_abs - 2.0 * sum_log
-
-    def newton(x):
-        szu, g_b, szzw, h_ab, sw = sums
+        sum_abs, sum_log, szu, g_b, szzw, h_ab, sw = _halves(part, z, t, u, w)
         g_a = n / x[0] - szu
         h_aa = -n / (x[0] * x[0]) - szzw
         h_bb = -sw
         det = h_aa * h_bb - h_ab * h_ab
-        return (h_ab * g_b - h_bb * g_a) / det, (h_ab * g_a - h_aa * g_b) / det
+        ll = -n * math.log(1.0 / x[0]) - sum_abs - 2.0 * sum_log
+        return ll, ((h_ab * g_b - h_bb * g_a) / det, (h_ab * g_a - h_aa * g_b) / det)
 
-    a, b = _newton_ascent((a, b), n, newton, loglik, "Logistic")
+    a, b = _newton_ascent((a, b), n, evaluate, "Logistic")
     return b / a, 1.0 / a
 
 

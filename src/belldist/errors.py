@@ -2,7 +2,8 @@
 
 Public functions raise these instead of bare ValueError so callers (and the
 CLI exit-code mapping) can distinguish contract violations from bugs.  The
-two argument checks that nearly every module shares live here too.
+argument rules that the modules share live here too: counts and array
+sizes, real numbers and real arrays, and intervals (0, high).
 """
 
 import math
@@ -52,13 +53,53 @@ def _check_count(value, name: str, low: int = 0) -> None:
         raise DomainError(f"{name} must be >= {low}, got {value}")
 
 
-def _check_positive(value, name: str) -> None:
-    # a scale, step size or temperature: NaN, 0 and +-inf all fail, and so
-    # does a value that does not compare with a float (a str, None); that
-    # failure is caught, not tested for first, so a number pays nothing extra
+def _check_elements(count: int, name: str) -> None:
+    # numpy refuses 2**60 eight-byte elements or more with a bare ValueError
+    # ("array is too big"), not the MemoryError of a failed allocation
+    if count >= 1 << 60:
+        raise DomainError(f"{name} asks for {count} array elements; numpy's limit is 2**60 - 1")
+
+
+def _as_real(value, name: str) -> float:
+    # value as a float; float() also reads a str ("0.5"), which is no number
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
+def _real_array(values, name: str, ndim: int = 1, frozen: bool = False,
+                finite: bool = False) -> np.ndarray:
+    # values as a non-empty float64 array of ndim dimensions, with frozen a
+    # read-only copy (the caller's array stays writable); a dtype other than
+    # bool, int or float, such as a str "1.5", is refused
     try:
-        if 0.0 < value < math.inf:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        raise DomainError(f"{name} must hold real numbers (bool, int or float)")
+    if arr.ndim != ndim or arr.size == 0:
+        raise DomainError(f"{name} must be a non-empty {ndim}-D array")
+    arr = arr.astype(float, copy=frozen)
+    if finite and not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite")
+    if frozen:
+        arr.setflags(write=False)
+    return arr
+
+
+def _check_positive(value, name: str, high: float = math.inf, closed: bool = False) -> None:
+    # value in (0, high), or (0, high] when closed; a value that does not
+    # compare with a float (a str, None) fails too, caught rather than tested
+    # for first, so a number pays nothing extra
+    try:
+        if 0.0 < value < high or (closed and value == high):
             return
     except (TypeError, ValueError):
-        raise DomainError(f"{name} must be finite and positive, got {value!r}") from None
-    raise DomainError(f"{name} must be finite and positive, got {value}")
+        pass
+    if high == math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")
+    raise DomainError(f"{name} must lie in (0, {high:g}{']' if closed else ')'}, got {value!r}")

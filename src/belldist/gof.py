@@ -13,7 +13,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import DistSpec, Family, SampleBatch
-from .errors import DegenerateDataError, _check_count
+from .errors import DegenerateDataError, _check_count, _check_elements
 
 
 # Batches above _KS_DIRECT points are cut into blocks of _KS_BLOCK sorted
@@ -107,6 +107,7 @@ def histogram_fit_metrics(
     if float(values.max() - values.min()) == 0.0:
         raise DegenerateDataError("histogram metrics require data with spread")
     _check_count(n_bins, "n_bins", 2)
+    _check_elements(n_bins + 1, "n_bins")  # the bin edges
     heights, edges = np.histogram(values, bins=int(n_bins), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     model = np.asarray(dist.pdf(d, centers))

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .distributions import EULER_MASCHERONI, DistSpec, Family, _logsumexp
-from .errors import DomainError, ScaleMismatchError, _check_positive
+from .errors import DomainError, ScaleMismatchError, _as_real, _check_positive
 
 # Constant from bounding int exp(-(2x+e^-x)) dx piecewise over
 # (-inf,-5], [-5,0], [0,inf):  20/e^2 + 10*exp(-sqrt(e)) + 1/2 - 1/(2e).
@@ -76,6 +76,7 @@ def gumbel_exp_moment_bounds(a: float) -> tuple[float, float]:
     finite in float64 (NaN, an infinity, a below about -708 or above about
     3.6e307) raises ``DomainError``.
     """
+    a = _as_real(a, "a")
     try:
         e = math.exp(-a)
     except OverflowError:
@@ -136,9 +137,8 @@ def kl_numeric(a: float, b: float, gamma: float) -> float:
     the float64 range raises DomainError.
     """
     _check_positive(b, "scale b")
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
-    a_star = a / b
+    _check_positive(gamma, "gamma", 1.0)
+    a_star = _as_real(a, "a") / b
     if not math.isfinite(a_star):
         raise DomainError(f"a/b must be finite, got {a_star}")
     exponent = (1.0 - gamma) * a_star + math.lgamma(1.0 + gamma)
@@ -163,7 +163,7 @@ def kl_bound(a_star: float, gamma: float) -> KlBoundReport:
     derivation assumes), which is why the report exposes both numbers instead
     of asserting the comparison.
     """
-    numeric = kl_numeric(a_star, 1.0, gamma)  # checks gamma and a_star
+    numeric = kl_numeric(_as_real(a_star, "a_star"), 1.0, gamma)  # checks gamma and a_star
     v = EULER_MASCHERONI
     if a_star > 0:
         branch = KlBranch.A_POSITIVE

@@ -6,8 +6,8 @@ mean(t + 2*log(1 + exp(-t))) at t = err/sigma.  It is an even, convex
 function of each error, minimized at zero with value log 4, with gradient
 bounded by 1/(N*sigma).  Near zero it tracks log4 + mse_loss/2 up to a
 quartic remainder.  ``mse_loss`` keeps the matching Normal convention
-mean(err^2 / 2).  A loss, or a gradient bound, beyond float64 raises
-``DomainError`` naming the function, without a numpy warning.
+mean(err^2 / 2).  A NaN error, or a loss or gradient bound beyond float64,
+raises ``DomainError`` naming the function, without a numpy warning.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_positive
+from .errors import DomainError, _check_positive, _real_array
 
 LN4 = math.log(4.0)
 
@@ -33,28 +33,23 @@ class LossConfig:
         _check_positive(self.sigma, "sigma")
 
 
-def _as_errors(errors) -> np.ndarray:
-    arr = np.asarray(errors, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("errors must be a non-empty 1-D vector")
-    return arr
-
-
 def _finite_mean(terms: np.ndarray, name: str, sigma=None) -> float:
     # the mean of non-negative terms; one that overflows float64, in a term or
     # in the sum, raises DomainError (the terms were formed with overflow
-    # warnings off)
+    # warnings off), and so does a NaN term, which makes the mean NaN
     with np.errstate(over="ignore"):
         value = float(np.mean(terms))
     if value == math.inf:
         at = "" if sigma is None else f" at sigma = {sigma}"
         raise DomainError(f"{name} overflows float64{at}")
+    if math.isnan(value):
+        raise DomainError(f"{name}: errors must not be NaN")
     return value
 
 
 def mse_loss(errors) -> float:
     """mean(err^2) / 2."""
-    arr = _as_errors(errors)
+    arr = _real_array(errors, "errors")
     with np.errstate(over="ignore"):
         terms = 0.5 * arr * arr
     return _finite_mean(terms, "mse_loss")
@@ -74,7 +69,7 @@ def _lloss_terms(t: np.ndarray) -> np.ndarray:
 
 def l_loss(errors, cfg: LossConfig = LossConfig()) -> float:
     """mean(err/sigma + 2*log(1 + exp(-err/sigma))), computed stably."""
-    arr = _as_errors(errors)
+    arr = _real_array(errors, "errors")
     with np.errstate(over="ignore"):
         t = arr / cfg.sigma
     return _finite_mean(_lloss_terms(t), "l_loss", cfg.sigma)
@@ -107,11 +102,11 @@ def l_loss_grad(errors, cfg: LossConfig = LossConfig()) -> np.ndarray:
 
     Bounded by 1/(N*sigma) in magnitude, unlike the mse_loss gradient.  An
     err/(2*sigma) beyond float64 saturates tanh at exactly +-1; a bound
-    1/(N*sigma) beyond float64 raises DomainError.
+    1/(N*sigma) beyond float64, or an error that is NaN, raises DomainError.
     """
-    arr = _as_errors(errors)
+    arr = _real_array(errors, "errors")
+    if np.isnan(arr).any():
+        raise DomainError("l_loss_grad: errors must not be NaN")
     scale = _l_loss_grad_scale(arr.size, cfg.sigma)
-    if 2.0 * cfg.sigma >= 1.0:  # err/(2*sigma) cannot leave float64's range
-        return _l_loss_grad_kernel(arr, cfg.sigma, scale)
     with np.errstate(over="ignore"):
         return _l_loss_grad_kernel(arr, cfg.sigma, scale)

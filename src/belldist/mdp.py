@@ -23,7 +23,8 @@ from .distributions import (
     quantile,
     uniform_open,
 )
-from .errors import ConvergenceError, DomainError, _check_count, _check_positive
+from .errors import (ConvergenceError, DomainError, _as_real, _check_count, _check_elements,
+                     _check_positive, _real_array)
 
 TERMINAL = -1
 
@@ -38,7 +39,8 @@ class TabularMdp:
     """Finite MDP with a deterministic transition function.
 
     transition[s, a] is the unique successor state (or TERMINAL); reward[s, a]
-    is the immediate reward; gamma is the discount in (0, 1).
+    is the immediate reward (both kept as read-only copies); gamma is the
+    discount in (0, 1).
     """
 
     n_states: int
@@ -50,19 +52,18 @@ class TabularMdp:
     def __post_init__(self):
         _check_count(self.n_states, "n_states", 1)
         _check_count(self.n_actions, "n_actions", 1)
-        trans = np.asarray(self.transition, dtype=np.int64)
-        rew = np.asarray(self.reward, dtype=float)
+        trans = np.asarray(self.transition)
+        rew = _real_array(self.reward, "reward", ndim=2, frozen=True, finite=True)
         shape = (self.n_states, self.n_actions)
         if trans.shape != shape or rew.shape != shape:
             raise DomainError(f"transition/reward must have shape {shape}")
-        if not np.all((trans == TERMINAL) | ((trans >= 0) & (trans < self.n_states))):
-            raise DomainError("transition entries must be valid states or TERMINAL")
-        if not np.all(np.isfinite(rew)):
-            raise DomainError("rewards must be finite")
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
+        # integers only: an int64 cast would truncate 0.5 to state 0
+        if trans.dtype.kind not in "iu" or not np.all(
+                (trans == TERMINAL) | ((trans >= 0) & (trans < self.n_states))):
+            raise DomainError("transition entries must be integers: valid states or TERMINAL")
+        trans = trans.astype(np.int64)
+        _check_positive(self.gamma, "gamma", 1.0)
         trans.setflags(write=False)
-        rew.setflags(write=False)
         object.__setattr__(self, "transition", trans)
         object.__setattr__(self, "reward", rew)
 
@@ -103,10 +104,7 @@ class QTable:
     iteration: int = 0
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2:
-            raise DomainError("QTable values must be 2-D (states x actions)")
-        vals.setflags(write=False)
+        vals = _real_array(self.values, "QTable values", ndim=2, frozen=True)
         object.__setattr__(self, "values", vals)
 
 
@@ -235,7 +233,7 @@ def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPr
     DomainError.
     """
     _check_count(t, "iteration index", 1)
-    if not math.isfinite(c1):
+    if not math.isfinite(_as_real(c1, "c1")):
         raise DomainError(f"c1 must be finite, got {c1}")
     _check_positive(beta1, "beta1")
     beta_t = beta1 * mdp.gamma ** (t - 1)
@@ -276,6 +274,7 @@ def make_chain(n_states: int) -> TabularMdp:
     """Chain with two actions: FORWARD earns 1 and advances (the last state
     terminates); STAY earns 0 and self-loops.  Optimal policy: FORWARD."""
     _check_count(n_states, "n_states", 2)
+    _check_elements(2 * n_states, "n_states")
     transition = np.empty((n_states, 2), dtype=np.int64)
     reward = np.zeros((n_states, 2))
     for s in range(n_states):

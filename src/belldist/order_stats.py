@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistSpec, Family, _halves
-from .errors import DomainError, _check_count
+from .errors import DomainError, _check_count, _check_elements
 
 
 # Kernels walk their arrays in blocks of this many elements, so that every
@@ -53,6 +53,7 @@ def _harmonic_table(n: int) -> np.ndarray:
     The returned prefix is a read-only view.
     """
     global _HARMONIC
+    _check_elements(n + 1, "n")
     table, carry = _HARMONIC
     if n >= table.size:
         grown = np.empty(n + 1)
@@ -185,6 +186,7 @@ def sampling_error(n: int, a: float = 0.0, b: float = 1.0) -> SamplingErrorRepor
             np.multiply(c, c, out=c)
             d *= c
             seg += d
+        return ()
 
     _halves(fill, segments)
     middle = 1.0 / n - math.tanh(1.0 / n) if n % 2 == 0 else 0.0

@@ -18,24 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _logsumexp
-from .errors import DomainError, PreconditionError, _check_positive
+from .errors import DomainError, PreconditionError, _check_positive, _real_array
 
 
 @dataclass(frozen=True)
 class RewardSample:
-    """A batch of successor-action rewards with the error temperature beta."""
+    """A read-only copy of successor-action rewards, and the temperature beta."""
 
     rewards: np.ndarray
     beta: float
 
     def __post_init__(self):
-        r = np.asarray(self.rewards, dtype=float)
-        if r.ndim != 1 or r.size == 0:
-            raise DomainError("rewards must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(r)):
-            raise DomainError("rewards must be finite")
+        r = _real_array(self.rewards, "rewards", frozen=True, finite=True)
         _check_positive(self.beta, "beta")
-        r.setflags(write=False)
         object.__setattr__(self, "rewards", r)
         object.__setattr__(self, "beta", float(self.beta))
 
@@ -142,10 +137,8 @@ class ScalingCurve:
 
 
 def scaling_curve(sample: RewardSample, phi_grid) -> ScalingCurve:
-    """Evaluate expected_error over a positive, strictly increasing grid."""
-    grid = np.asarray(phi_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("phi grid must be a non-empty 1-D vector")
+    """Evaluate expected_error over a positive, strictly increasing grid (copied)."""
+    grid = _real_array(phi_grid, "phi grid", frozen=True)
     if not np.all((grid > 0) & (grid < math.inf)):
         raise DomainError("phi grid entries must be finite and positive")
     if np.any(np.diff(grid) <= 0):

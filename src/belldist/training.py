@@ -62,8 +62,7 @@ class TrainConfig:
             _check_count(getattr(self, name), name, 1)
         for name in ("lr", "sigma", "reward_scale"):
             _check_positive(getattr(self, name), name)
-        if not 0.0 < self.tau <= 1.0:
-            raise DomainError("tau must lie in (0, 1]")
+        _check_positive(self.tau, "tau", 1.0, closed=True)
         _check_seed(self.seed)
         if self.approximator not in ("tabular", "mlp"):
             raise DomainError("approximator must be 'tabular' or 'mlp'")
@@ -86,17 +85,6 @@ class TrainLog:
     @property
     def final_policy(self) -> np.ndarray:
         return np.argmax(self.final_q, axis=1)
-
-    def equals(self, other: "TrainLog") -> bool:
-        return (
-            np.array_equal(self.rewards, other.rewards)
-            and len(self.bellman_errors) == len(other.bellman_errors)
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.bellman_errors, other.bellman_errors)
-            )
-            and np.array_equal(self.final_q, other.final_q)
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,17 @@ def ks_against(values: np.ndarray, law: DistSpec) -> float:
     return ks_statistic(SampleBatch(np.asarray(values, dtype=float)), law)
 
 
+def logs_equal(a, b) -> bool:
+    """Whether two ``TrainLog``s hold the same bits: rewards, every epoch's
+    Bellman errors and the final Q table."""
+    return (
+        np.array_equal(a.rewards, b.rewards)
+        and len(a.bellman_errors) == len(b.bellman_errors)
+        and all(np.array_equal(x, y) for x, y in zip(a.bellman_errors, b.bellman_errors))
+        and np.array_equal(a.final_q, b.final_q)
+    )
+
+
 def mdp_json(mdp: TabularMdp) -> str:
     """``mdp`` in the JSON schema that ``TabularMdp.from_json`` reads."""
     return json.dumps(

@@ -115,6 +115,23 @@ def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sampling-error", "--n", str(2**60)],
+    ["normal-max", "--n", "256", "--mc", str(2**60)],
+    ["train", "--env", f"chain:{2**62}"],
+    ["train", "--env", f"dag:3,{2**61}"],
+    ["fit", "--input", "{values}", "--bins", str(2**60)],
+], ids=["sampling-error-n", "normal-max-mc", "train-chain", "train-dag", "fit-bins"])
+def test_size_beyond_numpys_array_limit_exit_code_one(tmp_path, capsys, argv):
+    # from 2**60 float64 elements numpy raises a bare ValueError ("array is
+    # too big"), not the MemoryError that main maps; that gave a traceback
+    values = write_values(tmp_path / "values.csv", [0.5, 1.5, 2.5])
+    argv = [a.replace("{values}", values) for a in argv]
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_failed_command_writes_nothing(tmp_path):
     # the run fails in TrainConfig, after argument parsing: --out must not appear
     out = tmp_path / "D"

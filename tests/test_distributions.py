@@ -227,9 +227,9 @@ def test_halves_split_where_numpy_sum_splits_property(n, seed, decades):
     # fails here before it moves any fit
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(n) * 10.0 ** rng.uniform(-decades, decades, n)
-    lower, upper = distributions._halves(lambda start, part: (start, float(np.sum(part))), a)
-    assert lower[0] == 0 and upper[0] == n // 2 - (n // 2) % 8
-    assert lower[1] + upper[1] == float(np.sum(a))
+    starts, total = distributions._halves(lambda start, part: (start, float(np.sum(part))), a)
+    assert starts == n // 2 - (n // 2) % 8  # 0 for the lower half, h for the upper
+    assert total == float(np.sum(a))
 
 
 @pytest.mark.parametrize("stream", [0, 1, 2])
@@ -310,7 +310,7 @@ def test_worker_holds_no_array_after_its_half():
     # call (which showed as 2 MB more peak memory over 1e5-point fits)
     a = np.ones(distributions._PARALLEL_MIN)
     alive = weakref.ref(a)
-    distributions._halves(lambda start, part: float(part.sum()), a)
+    distributions._halves(lambda start, part: (float(part.sum()),), a)
     del a
     deadline = time.monotonic() + 10.0
     while alive() is not None and time.monotonic() < deadline:
@@ -489,18 +489,26 @@ def test_fit_logistic_cauchy_reaches_scipy_loglik(n):
         assert ours == pytest.approx(-24288.5041691, abs=1e-7)
 
 
-def test_fit_logistic_line_search_failure_raises(monkeypatch):
-    # every trial point scores -inf, so no halving keeps the log-likelihood
+def _scoring(monkeypatch, score):
+    # wraps every fit's evaluate(x) -> (log-likelihood, step): score(ll)
+    # replaces the log-likelihood, and each evaluation is counted
     real = distributions._newton_ascent
     calls = []
 
-    def start_only(x, n, newton, loglik, name):
+    def ascent(x, n, evaluate, name):
         def scored(p):
             calls.append(None)
-            return loglik(p) if len(calls) == 1 else -math.inf
-        return real(x, n, newton, scored, name)
+            ll, step = evaluate(p)
+            return score(ll, len(calls)), step
+        return real(x, n, scored, name)
 
-    monkeypatch.setattr(distributions, "_newton_ascent", start_only)
+    monkeypatch.setattr(distributions, "_newton_ascent", ascent)
+    return calls
+
+
+def test_fit_logistic_line_search_failure_raises(monkeypatch):
+    # every trial point scores -inf, so no halving keeps the log-likelihood
+    calls = _scoring(monkeypatch, lambda ll, k: ll if k == 1 else -math.inf)
     batch = sample(DistSpec(Family.NORMAL, 0.3, 1.2), 1000, seed=1)
     with pytest.raises(ConvergenceError, match="line search"):
         fit_mle(Family.LOGISTIC, batch)
@@ -510,16 +518,7 @@ def test_fit_logistic_line_search_failure_raises(monkeypatch):
 def test_fit_gumbel_line_search_failure_raises(monkeypatch):
     # every trial point scores -inf, so no halving keeps the profile
     # log-likelihood; the Gumbel fit runs the same line search as the Logistic
-    real = distributions._newton_ascent
-    calls = []
-
-    def start_only(x, n, newton, loglik, name):
-        def scored(p):
-            calls.append(None)
-            return loglik(p) if len(calls) == 1 else -math.inf
-        return real(x, n, newton, scored, name)
-
-    monkeypatch.setattr(distributions, "_newton_ascent", start_only)
+    calls = _scoring(monkeypatch, lambda ll, k: ll if k == 1 else -math.inf)
     batch = sample(DistSpec(Family.NORMAL, 0.3, 1.2), 1000, seed=1)
     with pytest.raises(ConvergenceError, match="Gumbel MLE line search"):
         fit_mle(Family.GUMBEL, batch)
@@ -530,17 +529,8 @@ def test_fit_logistic_stops_at_float64_resolution(monkeypatch):
     # Logistic fit to Normal data: the last Newton steps change the
     # log-likelihood by less than its rounding; they are taken, not halved
     # down to nothing (that took 23 evaluations)
-    real = distributions._newton_ascent
-    calls = []
-
-    def counting(x, n, newton, loglik, name):
-        def scored(p):
-            calls.append(None)
-            return loglik(p)
-        return real(x, n, newton, scored, name)
-
     batch = sample(DistSpec(Family.NORMAL, 0.3, 1.2), 100_000, seed=1)
-    monkeypatch.setattr(distributions, "_newton_ascent", counting)
+    calls = _scoring(monkeypatch, lambda ll, k: ll)
     fit_mle(Family.LOGISTIC, batch)
     assert len(calls) <= 6
 
@@ -564,6 +554,25 @@ def test_fit_bits_independent_of_blas_threads():
         outs.append(done.stdout)
     assert outs[0] == outs[1]
     assert len(outs[0].split()) == 4
+
+
+# SHA-256 over the (location, scale) bits of 288 Gumbel and Logistic fits:
+# samples of each family and Cauchy data, on both sides of _PARALLEL_MIN,
+# taken before the Newton passes returned their own steps.
+FIT_BITS_SHA256 = "3586a477a1af07fab541f50cf45ee83871c9ac4e9ecb5d3cda29ee3340af6f68"
+
+
+def test_fit_bits_pinned():
+    digest = hashlib.sha256()
+    for n in (16, 256, 1000, 2**15 - 1, 2**15, 100_000):
+        for seed in range(6):
+            batches = [sample(DistSpec(f, 0.3, 1.2), n, seed) for f in Family]
+            batches.append(SampleBatch(np.tan(math.pi * (uniform_open(seed, n, stream=1) - 0.5))))
+            for batch in batches:
+                for family in (Family.GUMBEL, Family.LOGISTIC):
+                    fitted = fit_mle(family, batch)
+                    digest.update(np.array([fitted.location, fitted.scale]).tobytes())
+    assert digest.hexdigest() == FIT_BITS_SHA256
 
 
 @pytest.mark.parametrize("family", [Family.GUMBEL, Family.LOGISTIC])
