@@ -150,19 +150,13 @@ def cmd_fit(args) -> dict[str, str]:
             bins = int(args.bins)
         except ValueError as exc:
             raise BelldistError(f"--bins must be 'fd' or an integer, got {args.bins!r}") from exc
-    reports = gof.rank_families(data, n_bins=bins)
-    text = _json([r.to_dict() for r in reports])
+    rows = [r.to_dict() for r in gof.rank_families(data, n_bins=bins)]
+    text = _json(rows)
     print(text)
+    header = ["family", "r2", "sse", "rmse", "ks", "location", "scale", "n_bins", "n_samples"]
     return {
         "fit_reports.json": text + "\n",
-        "fit_summary.csv": _csv(
-            ["family", "r2", "sse", "rmse", "ks", "location", "scale", "n_bins", "n_samples"],
-            zip(*[
-                (r.family.value, r.r2, r.sse, r.rmse, r.ks, r.params.location,
-                 r.params.scale, r.n_bins, r.n_samples)
-                for r in reports
-            ]),
-        ),
+        "fit_summary.csv": _csv(header, [[row[k] for row in rows] for k in header]),
     }
 
 
@@ -269,17 +263,8 @@ def cmd_compare(args) -> dict[str, str]:
     env = parse_env(args.env, seed=args.seed)
     seeds = _int_list(args.seeds, "--seeds")
     base = _train_config(args)
-    result = compare_losses(env, base, seeds)
-    payload = {
-        "per_seed_mse": result.per_seed_mse.tolist(),
-        "per_seed_lloss": result.per_seed_lloss.tolist(),
-        "mean_mse": result.mean_mse,
-        "mean_lloss": result.mean_lloss,
-        "enhancement": result.enhancement,
-        "logistic_vs_normal_wins": result.logistic_vs_normal_wins,
-        "comparisons": result.comparisons,
-    }
-    text = _json(payload)
+    payload = asdict(compare_losses(env, base, seeds))
+    text = _json({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()})
     print(text)
     return {"comparison.json": text + "\n"}
 

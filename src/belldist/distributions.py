@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ConvergenceError, DegenerateDataError, DomainError, _as_real, _check_count,
-                     _check_elements, _check_positive, _real_array)
+                     _check_elements, _check_positive, _real_array, _real_values)
 
 # Euler-Mascheroni constant; the mean of a standard Gumbel is exactly this.
 EULER_MASCHERONI = 0.57721566490153286061
@@ -104,7 +104,7 @@ def pdf(d: DistSpec, x):
     # z overflows to +-inf far out in either tail, and so does the Gumbel
     # exp(-z) in the left tail: the density there is exactly 0
     with np.errstate(over="ignore"):
-        z = (np.asarray(x, dtype=float) - d.location) / d.scale
+        z = (_real_values(x, "x") - d.location) / d.scale
         if d.family is Family.GUMBEL:
             # below -1e3 the density is already 0; the clip keeps z = -inf
             # from meeting exp(-z) = inf in a NaN
@@ -126,7 +126,7 @@ def cdf(d: DistSpec, x):
     # z is formed once, in a fresh array, and each transform writes into it;
     # z overflows to +-inf far out in either tail, and so does the Gumbel
     # exp(-z) in the left tail: the CDF there is exactly 0 or 1
-    x = np.asarray(x, dtype=float)
+    x = _real_values(x, "x")
     with np.errstate(over="ignore"):
         z = np.subtract(x, d.location, out=np.empty(x.shape))
         z /= d.scale
@@ -146,7 +146,7 @@ def quantile(d: DistSpec, p):
     """Inverse CDF of ``d``; defined for p strictly inside (0, 1)."""
     from scipy.special import logit, ndtri
 
-    p_arr = np.asarray(p, dtype=float)
+    p_arr = _real_values(p, "p")
     # min and max are NaN when any p is, and then both tests fail
     if p_arr.size and not (0.0 < p_arr.min() and p_arr.max() < 1.0):
         raise DomainError("quantile requires 0 < p < 1")
@@ -332,29 +332,32 @@ def sample(d: DistSpec, n: int, seed: int) -> SampleBatch:
 _MAX_NEWTON = 200
 
 
-def _logistic_sums(t: np.ndarray, a: np.ndarray, e: np.ndarray) -> tuple[float, float]:
-    # sum |t| and sum log(1 + exp(-|t|)) over the standardised residuals
-    # t = (x - loc) / scale, with a and e scratch arrays of t's shape.  The
-    # Logistic log-likelihood is -n log(scale) - sum|t| - 2 sum log(1 +
-    # exp(-|t|)): -t - 2 log(1+exp(-t)) written in the overflow-safe even
-    # form.
+def _logistic_terms(t: np.ndarray, a: np.ndarray, e: np.ndarray) -> None:
+    # a = |t| and e = log(1 + exp(-|t|)) at the standardised residuals
+    # t = (x - loc) / scale, into arrays of t's shape (a may be t itself).
+    # The Logistic log-density is -log(scale) - a - 2 e: -t - 2 log(1 +
+    # exp(-t)) written in the overflow-safe even form.  The likelihood sums
+    # the two arrays; losses.l_loss averages a + 2 e.
     np.abs(t, out=a)
     np.negative(a, out=e)
     np.exp(e, out=e)
     np.log1p(e, out=e)
-    return float(a.sum()), float(e.sum())
 
 
 def log_likelihood(d: DistSpec, data: np.ndarray) -> float:
     """Total log-likelihood of ``data`` under ``d``."""
     # z overflows to +-inf far out in either tail, and so does the Gumbel
     # exp(-z) in the left tail; the exact value there is -inf
+    x = _real_values(data, "data")
     with np.errstate(over="ignore"):
-        z = (np.asarray(data, dtype=float) - d.location) / d.scale
+        # formed in a fresh array, which the Logistic terms may overwrite
+        z = np.subtract(x, d.location, out=np.empty(x.shape))
+        z /= d.scale
         n = z.size
         if d.family is Family.LOGISTIC:
-            sum_abs, sum_log = _logistic_sums(z, np.empty_like(z), np.empty_like(z))
-            return -n * math.log(d.scale) - sum_abs - 2.0 * sum_log
+            e = np.empty_like(z)
+            _logistic_terms(z, z, e)  # z becomes |z|
+            return -n * math.log(d.scale) - float(z.sum()) - 2.0 * float(e.sum())
         if d.family is Family.GUMBEL:
             # an infinite exp(-z) sum decides, even where -sum(z) is +inf
             tail = float(np.sum(np.exp(-z)))
@@ -461,7 +464,8 @@ def _fit_logistic_std(z: np.ndarray) -> tuple[float, float]:
         def part(_, zh, th, uh, wh):
             np.multiply(zh, x[0], out=th)
             np.subtract(th, x[1], out=th)
-            ll_sums = _logistic_sums(th, uh, wh)
+            _logistic_terms(th, uh, wh)
+            ll_sums = float(uh.sum()), float(wh.sum())
             np.multiply(th, 0.5, out=uh)
             np.tanh(uh, out=uh)
             np.multiply(uh, uh, out=wh)

@@ -70,20 +70,27 @@ def _as_real(value, name: str) -> float:
     raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
-def _real_array(values, name: str, ndim: int = 1, frozen: bool = False,
-                finite: bool = False) -> np.ndarray:
-    # values as a non-empty float64 array of ndim dimensions, with frozen a
-    # read-only copy (the caller's array stays writable); a dtype other than
-    # bool, int or float, such as a str "1.5", is refused
+def _real_values(values, name: str, copy: bool = False) -> np.ndarray:
+    # values, of any shape, as a float64 array; a float64 array comes back as
+    # it is, neither copied (unless copy) nor scanned.  A dtype other than
+    # bool, int or float, such as a str "1.5", an object, a complex number or
+    # ragged nesting, is refused
     try:
         arr = np.asarray(values)
     except (TypeError, ValueError):  # ragged nesting
         arr = None
     if arr is None or arr.dtype.kind not in "biuf":
         raise DomainError(f"{name} must hold real numbers (bool, int or float)")
+    return arr.astype(float, copy=copy)
+
+
+def _real_array(values, name: str, ndim: int = 1, frozen: bool = False,
+                finite: bool = False) -> np.ndarray:
+    # values as a non-empty float64 array of ndim dimensions, with frozen a
+    # read-only copy (the caller's array stays writable)
+    arr = _real_values(values, name, copy=frozen)
     if arr.ndim != ndim or arr.size == 0:
         raise DomainError(f"{name} must be a non-empty {ndim}-D array")
-    arr = arr.astype(float, copy=frozen)
     if finite and not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
     if frozen:

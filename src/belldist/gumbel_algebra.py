@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .distributions import EULER_MASCHERONI, DistSpec, Family, _logsumexp
-from .errors import DomainError, ScaleMismatchError, _as_real, _check_positive
+from .errors import DomainError, ScaleMismatchError, _as_real, _check_positive, _real_values
 
 # Constant from bounding int exp(-(2x+e^-x)) dx piecewise over
 # (-inf,-5], [-5,0], [0,inf):  20/e^2 + 10*exp(-sqrt(e)) + 1/2 - 1/(2e).
@@ -43,7 +43,7 @@ def gumbel_max(locations, beta: float) -> DistSpec:
     computed with max-subtraction so large location/beta ratios cannot
     overflow; a ratio beyond float64 itself raises DomainError.
     """
-    locs = np.asarray(locations, dtype=float)
+    locs = _real_values(locations, "locations")
     if locs.size == 0:
         raise DomainError("gumbel_max requires at least one location")
     _check_positive(beta, "beta")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _logistic_terms
 from .errors import DomainError, _check_positive, _real_array
 
 LN4 = math.log(4.0)
@@ -55,24 +56,19 @@ def mse_loss(errors) -> float:
     return _finite_mean(terms, "mse_loss")
 
 
-def _lloss_terms(t: np.ndarray) -> np.ndarray:
-    # t + 2*log(1+exp(-t)) is even in t; evaluating at |t| avoids overflow
-    # for large negative t and keeps the large-|t| asymptote exact.
-    at = np.abs(t)
-    e = np.negative(at)
-    np.exp(e, out=e)
-    np.log1p(e, out=e)
-    e *= 2.0
-    e += at
-    return e
-
-
 def l_loss(errors, cfg: LossConfig = LossConfig()) -> float:
     """mean(err/sigma + 2*log(1 + exp(-err/sigma))), computed stably."""
     arr = _real_array(errors, "errors")
     with np.errstate(over="ignore"):
         t = arr / cfg.sigma
-    return _finite_mean(_lloss_terms(t), "l_loss", cfg.sigma)
+    # the Logistic likelihood's terms, t turned into |t|: the even form
+    # cannot overflow for large negative t and keeps the large-|t| asymptote
+    # exact
+    e = np.empty_like(t)
+    _logistic_terms(t, t, e)
+    e *= 2.0
+    e += t
+    return _finite_mean(e, "l_loss", cfg.sigma)
 
 
 def _l_loss_grad_scale(n: int, sigma: float) -> float:

@@ -52,10 +52,13 @@ class TabularMdp:
     def __post_init__(self):
         _check_count(self.n_states, "n_states", 1)
         _check_count(self.n_actions, "n_actions", 1)
-        trans = np.asarray(self.transition)
+        try:
+            trans = np.asarray(self.transition)
+        except (TypeError, ValueError):  # ragged nesting has no shape
+            trans = None
         rew = _real_array(self.reward, "reward", ndim=2, frozen=True, finite=True)
         shape = (self.n_states, self.n_actions)
-        if trans.shape != shape or rew.shape != shape:
+        if trans is None or trans.shape != shape or rew.shape != shape:
             raise DomainError(f"transition/reward must have shape {shape}")
         # integers only: an int64 cast would truncate 0.5 to state 0
         if trans.dtype.kind not in "iu" or not np.all(
@@ -259,6 +262,7 @@ def make_example1(n_actions: int = EXAMPLE1_ACTIONS) -> TabularMdp:
     """Five-state feed-forward benchmark: every action at state i moves to
     state i+1 (the last state ends the episode) with constant reward 1."""
     _check_count(n_actions, "n_actions", 1)
+    _check_elements(EXAMPLE1_STATES * n_actions, "n_actions")
     n_states = EXAMPLE1_STATES
     transition = np.empty((n_states, n_actions), dtype=np.int64)
     for s in range(n_states):

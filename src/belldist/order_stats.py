@@ -113,9 +113,7 @@ def order_stat_expectation(n: int, i: int, a: float, b: float) -> float:
 @dataclass(frozen=True)
 class SamplingErrorReport:
     n: int
-    s_e: float
-    bias: float
-    variance: float  # identically zero: the expected empirical CDF is deterministic
+    s_e: float  # all bias: the expected empirical CDF is deterministic, so no variance
 
 
 def _point_terms(h: np.ndarray, e: np.ndarray, cdf: np.ndarray) -> None:
@@ -193,4 +191,4 @@ def sampling_error(n: int, a: float = 0.0, b: float = 1.0) -> SamplingErrorRepor
     # E_n - E_1 = H_{n-1} - (-H_{n-1}), exact in floating point since H_0 = 0;
     # the factor 2 of the width cancels the one of the two mirrored halves
     s_e = float((np.sum(segments) + 0.5 * middle) / tab[n - 1])
-    return SamplingErrorReport(n=n, s_e=s_e, bias=s_e, variance=0.0)
+    return SamplingErrorReport(n=n, s_e=s_e)

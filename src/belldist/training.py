@@ -40,15 +40,16 @@ class TrainConfig:
     tau: float = 0.005
     reward_scale: float = 1.0
     epochs: int = 200
-    replay_capacity: int = 10_000
     early_stop_patience: int = 50
     approximator: str = "tabular"  # "tabular" | "mlp"
     seed: int = 0
 
     # fixed schedule, not fields: environment steps and gradient updates per
-    # epoch, the ends of the linear epsilon-greedy decay, the MLP's width
+    # epoch, the replay ring's size, the ends of the linear epsilon-greedy
+    # decay, the MLP's width
     steps_per_epoch: ClassVar[int] = 64
     updates_per_epoch: ClassVar[int] = 16
+    replay_capacity: ClassVar[int] = 10_000
     epsilon_start: ClassVar[float] = 1.0
     epsilon_final: ClassVar[float] = 0.05
     hidden: ClassVar[int] = 32
@@ -58,7 +59,7 @@ class TrainConfig:
             raise DomainError(f"loss must be '{LOSS_MSE}' or '{LOSS_LLOSS}'")
         # counts: a float one fails deep inside numpy (batch_size and epochs
         # set array shapes and loop bounds) or, as a patience, runs silently
-        for name in ("batch_size", "epochs", "replay_capacity", "early_stop_patience"):
+        for name in ("batch_size", "epochs", "early_stop_patience"):
             _check_count(getattr(self, name), name, 1)
         for name in ("lr", "sigma", "reward_scale"):
             _check_positive(getattr(self, name), name)
@@ -196,34 +197,6 @@ def make_qfunc(env: TabularMdp, cfg: TrainConfig, rng: np.random.Generator) -> Q
     return MlpQ(env.n_states, env.n_actions, cfg.hidden, rng)
 
 
-def table_grad(cells, grad_out, shape: tuple[int, int]) -> np.ndarray:
-    """Fold per-sample d(loss)/dQ at flat cells ``s * A + a`` into an (S, A) table.
-
-    Each cell sums its samples in batch order, exactly as ``np.add.at`` does.
-    """
-    return np.bincount(cells, weights=grad_out, minlength=shape[0] * shape[1]).reshape(shape)
-
-
-def td_errors(q_table: np.ndarray, target_table: np.ndarray, cells, rewards: np.ndarray,
-              successors: np.ndarray, gamma: float, target_max: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
-    """Target-minus-estimate residuals at flat cells ``s * A + a``, written
-    into ``out``.
-
-    ``rewards`` and ``successors`` are the batch's scaled rewards and
-    successor states, gathered at ``cells`` from the MDP's tables; the MDP is
-    deterministic, so they fix a cell's target.  ``successor_max`` writes the
-    target's row maxima into ``target_max``, a buffer of S + 1 entries whose
-    last entry is 0, and applies the terminal rule to the successors, exactly
-    as ``bellman_step`` applies it to the whole table.  The residual is
-    ``rewards + gamma * next_max - Q[cells]``, rounded in that order.
-    """
-    np.multiply(gamma, successor_max(successors, target_table, target_max), out=out)
-    out += rewards
-    out -= q_table.reshape(-1)[cells]
-    return out
-
-
 def greedy_return(env: TabularMdp, policy: np.ndarray) -> float:
     """Undiscounted return of following ``policy`` (one action per state, the
     argmax of a Q table's rows) from state 0, over at most as many steps as
@@ -243,19 +216,25 @@ def make_update(env: TabularMdp, cfg: TrainConfig, qnet: QFunction, target_net: 
     """The gradient updates of ``run_training``, as a function of a block of
     flat cells ``s * A + a`` with one batch of ``batch_size`` cells per row.
 
-    For each row in turn, ``update(cells, errs)`` takes a descent step of
-    ``qnet`` on the batch's loss, then a Polyak step of ``target_net`` toward
-    ``qnet``, and writes the batch's TD errors into the same row of ``errs``.
-    It gathers the whole block's scaled rewards and successors at once.  It
-    does not look for divergence: ``run_training`` checks a whole epoch's
-    errors after its updates.
+    For each row in turn, ``update(cells, errs)`` writes the batch's TD
+    errors into the same row of ``errs``, takes a descent step of ``qnet`` on
+    the batch's loss, then a Polyak step of ``target_net`` toward ``qnet``.
+    It gathers the whole block's scaled rewards and successors at once; the
+    MDP is deterministic, so they fix a cell's target.  The TD error is
+    ``rewards + gamma * next_max - Q[cells]``, rounded in that order, where
+    ``successor_max`` applies the terminal rule exactly as ``bellman_step``
+    does.  The per-sample loss gradient is folded into an (S, A) table by
+    ``np.bincount``, which sums each cell's samples in batch order, as
+    ``np.add.at`` does.  ``update`` does not look for divergence:
+    ``run_training`` checks a whole epoch's errors after its updates.
 
     The per-run constants and buffers are made here, once: the scaled reward
-    table, the target-max buffer of ``td_errors`` and the loss gradient's
-    constants.  The gradient's sign is folded into its divisor, -N for the
-    squared error and -(N * sigma) for the Logistic loss, which gives the
-    same bits as negating the gradient; the Logistic gradient's bound is
-    checked here, not per update.
+    table, the target's row maxima (S + 1 entries, the last one 0, so
+    ``TERMINAL`` indexes it) and the loss gradient's constants.  The
+    gradient's sign is folded into its divisor, -N for the squared error and
+    -(N * sigma) for the Logistic loss, which gives the same bits as negating
+    the gradient; the Logistic gradient's bound is checked here, not per
+    update.
     """
     # scaling before the gather gives the same bits as scaling after it
     reward = env.reward.reshape(-1) * cfg.reward_scale
@@ -278,8 +257,11 @@ def make_update(env: TabularMdp, cfg: TrainConfig, qnet: QFunction, target_net: 
     def update(cells: np.ndarray, errs: np.ndarray) -> None:
         for batch, rewards, succ, out in zip(cells, reward[cells], successors[cells], errs):
             q_table, cache = qnet.forward()
-            td_errors(q_table, target_net.table(), batch, rewards, succ, gamma, target_max, out)
-            qnet.descend(qnet.grad(table_grad(batch, output_grad(out), q_shape), cache), lr)
+            np.multiply(gamma, successor_max(succ, target_net.table(), target_max), out=out)
+            out += rewards
+            out -= q_table.reshape(-1)[batch]
+            dq = np.bincount(batch, weights=output_grad(out), minlength=reward.size).reshape(q_shape)
+            qnet.descend(qnet.grad(dq, cache), lr)
             target_net.mix_from(qnet, tau)
 
     return update

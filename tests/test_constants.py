@@ -1,10 +1,10 @@
 """Settings the paper fixes are constants, not options.
 
 No keyword sets them any more, and each keeps the value it had as a default:
-the replay schedule and MLP width of training, the 0.99 discount and the
-benchmark's five states of the built-in environments, the random-DAG reward
-range, and the stopping rules of value iteration, of the phi* bisection and
-of the equal-scale check of ``gumbel_difference``.
+the replay schedule, replay size and MLP width of training, the 0.99 discount
+and the benchmark's five states of the built-in environments, the random-DAG
+reward range, and the stopping rules of value iteration, of the phi*
+bisection and of the equal-scale check of ``gumbel_difference``.
 """
 
 import dataclasses
@@ -105,6 +105,8 @@ REMOVED = {
     "TrainConfig.epsilon_final": (lambda **kw: TrainConfig(**kw), 0.05,
                                   lambda: TrainConfig().epsilon_final == 0.05),
     "TrainConfig.hidden": (lambda **kw: TrainConfig(**kw), 32, lambda: TrainConfig().hidden == 32),
+    "TrainConfig.replay_capacity": (lambda **kw: TrainConfig(**kw), 10_000,
+                                    lambda: TrainConfig().replay_capacity == 10_000),
     "solve_qstar.tol": (lambda **kw: solve_qstar(SELF_LOOP, **kw), 1e-12,
                         lambda: np.array_equal(solve_qstar(SELF_LOOP).values,
                                                value_iteration(SELF_LOOP, 1e-12))),
@@ -152,6 +154,6 @@ def test_removed_option_is_a_constant(name):
 
 
 def test_never_read_fields_are_gone():
-    assert len(dataclasses.fields(TrainConfig)) == 11
+    assert len(dataclasses.fields(TrainConfig)) == 10
     assert "config" not in {f.name for f in dataclasses.fields(TrainLog)}
     assert "sample" not in {f.name for f in dataclasses.fields(ScalingCurve)}

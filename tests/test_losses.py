@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from belldist import DomainError
+from belldist import DistSpec, DomainError, Family, log_likelihood, sample
 from belldist.losses import (
     LN4,
     LossConfig,
@@ -42,6 +42,16 @@ def test_lloss_bits_match_out_of_place_expression():
         at = np.abs(t)
         expected = float(np.mean(at + 2.0 * np.log1p(np.exp(-at))))
         assert l_loss(errors, LossConfig(sigma=sigma)) == expected
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
+def test_lloss_is_the_logistic_negative_log_likelihood(sigma):
+    # the paper's identity: N * LLoss = -(log-likelihood of Logistic(0, sigma)
+    # + N log sigma), the scale's normalisation being the constant it drops
+    errors = sample(DistSpec(Family.LOGISTIC, 0.4, 1.3), 1001, seed=3).values
+    n = errors.size
+    nll = -(log_likelihood(DistSpec(Family.LOGISTIC, 0.0, sigma), errors) + n * math.log(sigma))
+    assert n * l_loss(errors, LossConfig(sigma=sigma)) == pytest.approx(nll, rel=1e-13)
 
 
 def test_lloss_large_argument_no_overflow():

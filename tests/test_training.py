@@ -28,8 +28,6 @@ from belldist.training import (
     make_qfunc,
     make_update,
     run_training,
-    table_grad,
-    td_errors,
 )
 from conftest import logs_equal
 
@@ -80,8 +78,9 @@ def test_config_validation():
     assert TrainConfig(seed=np.int64(3)).seed == 3
     with pytest.raises(DomainError):
         TrainConfig(batch_size=0)
-    with pytest.raises(DomainError):  # the replay never holds a batch: no update
-        TrainConfig(batch_size=301, replay_capacity=300)
+    with pytest.raises(DomainError, match="exceeds replay_capacity"):
+        # the replay never holds a batch: no update
+        TrainConfig(batch_size=TrainConfig.replay_capacity + 1)
 
 
 @pytest.mark.parametrize("sigma", [math.inf, math.nan])
@@ -96,14 +95,12 @@ def test_non_finite_sigma_rejected(sigma):
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0),
-    ("replay_capacity", 0),
     ("early_stop_patience", 0),
     # a float count made run_training raise a bare TypeError, and a float
     # patience ran without a word
     ("epochs", 2.5),
     ("epochs", 3.0),
     ("batch_size", 2.5),
-    ("replay_capacity", 300.5),
     ("early_stop_patience", 1.5),
     ("batch_size", True),
 ])
@@ -153,15 +150,16 @@ def test_bit_reproducible_per_seed():
 RING_WRAP_DIGEST = "3bf2bb868c1c2b22f20d205351ee3ea1132d951d2310507a6bff40fe057f6cde"
 
 
-def test_replay_ring_wrap_matches_pinned_digest():
+def test_replay_ring_wrap_matches_pinned_digest(monkeypatch):
     # 30 epochs x 64 steps = 1920 transitions: the 256- and 300-slot buffers
     # wrap several times, at and off a multiple of the batch size
     h = hashlib.sha256()
     for env in (make_chain(5), make_random_dag(12, 4, seed=0)):
         for capacity in (256, 300):
+            monkeypatch.setattr(TrainConfig, "replay_capacity", capacity)
             for loss in (LOSS_MSE, LOSS_LLOSS):
                 cfg = TrainConfig(loss=loss, lr=0.5, epochs=30, early_stop_patience=30,
-                                  reward_scale=2.5, replay_capacity=capacity, seed=0)
+                                  reward_scale=2.5, seed=0)
                 log = run_training(env, cfg)
                 assert log.epochs_run == 30
                 h.update(np.asarray(log.rewards, dtype="<f8").tobytes())
@@ -172,26 +170,13 @@ def test_replay_ring_wrap_matches_pinned_digest():
     assert h.hexdigest() == RING_WRAP_DIGEST
 
 
-def test_table_grad_equals_unbuffered_add_at():
-    # the bincount scatter must sum each bin in input order, exactly as
-    # np.add.at does, so updates stay bit-identical
-    rng = np.random.Generator(np.random.Philox(key=5))
-    n_states, n_actions, n = 7, 3, 200
-    cells = rng.integers(n_states * n_actions, size=n)
-    grad_out = rng.standard_normal(n)
-    expected = np.zeros(n_states * n_actions)
-    np.add.at(expected, cells, grad_out)
-    assert np.array_equal(table_grad(cells, grad_out, (n_states, n_actions)),
-                          expected.reshape(n_states, n_actions))
-
-
-def batch_td_errors(q_table, target_table, env: TabularMdp, cfg: TrainConfig, cells):
-    """td_errors at ``cells`` with the gathered arguments and buffers that
-    make_update passes it, made fresh for this call."""
-    rewards = env.reward.reshape(-1)[cells] * cfg.reward_scale
-    successors = env.transition.reshape(-1)[cells]
-    return td_errors(q_table, target_table, cells, rewards, successors, env.gamma,
-                     np.zeros(env.n_states + 1), np.empty(len(cells)))
+def batch_td_errors(qnet, target_net, env: TabularMdp, cfg: TrainConfig, cells):
+    """The TD errors that make_update writes for one batch of ``cells``, read
+    from an update of clones of both nets, so the nets stay as they are."""
+    errs = np.empty((1, len(cells)))
+    cfg = dataclasses.replace(cfg, batch_size=len(cells))
+    make_update(env, cfg, qnet.clone(), target_net.clone())(cells[None], errs)
+    return errs[0]
 
 
 def cyclic_mdp_with_terminal() -> TabularMdp:
@@ -213,7 +198,7 @@ def test_td_errors_equal_mdp_bellman_error(env, approximator):
     rng = np.random.Generator(np.random.Philox(key=2))
     q = make_qfunc(env, cfg, rng)
     q.theta += rng.standard_normal(q.theta.size)
-    errs = batch_td_errors(q.table(), q.table(), env, cfg, np.arange(env.n_states * env.n_actions))
+    errs = batch_td_errors(q, q, env, cfg, np.arange(env.n_states * env.n_actions))
     snap = snapshot_errors(env, QTable(q.table()), solve_qstar(env))
     assert np.array_equal(errs, snap.bellman_err.ravel())
 
@@ -374,7 +359,7 @@ def test_mlp_gradient_matches_finite_differences(loss):
     loss_cfg = LossConfig(sigma=cfg.sigma)
 
     def batch_loss(probe):
-        errs = batch_td_errors(probe.table(), target_net.table(), env, cfg, cells)
+        errs = batch_td_errors(probe, target_net, env, cfg, cells)
         return mse_loss(errs) if loss == LOSS_MSE else l_loss(errs, loss_cfg)
 
     stepped = net.clone()
