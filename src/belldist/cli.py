@@ -172,20 +172,15 @@ def cmd_normal_max(args) -> dict[str, str]:
     params = normal_max_gumbel(args.n)
     payload = asdict(params)
     if args.mc:
+        mc = payload["mc"] = {"replicates": args.mc, "seed": args.seed, "ks": None}
         if params.a_n > 0:
             draws = normal_max_quantile(uniform_open(args.seed, args.mc), float(args.n))
             law = DistSpec(Family.GUMBEL, params.b_n, params.a_n)
-            ks = gof.ks_statistic(SampleBatch(draws), law)
-            payload["mc"] = {"replicates": args.mc, "seed": args.seed, "ks": ks}
+            mc["ks"] = gof.ks_statistic(SampleBatch(draws), law)
         else:
             # the correction series degrades below n ~ 90 and can return a
             # non-positive scale; there is no law to test against
-            payload["mc"] = {
-                "replicates": args.mc,
-                "seed": args.seed,
-                "ks": None,
-                "note": "scale is non-positive at this n; approximation invalid",
-            }
+            mc["note"] = "scale is non-positive at this n; approximation invalid"
     text = _json(payload)
     print(text)
     return {"normal_max.json": text + "\n"}

@@ -382,9 +382,9 @@ def _newton_ascent(x: tuple, n: int, evaluate, name: str) -> tuple:
     # returns the log-likelihood at x and the Newton step from x, both from
     # one pass over the data; the accepted point's step is the next
     # iteration's.  A raw step under 1e-10 relative is taken without a
-    # trial; any other is halved until the trial is at least the start's
-    # log-likelihood and loses at most the rounding level against the
-    # current point.
+    # trial and is the one way the fit returns; any other is halved until
+    # the trial is at least the start's log-likelihood and loses at most the
+    # rounding level against the current point.
     start, d = evaluate(x)
     cur = start
     for _ in range(_MAX_NEWTON):
@@ -403,8 +403,6 @@ def _newton_ascent(x: tuple, n: int, evaluate, name: str) -> tuple:
         else:
             raise ConvergenceError(f"{name} MLE line search found no step that keeps the "
                                    "log-likelihood after 60 halvings")
-        if h * max(map(abs, d)) < 1e-10 * max(1.0, *map(abs, new)):
-            return new
         x, cur, d = new, ll, step
     raise ConvergenceError(f"{name} MLE did not converge in {_MAX_NEWTON} Newton steps")
 
@@ -497,13 +495,13 @@ def fit_mle(family: Family, data: SampleBatch) -> DistSpec:
     is closed-form given a), the Logistic fit a 2-D Newton in (a, b), and one
     loop of at most 200 steps serves both.  A raw Newton step below 1e-10
     relative (that keeps a positive) is taken as it is, unevaluated, and the
-    fit returns.  Any other step is halved until the trial's log-likelihood
-    is at least the start's and loses at most 64 eps (|log-likelihood| + n)
-    against the current point, the rounding level of the log-likelihood's
-    sum; a stricter test would halve steps that float64 can no longer tell
-    apart.  A fit that reaches the iteration limit, or whose line search
-    finds no acceptable step in 60 halvings, raises
-    ``ConvergenceError``.  Normal is closed-form (sample mean, population
+    fit returns; no other step ends a fit.  Any other step is halved until
+    the trial's log-likelihood is at least the start's and loses at most
+    64 eps (|log-likelihood| + n) against the current point, the rounding
+    level of the log-likelihood's sum; a stricter test would halve steps
+    that float64 can no longer tell apart.  A fit that reaches the iteration
+    limit, even with steps shrunk to nothing, or whose line search finds no
+    acceptable step in 60 halvings, raises ``ConvergenceError``.  Normal is closed-form (sample mean, population
     standard deviation).  Data with a single distinct value raise
     ``DegenerateDataError``; data whose standard deviation overflows or
     underflows float64 raise ``DomainError``.

@@ -7,8 +7,12 @@ sizes, real numbers and real arrays, and intervals (0, high).
 """
 
 import math
+import sys
 
 import numpy as np
+
+# the largest exponent whose exp is finite in float64
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 class BelldistError(Exception):
@@ -74,11 +78,16 @@ def _real_values(values, name: str, copy: bool = False) -> np.ndarray:
     # values, of any shape, as a float64 array; a float64 array comes back as
     # it is, neither copied (unless copy) nor scanned.  A dtype other than
     # bool, int or float, such as a str "1.5", an object, a complex number or
-    # ragged nesting, is refused
+    # ragged nesting, is refused, except an object array of Python ints and
+    # floats only: numpy keeps an int beyond int64 as an object
     try:
         arr = np.asarray(values)
+        if arr.dtype == object and all(isinstance(v, (int, float)) for v in arr.flat):
+            return arr.astype(float)
     except (TypeError, ValueError):  # ragged nesting
         arr = None
+    except OverflowError:
+        raise DomainError(f"{name} must hold integers within float64's range") from None
     if arr is None or arr.dtype.kind not in "biuf":
         raise DomainError(f"{name} must hold real numbers (bool, int or float)")
     return arr.astype(float, copy=copy)

@@ -12,21 +12,20 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .distributions import EULER_MASCHERONI, DistSpec, Family, _logsumexp
-from .errors import DomainError, ScaleMismatchError, _as_real, _check_positive, _real_values
+from .errors import (_LOG_DBL_MAX, DomainError, ScaleMismatchError, _as_real, _check_positive,
+                     _real_values)
 
 # Constant from bounding int exp(-(2x+e^-x)) dx piecewise over
 # (-inf,-5], [-5,0], [0,inf):  20/e^2 + 10*exp(-sqrt(e)) + 1/2 - 1/(2e).
 EXP_MOMENT_CONST = (
     20.0 / math.e**2 + 10.0 * math.exp(-math.exp(0.5)) + 0.5 - 0.5 / math.e
 )
-_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def gumbel_shift_scale(d: DistSpec, c: float, k: float) -> DistSpec:
@@ -161,9 +160,12 @@ def kl_bound(a_star: float, gamma: float) -> KlBoundReport:
     The report also carries the exact KL from ``kl_numeric``; the bound
     genuinely dominates only when (1-g)*a_star is small (the regime the
     derivation assumes), which is why the report exposes both numbers instead
-    of asserting the comparison.
+    of asserting the comparison.  Both numbers, the branch and the report
+    use ``a_star`` and ``gamma`` as Python floats.
     """
-    numeric = kl_numeric(_as_real(a_star, "a_star"), 1.0, gamma)  # checks gamma and a_star
+    _check_positive(gamma, "gamma", 1.0)  # before float() reads a str as a number
+    a_star, gamma = _as_real(a_star, "a_star"), float(gamma)
+    numeric = kl_numeric(a_star, 1.0, gamma)  # checks that a_star is finite
     v = EULER_MASCHERONI
     if a_star > 0:
         branch = KlBranch.A_POSITIVE

@@ -17,12 +17,9 @@ returned values against a Monte Carlo reference, e.g. via the CLI's
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, _check_count
-
-_LOG_DBL_MAX = math.log(sys.float_info.max)
+from .errors import _LOG_DBL_MAX, DomainError, _check_count
 
 
 @dataclass(frozen=True)

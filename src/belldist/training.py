@@ -112,17 +112,20 @@ class QFunction:
     Each approximator defines ``forward()``, which returns the Q table and what
     the backward pass reuses from it, and ``grad(dq, cache)``, the gradient of
     ``sum(dq * table)`` as one flat vector laid out like ``theta``.
+    ``__init__`` binds ``theta``, its views and the update's buffers for every
+    approximator, and ``clone`` calls it on a bare instance.
     """
 
-    theta: np.ndarray
-    params: list[np.ndarray]
-
-    def _bind(self, theta: np.ndarray, shapes) -> None:
+    def __init__(self, theta: np.ndarray, shapes) -> None:
         self.theta = theta
+        self.params = _split(theta, shapes)
         # descend and mix_from scale a whole vector into this buffer: a fresh
         # temporary of that size on every update page-faults on large tables
         self._scaled = np.empty_like(theta)
-        self.params = _split(theta, shapes)
+        # a grad that builds its gradient writes each piece into its view of
+        # this buffer, so an update allocates no pieces and concatenates none
+        self._grad = np.empty_like(theta)
+        self._grad_parts = _split(self._grad, shapes)
 
     def table(self) -> np.ndarray:
         return self.forward()[0]
@@ -136,14 +139,14 @@ class QFunction:
         self.theta += np.multiply(tau, other.theta, out=self._scaled)
 
     def clone(self) -> "QFunction":
-        out = object.__new__(type(self))
-        out._bind(self.theta.copy(), [p.shape for p in self.params])
+        out = type(self).__new__(type(self))
+        QFunction.__init__(out, self.theta.copy(), [p.shape for p in self.params])
         return out
 
 
 class TabularQ(QFunction):
     def __init__(self, n_states: int, n_actions: int, rng: np.random.Generator):
-        self._bind(0.01 * rng.standard_normal(n_states * n_actions), [(n_states, n_actions)])
+        super().__init__(0.01 * rng.standard_normal(n_states * n_actions), [(n_states, n_actions)])
 
     def forward(self) -> tuple[np.ndarray, None]:
         """The live parameter array, not a copy."""
@@ -164,20 +167,13 @@ class MlpQ(QFunction):
         w1 = rng.standard_normal((n_states, hidden)) / math.sqrt(n_states)
         w2 = rng.standard_normal((hidden, n_actions)) / math.sqrt(hidden)
         theta = np.concatenate((w1.ravel(), np.zeros(hidden), w2.ravel(), np.zeros(n_actions)))
-        self._bind(theta, [w1.shape, (hidden,), w2.shape, (n_actions,)])
+        super().__init__(theta, [w1.shape, (hidden,), w2.shape, (n_actions,)])
 
     def forward(self) -> tuple[np.ndarray, np.ndarray]:
         """The Q table and the hidden activations ``h`` that ``grad`` reuses."""
         w1, b1, w2, b2 = self.params
         h = np.tanh(w1 + b1)
         return h @ w2 + b2, h
-
-    def _bind(self, theta: np.ndarray, shapes) -> None:
-        super()._bind(theta, shapes)
-        # grad writes each piece into its view of this buffer, so an update
-        # allocates no pieces and concatenates none
-        self._grad = np.empty_like(theta)
-        self._grad_parts = _split(self._grad, shapes)
 
     def grad(self, dq: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The flat gradient, in a buffer that the next call overwrites."""

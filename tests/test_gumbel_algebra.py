@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -255,6 +256,18 @@ def test_kl_bound_monotone_decreasing_in_gamma(a_star):
     grid = np.linspace(0.9, 0.999, 12)
     vals = [kl_bound(a_star, g).bound for g in grid]
     assert all(x > y for x, y in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("a_star, gamma", [
+    (np.float32(2.0), 0.9), (np.int64(3), 0.95), (1.0, np.float32(0.9)), (True, 0.9),
+])
+def test_kl_bound_reports_the_floats_it_computed_with(a_star, gamma):
+    # the report held the raw arguments: a numpy scalar made to_json raise a
+    # bare TypeError, and True was written as "a_star": true
+    report = kl_bound(a_star, gamma)
+    assert type(report.a_star) is float and type(report.gamma) is float
+    assert report == kl_bound(float(a_star), float(gamma))
+    assert json.loads(report.to_json())["a_star"] == float(a_star)
 
 
 def test_kl_bound_domain():

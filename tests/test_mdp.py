@@ -16,6 +16,7 @@ from belldist import (
 from belldist.gof import ks_statistic
 from belldist.mdp import (
     TERMINAL,
+    ErrorSnapshot,
     QTable,
     TabularMdp,
     bellman_step,
@@ -165,6 +166,20 @@ def test_zero_fixed_point():
     )
     q = QTable(np.zeros((2, 2)))
     assert np.all(bellman_step(mdp, q).values == 0.0)
+
+
+def test_bellman_step_refuses_a_table_of_another_shape():
+    with pytest.raises(DomainError, match=r"QTable shape \(2, 3\) does not match MDP \(3, 2\)"):
+        bellman_step(make_chain(3), QTable(np.zeros((2, 3))))
+
+
+@pytest.mark.parametrize("eps_gap, bellman_err", [
+    (np.zeros((2, 3)), np.zeros((3, 2))),
+    (np.zeros(6), np.zeros(6)),
+], ids=["shapes-differ", "one-dimensional"])
+def test_error_snapshot_refuses_mismatched_arrays(eps_gap, bellman_err):
+    with pytest.raises(DomainError, match="error arrays must be matching 2-D"):
+        ErrorSnapshot(1, eps_gap, bellman_err)
 
 
 def test_qstar_is_fixed_point_of_step():
