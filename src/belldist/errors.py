@@ -3,16 +3,14 @@
 Public functions raise these instead of bare ValueError so callers (and the
 CLI exit-code mapping) can distinguish contract violations from bugs.  The
 argument rules that the modules share live here too: counts and array
-sizes, real numbers and real arrays, and intervals (0, high).
+sizes, real numbers and real arrays, and intervals (0, high).  There is no
+precomputed overflow bound: a function that can overflow float64 catches
+the OverflowError of the float operation that overflows.
 """
 
 import math
-import sys
 
 import numpy as np
-
-# the largest exponent whose exp is finite in float64
-_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 class BelldistError(Exception):
@@ -107,14 +105,16 @@ def _real_array(values, name: str, ndim: int = 1, frozen: bool = False,
     return arr
 
 
-def _check_positive(value, name: str, high: float = math.inf, closed: bool = False) -> None:
-    # value in (0, high), or (0, high] when closed; a value that does not
-    # compare with a float (a str, None) fails too, caught rather than tested
-    # for first, so a number pays nothing extra
+def _check_positive(value, name: str, high: float = math.inf, closed: bool = False) -> float:
+    # value in (0, high), or (0, high] when closed, returned as a Python float
+    # so that a numpy float32 computes as the float it holds; a value that
+    # does not compare with a float (a str, None) or an int beyond float64
+    # fails too, caught rather than tested for first, so a number pays
+    # nothing extra
     try:
         if 0.0 < value < high or (closed and value == high):
-            return
-    except (TypeError, ValueError):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
         pass
     if high == math.inf:
         raise DomainError(f"{name} must be finite and positive, got {value!r}")

@@ -18,8 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .distributions import EULER_MASCHERONI, DistSpec, Family, _logsumexp
-from .errors import (_LOG_DBL_MAX, DomainError, ScaleMismatchError, _as_real, _check_positive,
-                     _real_values)
+from .errors import DomainError, ScaleMismatchError, _as_real, _check_positive, _real_values
 
 # Constant from bounding int exp(-(2x+e^-x)) dx piecewise over
 # (-inf,-5], [-5,0], [0,inf):  20/e^2 + 10*exp(-sqrt(e)) + 1/2 - 1/(2e).
@@ -31,8 +30,8 @@ EXP_MOMENT_CONST = (
 def gumbel_shift_scale(d: DistSpec, c: float, k: float) -> DistSpec:
     """Law of k*X + c for X ~ d (Gumbel); requires a finite k > 0."""
     _require_gumbel(d, "gumbel_shift_scale")
-    _check_positive(k, "scale factor")
-    return DistSpec(Family.GUMBEL, k * d.location + c, k * d.scale)
+    k = _check_positive(k, "scale factor")
+    return DistSpec(Family.GUMBEL, k * d.location + _as_real(c, "shift"), k * d.scale)
 
 
 def gumbel_max(locations, beta: float) -> DistSpec:
@@ -45,7 +44,7 @@ def gumbel_max(locations, beta: float) -> DistSpec:
     locs = _real_values(locations, "locations")
     if locs.size == 0:
         raise DomainError("gumbel_max requires at least one location")
-    _check_positive(beta, "beta")
+    beta = _check_positive(beta, "beta")
     # raveled in memory order, the order in which scipy's sum over every axis added them
     return DistSpec(Family.GUMBEL, beta * float(_logsumexp(locs.ravel(order="K"), beta)), beta)
 
@@ -135,18 +134,20 @@ def kl_numeric(a: float, b: float, gamma: float) -> float:
     The result depends on (a/b, gamma) only.  A non-finite a* or a KL beyond
     the float64 range raises DomainError.
     """
-    _check_positive(b, "scale b")
-    _check_positive(gamma, "gamma", 1.0)
+    b = _check_positive(b, "scale b")
+    gamma = _check_positive(gamma, "gamma", 1.0)
     a_star = _as_real(a, "a") / b
     if not math.isfinite(a_star):
         raise DomainError(f"a/b must be finite, got {a_star}")
     exponent = (1.0 - gamma) * a_star + math.lgamma(1.0 + gamma)
-    if exponent > _LOG_DBL_MAX:
+    try:
+        grown = math.expm1(exponent)
+    except OverflowError:
         raise DomainError(
             f"KL overflows float64 at a/b={a_star}, gamma={gamma} "
             f"((1-gamma)*a/b + lgamma(1+gamma) = {exponent:.6g})"
-        )
-    val = -math.log(gamma) - (1.0 - gamma) * (a_star + EULER_MASCHERONI) + math.expm1(exponent)
+        ) from None
+    val = -math.log(gamma) - (1.0 - gamma) * (a_star + EULER_MASCHERONI) + grown
     return max(val, 0.0)
 
 
@@ -163,8 +164,8 @@ def kl_bound(a_star: float, gamma: float) -> KlBoundReport:
     of asserting the comparison.  Both numbers, the branch and the report
     use ``a_star`` and ``gamma`` as Python floats.
     """
-    _check_positive(gamma, "gamma", 1.0)  # before float() reads a str as a number
-    a_star, gamma = _as_real(a_star, "a_star"), float(gamma)
+    gamma = _check_positive(gamma, "gamma", 1.0)
+    a_star = _as_real(a_star, "a_star")
     numeric = kl_numeric(a_star, 1.0, gamma)  # checks that a_star is finite
     v = EULER_MASCHERONI
     if a_star > 0:

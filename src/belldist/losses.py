@@ -31,7 +31,7 @@ class LossConfig:
 
     def __post_init__(self):
         # an infinite sigma makes every gradient exactly 0
-        _check_positive(self.sigma, "sigma")
+        object.__setattr__(self, "sigma", _check_positive(self.sigma, "sigma"))
 
 
 def _finite_mean(terms: np.ndarray, name: str, sigma=None) -> float:

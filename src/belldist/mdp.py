@@ -65,7 +65,7 @@ class TabularMdp:
                 (trans == TERMINAL) | ((trans >= 0) & (trans < self.n_states))):
             raise DomainError("transition entries must be integers: valid states or TERMINAL")
         trans = trans.astype(np.int64)
-        _check_positive(self.gamma, "gamma", 1.0)
+        object.__setattr__(self, "gamma", _check_positive(self.gamma, "gamma", 1.0))
         trans.setflags(write=False)
         object.__setattr__(self, "transition", trans)
         object.__setattr__(self, "reward", rew)
@@ -238,7 +238,7 @@ def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPr
     _check_count(t, "iteration index", 1)
     if not math.isfinite(_as_real(c1, "c1")):
         raise DomainError(f"c1 must be finite, got {c1}")
-    _check_positive(beta1, "beta1")
+    beta1 = _check_positive(beta1, "beta1")
     beta_t = beta1 * mdp.gamma ** (t - 1)
     if beta_t == 0.0:
         raise DomainError(f"beta_t = beta1 * gamma**(t - 1) underflows float64 at t = {t}")

@@ -1,11 +1,14 @@
 """Gumbel approximation of the maximum of N standard Normal draws.
 
 The limiting Gumbel shape for Normal maxima is approached very slowly, so a
-finite-N approximation matters.  The construction used here writes the
-density as the nu = 2 member of the exponential family
-``f(x) = D0 * exp(-C * |x|^nu)`` and solves the leading-order level equation
-with the Lambert W function, then corrects scale and location with short
-asymptotic series in inverse powers of the Lambert root.
+finite-N approximation matters.  The standard Normal density is the nu = 2
+member of the exponential family ``f(x) = D0 * exp(-C * |x|^nu)``, with
+C = 1/2 and D0 = 1/sqrt(2*pi).  Its level equation is solved with the Lambert
+W function, beta = sqrt(W0((D0*N)^2)), and the paper's asymptotic series in
+inverse powers of beta, taken at nu = 2, give the scale and location
+
+    a_N = (1 - 1/beta^2 + 4/beta^4 - 43/(2 beta^6)) / beta,
+    b_N = beta * (1 - 1/beta^4 + 7/(2 beta^6)).
 
 The series are asymptotic: below roughly N = 90 the highest-order terms
 dominate rather than correct, and the output degrades sharply (the scale can
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import _LOG_DBL_MAX, DomainError, _check_count
+from .errors import DomainError, _check_count
 
 
 @dataclass(frozen=True)
@@ -40,55 +43,31 @@ class NormalMaxParams:
 def normal_max_gumbel(n: int) -> NormalMaxParams:
     """Gumbel parameters approximating the law of max of n standard Normals.
 
-    The constants are theta = 1, C = 1/2, D0 = 1/sqrt(2*pi), D1 = -1, D2 = 3,
-    and the Lambert root satisfies beta = sqrt(W0((D0*n)^2)), i.e.
-    n * D0 * exp(-C*beta^2) / (2*C*beta) = 1.  An n whose (D0*n)^2 exceeds
+    The Lambert root beta = sqrt(W0((D0*n)^2)) satisfies
+    n * D0 * exp(-beta^2/2) / beta = 1.  An n whose (D0*n)^2 exceeds
     float64 raises ``DomainError``.
     """
     from scipy.special import lambertw
 
     _check_count(n, "n", 2)
-    # the standard Normal density is D0 * exp(-C * |x|^nu) at nu = 2, with
-    # theta = nu - 1; D0 is C^((1 - nu)/nu) / (2 * Gamma(1/nu)) written so that
-    # it keeps that formula's bits (1/sqrt(2*pi) is one ulp below it)
-    nu, theta, c, d1, d2 = 2.0, 1.0, 0.5, -1.0, 3.0
+    # D0 = C^((1 - nu)/nu) / (2 * Gamma(1/nu)) at nu = 2, written so that it
+    # keeps that formula's bits (1/sqrt(2*pi) is one ulp below it)
     d0 = 0.5**-0.5 / (2.0 * math.sqrt(math.pi))
-    # refuse a Lambert-W argument beyond float64 instead of letting the power
-    # overflow; log(n) also takes integers too large for a float
-    if 2.0 * (math.log(n) + math.log(d0)) > _LOG_DBL_MAX:
-        raise DomainError(f"normal_max_gumbel(n={n}): the Lambert-W argument exceeds float64")
-    w_arg = (nu * c / theta) * (d0 * n) ** (nu / theta)
+    try:  # the float product or power overflows for n beyond float64's reach
+        w_arg = (d0 * n) ** 2
+    except OverflowError:
+        raise DomainError(
+            f"normal_max_gumbel(n={n}): the Lambert-W argument exceeds float64") from None
     # w_arg > 0, so W0 is real and away from its branch point at -1/e
-    beta = (theta / (nu * c)) * float(lambertw(w_arg).real) ** (1.0 / nu)
+    beta = float(lambertw(w_arg).real) ** 0.5
 
     b2, b4, b6 = beta**2, beta**4, beta**6
-    a_n = (
-        1.0
-        / (2.0 * c * beta)
-        * (
-            1.0
-            - theta / (2.0 * c * b2)
-            + (theta**2 - 6.0 * c * d1) / (4.0 * c**2 * b4)
-            - (2.0 * theta**3 - 32.0 * theta * c * d1 - 20.0 * c**2 * (d1**2 - 2.0 * d2))
-            / (16.0 * c**3 * b6)
-        )
-    )
-    b_n = beta * (
-        1.0
-        + d1 / (2.0 * c * b4)
-        - (2.0 * theta * d1 + 2.0 * c * (d1**2 - 2.0 * d2)) / (16.0 * c**3 * b6)
-    )
+    a_n = 1.0 / beta * (1.0 - 1.0 / b2 + 4.0 / b4 - 43.0 / (2.0 * b6))
+    b_n = beta * (1.0 - 1.0 / b4 + 7.0 / (2.0 * b6))
     return NormalMaxParams(
         n=n,
-        nu=nu,
+        nu=2.0,
         a_n=a_n,
         b_n=b_n,
-        intermediates={
-            "theta": theta,
-            "c": c,
-            "d0": d0,
-            "d1": d1,
-            "d2": d2,
-            "beta_n": beta,
-        },
+        intermediates={"theta": 1.0, "c": 0.5, "d0": d0, "d1": -1.0, "d2": 3.0, "beta_n": beta},
     )

@@ -30,9 +30,8 @@ class RewardSample:
 
     def __post_init__(self):
         r = _real_array(self.rewards, "rewards", frozen=True, finite=True)
-        _check_positive(self.beta, "beta")
         object.__setattr__(self, "rewards", r)
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "beta", _check_positive(self.beta, "beta"))
 
 
 # Most products phi * r in one _expectations block: a long reward vector

@@ -62,8 +62,8 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "early_stop_patience"):
             _check_count(getattr(self, name), name, 1)
         for name in ("lr", "sigma", "reward_scale"):
-            _check_positive(getattr(self, name), name)
-        _check_positive(self.tau, "tau", 1.0, closed=True)
+            object.__setattr__(self, name, _check_positive(getattr(self, name), name))
+        object.__setattr__(self, "tau", _check_positive(self.tau, "tau", 1.0, closed=True))
         _check_seed(self.seed)
         if self.approximator not in ("tabular", "mlp"):
             raise DomainError("approximator must be 'tabular' or 'mlp'")

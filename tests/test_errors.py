@@ -5,6 +5,7 @@ Each bad input raises ``DomainError`` naming the argument, not a bare
 a NaN result.  Constructors keep read-only copies, never the caller's array.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,17 +15,21 @@ from belldist import DistSpec, DomainError, Family, SampleBatch, cdf, fit_mle, p
 from belldist.distributions import log_likelihood, uniform_open
 from belldist.errors import _real_values
 from belldist.gof import histogram_fit_metrics
-from belldist.gumbel_algebra import gumbel_exp_moment_bounds, gumbel_max, kl_bound
-from belldist.losses import l_loss, l_loss_grad, mse_loss
+from belldist.gumbel_algebra import (gumbel_exp_moment_bounds, gumbel_max, gumbel_shift_scale,
+                                    kl_bound, kl_numeric)
+from belldist.losses import LossConfig, l_loss, l_loss_grad, mse_loss
 from belldist.mdp import (QTable, TabularMdp, make_chain, make_example1, make_random_dag,
                           predict_gumbel)
 from belldist.order_stats import order_stat_table, sampling_error
-from belldist.scaling import RewardSample, scaling_curve
-from belldist.training import TrainConfig
+from belldist.scaling import RewardSample, expected_error, scaling_curve
+from belldist.training import TrainConfig, run_training
 
 REWARDS = RewardSample([1.0, -1.0, -2.0], 1.0)
 BATCH = SampleBatch([0.5, 1.5, 2.5])
 NORMAL = DistSpec(Family.NORMAL, 0.0, 1.0)
+GUMBEL = DistSpec(Family.GUMBEL, 1.5, 0.5)
+CHAIN = make_chain(3)
+DAG = make_random_dag(6, 3, seed=4)
 
 
 @pytest.mark.parametrize("call, match", [
@@ -147,3 +152,44 @@ def test_sizes_beyond_numpys_array_limit_raise_domain_error(call):
     # numpy refuses 2**60 eight-byte elements or more with a bare ValueError
     with pytest.raises(DomainError, match=r"numpy's limit is 2\*\*60 - 1"):
         call()
+
+
+def _bits(value):
+    # a result as comparable data: its type and every float's exact bits
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+# one positive scalar argument per site, and a value it accepts
+POSITIVE_SCALARS = {
+    "kl_numeric-gamma": (lambda x: kl_numeric(1.0, 1.0, x), 0.9),
+    "kl_numeric-b": (lambda x: kl_numeric(1.0, x, 0.9), 0.3),
+    "gumbel_max-beta": (lambda x: gumbel_max([1.0, 2.0, 0.5], x), 0.3),
+    "gumbel_shift_scale-c": (lambda x: gumbel_shift_scale(GUMBEL, x, 2.0), 0.1),
+    "gumbel_shift_scale-k": (lambda x: gumbel_shift_scale(GUMBEL, 0.1, x), 0.7),
+    "predict_gumbel-beta1": (lambda x: predict_gumbel(DAG, 3, 0.5, x), 0.7),
+    "TabularMdp-gamma": (lambda x: predict_gumbel(dataclasses.replace(DAG, gamma=x), 3, 0.5, 1.0),
+                         0.9),
+    "TrainConfig-tau": (lambda x: run_training(CHAIN, TrainConfig(tau=x, epochs=5)).final_q,
+                        0.005),
+    "TrainConfig-lr": (lambda x: run_training(CHAIN, TrainConfig(lr=x, epochs=2)).final_q, 0.1),
+    "LossConfig-sigma": (lambda x: l_loss_grad([0.3, -1.2, 2.0], LossConfig(x)), 0.7),
+    "RewardSample-beta": (lambda x: expected_error(RewardSample([1.0, -1.0], x), 2.0), 0.7),
+    "expected_error-phi": (lambda x: expected_error(REWARDS, x), 1.3),
+}
+
+
+@pytest.mark.parametrize("kind", ["float32", "huge-int", "str"])
+@pytest.mark.parametrize("call, value", POSITIVE_SCALARS.values(), ids=POSITIVE_SCALARS)
+def test_positive_scalars_compute_as_python_floats(call, value, kind):
+    # a numpy float32 carried numpy's float32 rules into the arithmetic, an
+    # int beyond float64 raised a bare OverflowError and a str a bare TypeError
+    if kind == "float32":
+        x = np.float32(value)
+        assert _bits(call(x)) == _bits(call(float(x)))
+    else:
+        with pytest.raises(DomainError):
+            call(10**400 if kind == "huge-int" else str(value))

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from belldist import DistSpec, DomainError, EULER_MASCHERONI, Family, ScaleMismatchError, sample
@@ -18,6 +20,12 @@ from belldist.gumbel_algebra import (
     kl_numeric,
 )
 from conftest import ks_against
+
+# every finite float, subnormals and +-DBL_MAX included; a discount in (0, 1)
+# and a scale > 0 from the same range
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+GAMMAS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+SCALES = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 # Frozen via 40-digit mpmath evaluation of 20/e^2 + 10*exp(-sqrt(e)) + 1/2 - 1/(2e).
 EXP_MOMENT_CONST_REFERENCE = 4.945722399626181958
@@ -297,3 +305,34 @@ def test_kl_bound_dominates_in_small_mismatch_regime():
             if (1.0 - g) * abs(a_star) <= 1.0:
                 report = kl_bound(a_star, g)
                 assert report.numeric_kl <= report.bound, (a_star, g)
+
+
+@given(a=FINITE, b=SCALES, gamma=GAMMAS)
+def test_kl_numeric_is_a_float_at_least_zero_or_refuses(a, b, gamma):
+    try:
+        kl = kl_numeric(a, b, gamma)
+    except DomainError:
+        return
+    assert type(kl) is float and 0.0 <= kl < math.inf
+
+
+@given(a_star=FINITE, gamma=GAMMAS)
+def test_kl_bound_reports_floats_or_refuses(a_star, gamma):
+    try:
+        report = kl_bound(a_star, gamma)
+    except DomainError:
+        return
+    values = (report.a_star, report.gamma, report.bound, report.numeric_kl)
+    assert all(type(v) is float for v in values)
+    assert 0.0 <= report.numeric_kl < math.inf
+    assert json.loads(report.to_json())["branch"] == report.branch.value
+
+
+@given(locations=st.lists(FINITE, min_size=1, max_size=8), beta=SCALES)
+def test_gumbel_max_is_a_finite_law_or_refuses(locations, beta):
+    try:
+        law = gumbel_max(locations, beta)
+    except DomainError:
+        return
+    assert law.family is Family.GUMBEL and law.scale == beta
+    assert math.isfinite(law.location) and math.isfinite(law.scale)

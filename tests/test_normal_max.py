@@ -1,7 +1,11 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from belldist import DistSpec, DomainError, Family
 from belldist.distributions import normal_max_quantile, uniform_open
@@ -12,6 +16,20 @@ from conftest import ks_against
 def exact_max_normal_samples(n: int, replicates: int, seed: int) -> np.ndarray:
     # max of n i.i.d. N(0,1) sampled exactly via P(max<=x) = Phi(x)^n
     return normal_max_quantile(uniform_open(seed, replicates), n)
+
+
+# SHA-256 over the little-endian float64 bytes of (a_n, b_n, beta_n) for each n
+# of NORMAL_MAX_PIN_NS in order
+NORMAL_MAX_PIN_NS = (2, 3, 16, 90, 256, 4096, 10**6, 2**100, 10**150)
+NORMAL_MAX_DIGEST = "a877be4f91bc20d104414d31d7dd89507258d4bccf957fed372943c460678479"
+
+
+def test_normal_max_bits_pinned():
+    h = hashlib.sha256()
+    for n in NORMAL_MAX_PIN_NS:
+        p = normal_max_gumbel(n)
+        h.update(struct.pack("<3d", p.a_n, p.b_n, p.intermediates["beta_n"]))
+    assert h.hexdigest() == NORMAL_MAX_DIGEST
 
 
 def test_nu2_intermediates():
@@ -29,6 +47,22 @@ def test_lambert_defect_identity(n):
     # beta solves the level equation n * D0 * exp(-C beta^2) / (2 C beta) = 1
     inter = normal_max_gumbel(n).intermediates
     beta, c = inter["beta_n"], inter["c"]
+    assert n * inter["d0"] * math.exp(-c * beta**2) / (2.0 * c * beta) == pytest.approx(1.0, rel=1e-12)
+
+
+@given(n=st.one_of(st.integers(2, 10**400), st.integers(2, 2**63 - 1).map(np.int64)))
+def test_normal_max_solves_the_level_equation_or_refuses(n):
+    # every n >= 2, a Python int of any size or a numpy int64: finite
+    # parameters on the Lambert root, or DomainError once (D0*n)^2 is beyond
+    # float64 (from n = sqrt(DBL_MAX)/D0, about 3.36e154)
+    try:
+        p = normal_max_gumbel(n)
+    except DomainError:
+        assert n > 3.36e154
+        return
+    inter = p.intermediates
+    beta, c = inter["beta_n"], inter["c"]
+    assert all(math.isfinite(v) for v in (p.a_n, p.b_n, beta))
     assert n * inter["d0"] * math.exp(-c * beta**2) / (2.0 * c * beta) == pytest.approx(1.0, rel=1e-12)
 
 
