@@ -32,7 +32,7 @@ from . import gof
 from .distributions import DistSpec, Family, SampleBatch, normal_max_quantile, uniform_open
 from .errors import BelldistError, DomainError
 from .gumbel_algebra import kl_bound
-from .losses import LN4, LossConfig, l_loss, mse_loss
+from .losses import LN4, LOSS_NAMES, LossConfig, l_loss, mse_loss
 from .mdp import TabularMdp, example1_row_errors, make_chain, make_example1, make_random_dag
 from .normal_max import normal_max_gumbel
 from .order_stats import sampling_error
@@ -228,17 +228,10 @@ def cmd_losscheck(args) -> dict[str, str]:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        loss=args.loss,
-        sigma=args.sigma,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        tau=args.tau,
-        reward_scale=args.reward_scale,
-        epochs=args.epochs,
-        approximator=args.approximator,
-        seed=args.seed,
-    )
+    # every TrainConfig field but early_stop_patience has a flag of its name
+    names = ("loss", "sigma", "batch_size", "lr", "tau", "reward_scale", "epochs",
+             "approximator", "seed")
+    return TrainConfig(**{name: getattr(args, name) for name in names})
 
 
 def cmd_train(args) -> dict[str, str]:
@@ -270,7 +263,7 @@ def cmd_compare(args) -> dict[str, str]:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--env", required=True, help="example1 | chain:N | dag:S,A | path.json")
-    p.add_argument("--loss", choices=["mse", "lloss"], default=TrainConfig.loss)
+    p.add_argument("--loss", choices=LOSS_NAMES, default=TrainConfig.loss)
     p.add_argument("--sigma", type=float, default=TrainConfig.sigma)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)

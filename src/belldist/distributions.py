@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ConvergenceError, DegenerateDataError, DomainError, _as_real, _check_count,
-                     _check_elements, _check_positive, _real_array, _real_values)
+                     _check_elements, _check_positive, _real_array, _real_values, _shown)
 
 # Euler-Mascheroni constant; the mean of a standard Gumbel is exactly this.
 EULER_MASCHERONI = 0.57721566490153286061
@@ -268,7 +268,7 @@ def _check_seed(seed) -> None:
     # a Philox key is an integer in [0, 2**128)
     _check_count(seed, "seed")
     if seed >= 1 << 128:
-        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
+        raise DomainError(f"seed must lie in [0, 2**128), got {_shown(seed)}")
 
 
 def uniform_open(seed: int, n: int, stream: int = 0) -> np.ndarray:
@@ -287,7 +287,7 @@ def uniform_open(seed: int, n: int, stream: int = 0) -> np.ndarray:
     _check_elements(n, "number of uniforms")
     _check_count(stream, "stream")
     if stream >= 1 << 64:
-        raise DomainError(f"stream must lie in [0, 2**64), got {stream}")
+        raise DomainError(f"stream must lie in [0, 2**64), got {_shown(stream)}")
     # uint64 words: numpy converts a list holding a stream past int64's range
     # through float64, where the streams from 2**63 up round onto one another
     counter = np.array([0, 0, 0, stream], dtype=np.uint64)

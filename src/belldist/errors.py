@@ -3,9 +3,10 @@
 Public functions raise these instead of bare ValueError so callers (and the
 CLI exit-code mapping) can distinguish contract violations from bugs.  The
 argument rules that the modules share live here too: counts and array
-sizes, real numbers and real arrays, and intervals (0, high).  There is no
-precomputed overflow bound: a function that can overflow float64 catches
-the OverflowError of the float operation that overflows.
+sizes, real numbers and real arrays, intervals (0, high), and the echo of
+an argument in a message.  There is no precomputed overflow bound: a
+function that can overflow float64 catches the OverflowError of the float
+operation that overflows.
 """
 
 import math
@@ -45,21 +46,31 @@ class TrainingError(BelldistError, RuntimeError):
         self.last_good = last_good
 
 
+def _shown(value) -> str:
+    # an argument as a message echoes it: its repr, or the size of an int too
+    # long for Python to print (beyond 4,300 digits repr raises ValueError)
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 def _check_count(value, name: str, low: int = 0) -> None:
     # a count, size, index or seed is an int or numpy integer of at least
     # low; a float, even an integral one, would be truncated or fail deep
     # inside numpy, and a bool is no count (numpy rejects True as a shape)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}")
     if value < low:
-        raise DomainError(f"{name} must be >= {low}, got {value}")
+        raise DomainError(f"{name} must be >= {low}, got {_shown(value)}")
 
 
 def _check_elements(count: int, name: str) -> None:
     # numpy refuses 2**60 eight-byte elements or more with a bare ValueError
     # ("array is too big"), not the MemoryError of a failed allocation
     if count >= 1 << 60:
-        raise DomainError(f"{name} asks for {count} array elements; numpy's limit is 2**60 - 1")
+        raise DomainError(f"{name} asks for {_shown(count)} array elements; numpy's limit is "
+                          "2**60 - 1")
 
 
 def _as_real(value, name: str) -> float:
@@ -69,7 +80,7 @@ def _as_real(value, name: str) -> float:
             return float(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise DomainError(f"{name} must be a real number, got {value!r}")
+    raise DomainError(f"{name} must be a real number, got {_shown(value)}")
 
 
 def _real_values(values, name: str, copy: bool = False) -> np.ndarray:
@@ -117,5 +128,6 @@ def _check_positive(value, name: str, high: float = math.inf, closed: bool = Fal
     except (TypeError, ValueError, OverflowError):
         pass
     if high == math.inf:
-        raise DomainError(f"{name} must be finite and positive, got {value!r}")
-    raise DomainError(f"{name} must lie in (0, {high:g}{']' if closed else ')'}, got {value!r}")
+        raise DomainError(f"{name} must be finite and positive, got {_shown(value)}")
+    raise DomainError(f"{name} must lie in (0, {high:g}{']' if closed else ')'}, "
+                      f"got {_shown(value)}")

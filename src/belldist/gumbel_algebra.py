@@ -168,14 +168,14 @@ def kl_bound(a_star: float, gamma: float) -> KlBoundReport:
     a_star = _as_real(a_star, "a_star")
     numeric = kl_numeric(a_star, 1.0, gamma)  # checks that a_star is finite
     v = EULER_MASCHERONI
+    # 1/gamma overflows for a subnormal gamma, whose -log(gamma) is finite
+    log_inv = math.log(1.0 / gamma) if 1.0 / gamma < math.inf else -math.log(gamma)
     if a_star > 0:
         branch = KlBranch.A_POSITIVE
-        bound = math.log(1.0 / gamma) + (1.0 - gamma) * (
-            a_star * (EXP_MOMENT_CONST - 1.0) + 0.15 - v
-        )
+        bound = log_inv + (1.0 - gamma) * (a_star * (EXP_MOMENT_CONST - 1.0) + 0.15 - v)
     else:
         branch = KlBranch.A_NONPOSITIVE
-        bound = math.log(1.0 / gamma) + (1.0 - gamma) * (0.15 - a_star - v)
+        bound = log_inv + (1.0 - gamma) * (0.15 - a_star - v)
     return KlBoundReport(a_star=a_star, gamma=gamma, bound=bound, numeric_kl=numeric, branch=branch)
 
 

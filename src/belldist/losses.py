@@ -8,6 +8,7 @@ bounded by 1/(N*sigma).  Near zero it tracks log4 + mse_loss/2 up to a
 quartic remainder.  ``mse_loss`` keeps the matching Normal convention
 mean(err^2 / 2).  A NaN error, or a loss or gradient bound beyond float64,
 raises ``DomainError`` naming the function, without a numpy warning.
+``_descent_grad`` gives the TD gradient of each loss in ``LOSS_NAMES``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .distributions import _logistic_terms
 from .errors import DomainError, _check_positive, _real_array
 
 LN4 = math.log(4.0)
+LOSS_MSE, LOSS_LLOSS = "mse", "lloss"
+LOSS_NAMES = (LOSS_MSE, LOSS_LLOSS)  # the Bellman-error losses that training accepts
 
 
 @dataclass(frozen=True)
@@ -71,26 +74,22 @@ def l_loss(errors, cfg: LossConfig = LossConfig()) -> float:
     return _finite_mean(e, "l_loss", cfg.sigma)
 
 
-def _l_loss_grad_scale(n: int, sigma: float) -> float:
-    # N * sigma, the divisor of the Logistic gradient; a bound 1/(N*sigma)
-    # beyond float64 raises DomainError
-    scale = n * sigma
-    if 1.0 / scale == math.inf:
+def _descent_grad(loss: str, n: int, sigma: float):
+    # a function that writes a batch's loss gradient with respect to the
+    # estimate into one reused buffer of n: err / -N for mse_loss and
+    # tanh(err/(2*sigma)) / -(N*sigma) for l_loss, the sign in the divisor
+    # (division is sign-symmetric).  tanh saturates at exactly +-1 where
+    # err/(2*sigma) overflows; the caller decides about the warning.
+    buf = np.empty(n)
+    if loss == LOSS_MSE:
+        neg_n = -float(n)
+        return lambda errs: np.divide(errs, neg_n, out=buf)
+    neg_scale = -(n * sigma)
+    if -1.0 / neg_scale == math.inf:
         raise DomainError(f"l_loss_grad overflows float64: its bound 1/(N*sigma) at "
                           f"N = {n}, sigma = {sigma}")
-    return scale
-
-
-def _l_loss_grad_kernel(errors: np.ndarray, sigma: float, scale: float,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    # tanh(err/(2*sigma)) / scale: l_loss_grad at scale = N*sigma, and its
-    # negative, bit for bit, at scale = -(N*sigma), as division is
-    # sign-symmetric.  err/(2*sigma) may overflow to +-inf, where tanh
-    # saturates at exactly +-1; the caller decides about the warning.
-    out = np.divide(errors, 2.0 * sigma, out=out)
-    np.tanh(out, out=out)
-    out /= scale
-    return out
+    return lambda errs: np.divide(np.tanh(np.divide(errs, 2.0 * sigma, out=buf), out=buf),
+                                  neg_scale, out=buf)
 
 
 def l_loss_grad(errors, cfg: LossConfig = LossConfig()) -> np.ndarray:
@@ -103,6 +102,6 @@ def l_loss_grad(errors, cfg: LossConfig = LossConfig()) -> np.ndarray:
     arr = _real_array(errors, "errors")
     if np.isnan(arr).any():
         raise DomainError("l_loss_grad: errors must not be NaN")
-    scale = _l_loss_grad_scale(arr.size, cfg.sigma)
     with np.errstate(over="ignore"):
-        return _l_loss_grad_kernel(arr, cfg.sigma, scale)
+        g = _descent_grad(LOSS_LLOSS, arr.size, cfg.sigma)(arr)
+    return np.negative(g, out=g)

@@ -24,7 +24,7 @@ from .distributions import (
     uniform_open,
 )
 from .errors import (ConvergenceError, DomainError, _as_real, _check_count, _check_elements,
-                     _check_positive, _real_array)
+                     _check_positive, _real_array, _shown)
 
 TERMINAL = -1
 
@@ -145,9 +145,14 @@ def successor_max(successors: np.ndarray, values: np.ndarray,
 
 
 def bellman_step(mdp: TabularMdp, q: QTable) -> QTable:
-    """One synchronous hard-max update: Q' = r + gamma * max_a' Q(s', a')."""
+    """One synchronous hard-max update: Q' = r + gamma * max_a' Q(s', a');
+    an update that overflows float64 raises DomainError."""
     _check_shapes(mdp, q)
-    new_values = mdp.reward + mdp.gamma * successor_max(mdp.transition, q.values)
+    try:
+        with np.errstate(over="raise"):
+            new_values = mdp.reward + mdp.gamma * successor_max(mdp.transition, q.values)
+    except FloatingPointError:
+        raise DomainError("bellman_step overflows float64") from None
     return QTable(values=new_values, iteration=q.iteration + 1)
 
 
@@ -232,25 +237,30 @@ def predict_gumbel(mdp: TabularMdp, t: int, c1: float, beta1: float) -> GumbelPr
     any cell of its successor's row was NaN at t - 1.  Once every cell is
     NaN no later step can change that, and the recursion stops.  c1 must be
     finite and beta1 finite and positive; a beta_t that underflows to 0, or a
-    step whose (r + c_{k-1}) / beta_{k-1} overflows float64, raises
-    DomainError.
+    step whose r + c_{k-1}, (r + c_{k-1}) / beta_{k-1} or c_k overflows
+    float64, raises DomainError.
     """
     _check_count(t, "iteration index", 1)
     if not math.isfinite(_as_real(c1, "c1")):
         raise DomainError(f"c1 must be finite, got {c1}")
     beta1 = _check_positive(beta1, "beta1")
-    beta_t = beta1 * mdp.gamma ** (t - 1)
+    # gamma < 1 makes the power 0 long before the cap, which keeps t - 1 a float
+    beta_t = beta1 * mdp.gamma ** min(t - 1, 1 << 1023)
     if beta_t == 0.0:
-        raise DomainError(f"beta_t = beta1 * gamma**(t - 1) underflows float64 at t = {t}")
+        raise DomainError(f"beta_t = beta1 * gamma**(t - 1) underflows float64 at t = {_shown(t)}")
     terminal = mdp.transition == TERMINAL
     c_prev = np.where(terminal, np.nan, float(c1))
     beta = beta1
-    for _ in range(2, t + 1):
-        if np.isnan(c_prev).all():
-            break  # NaN everywhere stays NaN everywhere; beta_t is already known
-        per_state = mdp.gamma * beta * _logsumexp(mdp.reward + c_prev, beta)
-        c_prev = np.where(terminal, np.nan, per_state[mdp.transition])
-        beta *= mdp.gamma
+    try:
+        with np.errstate(over="raise"):
+            for _ in range(2, t + 1):
+                if np.isnan(c_prev).all():
+                    break  # NaN everywhere stays NaN everywhere; beta_t is already known
+                per_state = mdp.gamma * beta * _logsumexp(mdp.reward + c_prev, beta)
+                c_prev = np.where(terminal, np.nan, per_state[mdp.transition])
+                beta *= mdp.gamma
+    except FloatingPointError:
+        raise DomainError("a step of the location recursion overflows float64") from None
     return GumbelPrediction(t=t, c_t=c_prev, beta_t=beta_t)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, _check_count
+from .errors import DomainError, _check_count, _shown
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def normal_max_gumbel(n: int) -> NormalMaxParams:
         w_arg = (d0 * n) ** 2
     except OverflowError:
         raise DomainError(
-            f"normal_max_gumbel(n={n}): the Lambert-W argument exceeds float64") from None
+            f"normal_max_gumbel(n={_shown(n)}): the Lambert-W argument exceeds float64") from None
     # w_arg > 0, so W0 is real and away from its branch point at -1/e
     beta = float(lambertw(w_arg).real) ** 0.5
 

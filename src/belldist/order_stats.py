@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistSpec, Family, _halves
-from .errors import DomainError, _check_count, _check_elements
+from .errors import DomainError, _check_count, _check_elements, _shown
 
 
 # Kernels walk their arrays in blocks of this many elements, so that every
@@ -93,20 +93,22 @@ def order_stat_table(n: int, a: float = 0.0, b: float = 1.0) -> OrderStatTable:
     """E[x_(i)] = a + b*(H_{i-1} - H_{n-i}) for i = 1..n.
 
     The scale is checked by the ``DistSpec``, built before the expectations.
+    An expectation beyond float64 raises DomainError.
     """
     _check_count(n, "n", 1)
-    return OrderStatTable(
-        n=n,
-        dist=DistSpec(Family.LOGISTIC, a, b),
-        expectations=a + b * _standard_expectations(n),
-    )
+    dist = DistSpec(Family.LOGISTIC, a, b)
+    try:
+        with np.errstate(over="raise"):
+            return OrderStatTable(n=n, dist=dist, expectations=a + b * _standard_expectations(n))
+    except FloatingPointError:
+        raise DomainError(f"order_stat_table overflows float64 at a = {a}, b = {b}") from None
 
 
 def order_stat_expectation(n: int, i: int, a: float, b: float) -> float:
     """E[x_(i)] of n Logistic(a, b) draws: entry i - 1 of ``order_stat_table``."""
     _check_count(i, "order index")  # n is checked by order_stat_table
     if not 1 <= i <= n:
-        raise DomainError(f"order index must satisfy 1 <= i <= n, got i={i}, n={n}")
+        raise DomainError(f"order index must satisfy 1 <= i <= n, got i={_shown(i)}, n={_shown(n)}")
     return float(order_stat_table(n, a, b).expectations[i - 1])
 
 

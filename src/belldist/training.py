@@ -21,11 +21,8 @@ import numpy as np
 from .errors import DomainError, TrainingError, _check_count, _check_positive
 from .gof import ks_statistic
 from .distributions import Family, SampleBatch, _check_seed, fit_mle
-from .losses import _l_loss_grad_kernel, _l_loss_grad_scale
+from .losses import LOSS_LLOSS, LOSS_MSE, LOSS_NAMES, _descent_grad
 from .mdp import TERMINAL, TabularMdp, successor_max
-
-LOSS_MSE = "mse"
-LOSS_LLOSS = "lloss"
 
 # an episode restarts from state 0 after this many steps per state
 _EPISODE_STEPS_PER_STATE = 4
@@ -55,8 +52,8 @@ class TrainConfig:
     hidden: ClassVar[int] = 32
 
     def __post_init__(self):
-        if self.loss not in (LOSS_MSE, LOSS_LLOSS):
-            raise DomainError(f"loss must be '{LOSS_MSE}' or '{LOSS_LLOSS}'")
+        if self.loss not in LOSS_NAMES:
+            raise DomainError(f"loss must be {' or '.join(map(repr, LOSS_NAMES))}")
         # counts: a float one fails deep inside numpy (batch_size and epochs
         # set array shapes and loop bounds) or, as a patience, runs silently
         for name in ("batch_size", "epochs", "early_stop_patience"):
@@ -226,29 +223,15 @@ def make_update(env: TabularMdp, cfg: TrainConfig, qnet: QFunction, target_net: 
 
     The per-run constants and buffers are made here, once: the scaled reward
     table, the target's row maxima (S + 1 entries, the last one 0, so
-    ``TERMINAL`` indexes it) and the loss gradient's constants.  The
-    gradient's sign is folded into its divisor, -N for the squared error and
-    -(N * sigma) for the Logistic loss, which gives the same bits as negating
-    the gradient; the Logistic gradient's bound is checked here, not per
-    update.
+    ``TERMINAL`` indexes it) and the loss's gradient.
     """
     # scaling before the gather gives the same bits as scaling after it
     reward = env.reward.reshape(-1) * cfg.reward_scale
     successors = env.transition.reshape(-1)
     target_max = np.zeros(env.n_states + 1)
     q_shape = (env.n_states, env.n_actions)
-    gamma, lr, tau, sigma = env.gamma, cfg.lr, cfg.tau, cfg.sigma
-    grad_out = np.empty(cfg.batch_size)
-    if cfg.loss == LOSS_MSE:
-        neg_n = -float(cfg.batch_size)
-
-        def output_grad(errs):
-            return np.divide(errs, neg_n, out=grad_out)
-    else:
-        neg_scale = -_l_loss_grad_scale(cfg.batch_size, sigma)
-
-        def output_grad(errs):
-            return _l_loss_grad_kernel(errs, sigma, neg_scale, grad_out)
+    gamma, lr, tau = env.gamma, cfg.lr, cfg.tau
+    output_grad = _descent_grad(cfg.loss, cfg.batch_size, cfg.sigma)
 
     def update(cells: np.ndarray, errs: np.ndarray) -> None:
         for batch, rewards, succ, out in zip(cells, reward[cells], successors[cells], errs):

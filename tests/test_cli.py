@@ -262,6 +262,17 @@ def test_klbound_json(tmp_path, capsys):
     assert (tmp_path / "run_manifest.json").exists()
 
 
+def test_klbound_json_is_strict_at_a_subnormal_gamma(tmp_path):
+    rc = run_cli(["klbound", "--astar", "1", "--gamma", "1e-310", "--out", str(tmp_path)])
+    assert rc == 0
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    payload = json.loads((tmp_path / "klbound.json").read_text(), parse_constant=refuse)
+    assert payload["numeric_kl"] <= payload["bound"] < math.inf
+
+
 def test_sampling_error_table(tmp_path):
     rc = run_cli(["sampling-error", "--n", "2,256", "--out", str(tmp_path)])
     assert rc == 0

@@ -11,16 +11,18 @@ import math
 import numpy as np
 import pytest
 
-from belldist import DistSpec, DomainError, Family, SampleBatch, cdf, fit_mle, pdf, quantile
+from belldist import (DistSpec, DomainError, Family, SampleBatch, cdf, fit_mle, pdf, quantile,
+                      sample)
 from belldist.distributions import log_likelihood, uniform_open
 from belldist.errors import _real_values
 from belldist.gof import histogram_fit_metrics
 from belldist.gumbel_algebra import (gumbel_exp_moment_bounds, gumbel_max, gumbel_shift_scale,
                                     kl_bound, kl_numeric)
 from belldist.losses import LossConfig, l_loss, l_loss_grad, mse_loss
-from belldist.mdp import (QTable, TabularMdp, make_chain, make_example1, make_random_dag,
-                          predict_gumbel)
-from belldist.order_stats import order_stat_table, sampling_error
+from belldist.mdp import (QTable, TabularMdp, example1_row_errors, make_chain, make_example1,
+                          make_random_dag, predict_gumbel)
+from belldist.normal_max import normal_max_gumbel
+from belldist.order_stats import order_stat_expectation, order_stat_table, sampling_error
 from belldist.scaling import RewardSample, expected_error, scaling_curve
 from belldist.training import TrainConfig, run_training
 
@@ -152,6 +154,42 @@ def test_sizes_beyond_numpys_array_limit_raise_domain_error(call):
     # numpy refuses 2**60 eight-byte elements or more with a bare ValueError
     with pytest.raises(DomainError, match=r"numpy's limit is 2\*\*60 - 1"):
         call()
+
+
+HUGE = 10**5000  # beyond the 4,300 digits that Python prints of an int
+
+
+@pytest.mark.parametrize("call", [
+    lambda: uniform_open(0, HUGE),
+    lambda: uniform_open(HUGE, 3),
+    lambda: uniform_open(0, 3, HUGE),
+    lambda: sample(NORMAL, HUGE, 0),
+    lambda: make_chain(HUGE),
+    lambda: make_example1(HUGE),
+    lambda: sampling_error(HUGE),
+    lambda: order_stat_table(HUGE),
+    lambda: order_stat_expectation(3, HUGE, 0.0, 1.0),
+    lambda: normal_max_gumbel(HUGE),
+    lambda: histogram_fit_metrics(BATCH, NORMAL, HUGE),
+    lambda: TrainConfig(epochs=-HUGE),
+    lambda: TrainConfig(lr=HUGE),
+    lambda: DistSpec(Family.NORMAL, 0.0, HUGE),
+    lambda: predict_gumbel(CHAIN, HUGE, 0.0, 1.0),  # gamma**(t - 1) is 0
+], ids=["uniform_open-n", "uniform_open-seed", "uniform_open-stream", "sample-n", "make_chain",
+        "make_example1", "sampling_error", "order_stat_table", "order_stat_expectation-i",
+        "normal_max_gumbel", "histogram_fit_metrics-n_bins", "TrainConfig-epochs",
+        "TrainConfig-lr", "DistSpec-scale", "predict_gumbel-t"])
+def test_huge_integers_raise_domain_error(call):
+    # formatting the message raised a bare ValueError, and gamma**(t - 1) a
+    # bare OverflowError; the message gives the integer's size instead
+    with pytest.raises(DomainError, match="integer of 1661[0-2] bits"):
+        call()
+
+
+def test_example1_rows_stay_zero_beyond_the_horizon():
+    rows = example1_row_errors(HUGE, 0)
+    assert rows.t == HUGE
+    assert not rows.eps_gap.any() and not rows.bellman_err.any()
 
 
 def _bits(value):

@@ -325,7 +325,20 @@ def test_kl_bound_reports_floats_or_refuses(a_star, gamma):
     values = (report.a_star, report.gamma, report.bound, report.numeric_kl)
     assert all(type(v) is float for v in values)
     assert 0.0 <= report.numeric_kl < math.inf
-    assert json.loads(report.to_json())["branch"] == report.branch.value
+    assert math.isfinite(report.bound)
+    assert json.loads(report.to_json(), parse_constant=refuse)["branch"] == report.branch.value
+
+
+def refuse(constant):
+    raise AssertionError(f"{constant} is not JSON")
+
+
+def test_kl_bound_is_finite_at_a_subnormal_gamma():
+    # 1/gamma overflows there, but -log(gamma) is about 713.8
+    report = kl_bound(1.0, 1e-310)
+    assert report.bound == pytest.approx(-math.log(1e-310) + 1.0 * (EXP_MOMENT_CONST - 1.0)
+                                         + 0.15 - EULER_MASCHERONI, rel=1e-15)
+    assert report.dominated
 
 
 @given(locations=st.lists(FINITE, min_size=1, max_size=8), beta=SCALES)

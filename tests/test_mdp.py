@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belldist import (
+    BelldistError,
     ConvergenceError,
     DistSpec,
     DomainError,
@@ -489,3 +492,93 @@ def test_row_errors_family_ordering_majority():
         err_wins += ks_l < ks_gn
     assert gap_wins >= 4
     assert err_wins >= 4
+
+
+# ---------------------------------------------------------------------------
+# Properties: every input gives a value that meets the contract, or raises
+# a BelldistError (the suite turns every warning into a failure)
+# ---------------------------------------------------------------------------
+
+# every finite float, subnormals and +-DBL_MAX included, and a discount in
+# (0, 1) from the same range
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+GAMMAS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# what a JSON number can hold: ints, floats, bools, NaN and the infinities
+JSON_NUMBERS = st.one_of(st.integers(-3, 3), st.floats(), st.booleans())
+
+
+@st.composite
+def dags(draw) -> TabularMdp:
+    """A small episodic DAG: every cell moves to a later state or ends."""
+    n_states, n_actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    transition = [[draw(st.sampled_from([TERMINAL, *range(s + 1, n_states)]))
+                   for _ in range(n_actions)] for s in range(n_states)]
+    reward = draw(st.lists(st.lists(FINITE, min_size=n_actions, max_size=n_actions),
+                           min_size=n_states, max_size=n_states))
+    return TabularMdp(n_states, n_actions, transition, reward, draw(GAMMAS))
+
+
+@settings(max_examples=50)
+@given(n_states=st.integers(1, 3), n_actions=st.integers(1, 3), data=st.data())
+def test_from_json_builds_a_valid_mdp_or_refuses(n_states, n_actions, data):
+    shape = st.lists(st.lists(JSON_NUMBERS, min_size=n_actions, max_size=n_actions),
+                     min_size=n_states, max_size=n_states)
+    obj = {"n_states": n_states, "n_actions": n_actions, "transitions": data.draw(shape),
+           "rewards": data.draw(shape), "gamma": data.draw(st.one_of(GAMMAS, JSON_NUMBERS))}
+    try:
+        mdp = TabularMdp.from_json(json.dumps(obj))
+    except DomainError:
+        return
+    assert mdp.transition.dtype == np.int64 and mdp.reward.dtype == np.float64
+    assert mdp.transition.shape == mdp.reward.shape == (n_states, n_actions)
+    assert np.all((mdp.transition == TERMINAL)
+                  | ((mdp.transition >= 0) & (mdp.transition < n_states)))
+    assert np.isfinite(mdp.reward).all() and type(mdp.gamma) is float and 0.0 < mdp.gamma < 1.0
+    assert not mdp.transition.flags.writeable and not mdp.reward.flags.writeable
+    again = TabularMdp.from_json(mdp_json(mdp))
+    assert np.array_equal(again.transition, mdp.transition)
+    assert np.array_equal(again.reward, mdp.reward) and again.gamma == mdp.gamma
+
+
+@given(mdp=dags())
+def test_solve_qstar_on_a_dag_is_the_exact_fixed_point_or_refuses(mdp):
+    try:
+        qstar = solve_qstar(mdp)
+    except BelldistError:
+        return
+    assert np.isfinite(qstar.values).all()
+    # a sweep moves it by less than the 1e-12 that ends the iteration, and it
+    # is within that of the exact values once per state of the DAG's depth
+    assert np.max(np.abs(bellman_step(mdp, qstar).values - qstar.values)) < 1e-12
+    assert np.max(np.abs(qstar.values - backward_induction(mdp))) < mdp.n_states * 1e-12
+
+
+@settings(max_examples=50)
+@given(mdp=dags(), values=st.data())
+def test_bellman_step_is_finite_or_refuses(mdp, values):
+    q = QTable(np.array(values.draw(st.lists(
+        st.lists(FINITE, min_size=mdp.n_actions, max_size=mdp.n_actions),
+        min_size=mdp.n_states, max_size=mdp.n_states))))
+    try:
+        step = bellman_step(mdp, q)
+    except BelldistError:
+        return
+    assert step.iteration == 1 and np.isfinite(step.values).all()
+
+
+PREDICT_MDPS = [make_chain(3), make_random_dag(5, 3, seed=1), make_example1(n_actions=4)]
+
+
+@given(mdp=st.sampled_from(PREDICT_MDPS),
+       t=st.one_of(st.integers(1, 40), st.sampled_from([10**6, 2**64, 10**400])),
+       c1=FINITE, beta1=st.floats(0.0, exclude_min=True, allow_infinity=False))
+def test_predict_gumbel_is_a_finite_law_or_refuses(mdp, t, c1, beta1):
+    try:
+        pred = predict_gumbel(mdp, t, c1, beta1)
+    except BelldistError:
+        return
+    assert pred.t == t and pred.c_t.shape == mdp.transition.shape
+    assert 0.0 < pred.beta_t < math.inf
+    # NaN exactly where the gap has no Gumbel law, finite everywhere else
+    assert np.isnan(pred.c_t[mdp.transition == TERMINAL]).all()
+    assert np.isfinite(pred.c_t[~np.isnan(pred.c_t)]).all()

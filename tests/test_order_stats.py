@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from belldist import DistSpec, DomainError, Family, cdf, order_stats
+from belldist import BelldistError, DistSpec, DomainError, Family, cdf, order_stats
 from belldist.distributions import uniform_open
 from belldist.order_stats import (
     _harmonic_table,
@@ -308,3 +310,43 @@ def test_sampling_error_validates_location_and_scale(a, b):
         sampling_error(2, a, b)
     with pytest.raises(DomainError):
         order_stat_table(2, a, b)
+
+
+# ---------------------------------------------------------------------------
+# Properties: every input gives a value that meets the contract, or raises
+# a BelldistError (the suite turns every warning into a failure)
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# n as a Python int or a numpy int64
+COUNTS = st.integers(1, 4096).flatmap(lambda n: st.sampled_from([n, np.int64(n)]))
+
+
+@given(n=COUNTS, a=FINITE, b=FINITE, data=st.data())
+def test_order_stat_table_is_finite_or_refuses(n, a, b, data):
+    try:
+        table = order_stat_table(n, a, b)
+    except BelldistError:
+        return
+    e = table.expectations
+    assert table.n == n and e.shape == (n,) and np.isfinite(e).all()
+    assert not e.flags.writeable
+    i = data.draw(st.integers(1, int(n)))
+    assert order_stat_expectation(n, i, a, b) == e[i - 1]
+
+
+@given(n=COUNTS)
+def test_standard_table_is_exactly_antisymmetric(n):
+    # E_{n+1-i} = -E_i, which sampling_error's mirrored halves rely on
+    e = order_stat_table(n).expectations
+    assert np.array_equal(e[::-1], -e)
+
+
+@given(n=COUNTS, a=FINITE, b=FINITE)
+def test_sampling_error_is_finite_and_non_negative_or_refuses(n, a, b):
+    try:
+        report = sampling_error(n, a, b)
+    except BelldistError:
+        assert n < 2 or not 0.0 < b < math.inf
+        return
+    assert report.n == n and type(report.s_e) is float and 0.0 <= report.s_e < math.inf

@@ -6,6 +6,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belldist import DomainError, TrainingError
 from belldist.losses import LossConfig, l_loss, l_loss_grad, mse_loss
@@ -495,3 +497,64 @@ def test_greedy_return_follows_policy():
     assert greedy_return(env, np.argmax(qstar, axis=1)) == 3.0
     stay_forever = np.ones(env.n_states, dtype=np.int64)  # STAY: zero reward until the cap
     assert greedy_return(env, stay_forever) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Properties: every input gives a value that meets the contract, or raises
+# a BelldistError (the suite turns every warning into a failure)
+# ---------------------------------------------------------------------------
+
+# a field value of any kind that a caller may pass
+ANY_VALUE = st.one_of(
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2, 300),
+    st.integers(-2, 300).map(np.int64),
+    st.integers(-2**70, 2**70),
+    st.sampled_from([True, False, 10**400, 1 << 128, "mse", "lloss", "tabular", "mlp", "huber"]),
+)
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+COUNT_FIELDS = ("batch_size", "epochs", "early_stop_patience")
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_train_config_is_valid_or_refuses(data):
+    # a few fields set, the rest left at their defaults, so that some
+    # configs are valid
+    names = [f.name for f in dataclasses.fields(TrainConfig)]
+    changed = data.draw(st.sets(st.sampled_from(names), max_size=3), label="changed")
+    fields = {name: data.draw(ANY_VALUE, label=name) for name in sorted(changed)}
+    try:
+        cfg = TrainConfig(**fields)
+    except DomainError:
+        return
+    assert cfg.loss in (LOSS_MSE, LOSS_LLOSS) and cfg.approximator in ("tabular", "mlp")
+    for name in COUNT_FIELDS:
+        value = getattr(cfg, name)
+        assert isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+    assert cfg.batch_size <= cfg.replay_capacity
+    for name in ("lr", "sigma", "reward_scale"):
+        assert type(getattr(cfg, name)) is float and 0.0 < getattr(cfg, name) < math.inf
+    assert type(cfg.tau) is float and 0.0 < cfg.tau <= 1.0
+    assert isinstance(cfg.seed, (int, np.integer)) and 0 <= cfg.seed < 1 << 128
+
+
+CHAIN3 = make_chain(3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(loss=st.sampled_from([LOSS_MSE, LOSS_LLOSS]),
+       approximator=st.sampled_from(["tabular", "mlp"]), lr=POSITIVE, sigma=POSITIVE,
+       reward_scale=POSITIVE, tau=st.floats(0.0, 1.0, exclude_min=True))
+def test_short_run_gives_a_finite_log_or_refuses(loss, approximator, lr, sigma, reward_scale,
+                                                 tau):
+    cfg = TrainConfig(loss=loss, approximator=approximator, lr=lr, sigma=sigma,
+                      reward_scale=reward_scale, tau=tau, epochs=5)
+    try:
+        log = run_training(CHAIN3, cfg)
+    except (TrainingError, DomainError):
+        return
+    assert log.epochs_run == 5 and np.isfinite(log.rewards).all()
+    assert all(np.isfinite(errs).all() for errs in log.bellman_errors)
+    assert log.final_q.shape == (3, 2) and np.isfinite(log.final_q).all()
