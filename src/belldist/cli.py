@@ -7,11 +7,11 @@ result, prints its summary to stdout and returns its output files as
 create ``--out`` and write each file, then ``run_manifest.json``, every one
 atomically (tmp+rename), so a failed command leaves nothing behind.  The
 manifest records the subcommand, the argument list ``main`` parsed, the fully
-resolved arguments (defaults included), the tool version, the produced files
-and the wall time.  Output CSVs use '.' decimals, '\\n' newlines and always
-carry a header row; JSON is emitted with sorted keys so reruns diff cleanly.
-No environment variables are consulted; output is plain text, so NO_COLOR
-holds trivially.
+resolved arguments (defaults included), the tool version, the Python and
+numpy versions and platform, the produced files and the wall time.  Output
+CSVs use '.' decimals, '\\n' newlines and always carry a header row; JSON is
+emitted with sorted keys so reruns diff cleanly.  No environment variables are
+consulted; output is plain text, so NO_COLOR holds trivially.
 """
 
 from __future__ import annotations
@@ -348,6 +348,12 @@ def _manifest(argv: list[str], args, out: Path, files: dict[str, str], started: 
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "seed": args.seed,
         "version": __version__,
+        # what the output bytes depend on besides the arguments
+        "environment": {
+            "python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "numpy": np.__version__,
+            "platform": sys.platform,
+        },
         "outputs": sorted(str(out / name) for name in files),
         "wall_time_s": time.monotonic() - started,
     }

@@ -167,7 +167,7 @@ def solve_qstar(mdp: TabularMdp) -> QTable:
     raise ConvergenceError(f"value iteration did not reach 1e-12 in {_MAX_SWEEPS} steps")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ErrorSnapshot:
     """Per-cell error arrays at iteration t; row i belongs to state i."""
 
@@ -180,6 +180,11 @@ class ErrorSnapshot:
             raise DomainError("error arrays must be matching 2-D (rows x actions)")
         self.eps_gap.setflags(write=False)
         self.bellman_err.setflags(write=False)
+
+    def __repr__(self) -> str:
+        # t may be an int too long for Python to print
+        return (f"ErrorSnapshot(t={_shown(self.t)}, eps_gap={self.eps_gap!r}, "
+                f"bellman_err={self.bellman_err!r})")
 
     @property
     def eps_gap_flat(self) -> np.ndarray:

@@ -246,12 +246,74 @@ def make_update(env: TabularMdp, cfg: TrainConfig, qnet: QFunction, target_net: 
     return update
 
 
+def _act(rng: np.random.Generator, greedy: list, rows: list, n_actions: int, epsilon: float,
+         state: int, episode_steps: int, cap: int, steps: int) -> tuple[list, int, int]:
+    """One epoch of epsilon-greedy acting: the ``steps`` visited cells
+    ``s * A + a``, and the state and episode length the epoch ends at.
+
+    Each step draws what ``rng.random() < epsilon`` and, when it explores,
+    ``rng.integers(n_actions)`` would, decoded from raw Philox words exactly
+    as numpy's Generator decodes them.  A uniform is ``(w >> 11) * 2**-53``.
+    A bounded integer is Lemire's multiply-shift on Philox's half-word
+    stream: the low half of a fresh word first, the high half kept for the
+    next draw (the bit generator's ``has_uint32`` and ``uinteger``), each
+    half ``u`` rejected while ``(u * A) % 2**32 < 2**32 % A``; A = 1 takes no
+    word.  The words come in blocks: ``steps`` of them, then, when a block
+    runs out, one for each step still to go.  Every step takes at least one
+    word, so no block reaches past where the per-step calls would stop, and
+    with the half word written back, the stream stands exactly where they
+    would leave it.
+    """
+    bitgen = rng.bit_generator
+    st = bitgen.state
+    kept = has_half, half = st["has_uint32"], st["uinteger"]
+    threshold = 2**32 % n_actions
+    words, i = bitgen.random_raw(steps).tolist(), 0
+    cells = []
+    for step in range(steps):
+        if i == len(words):
+            words, i = bitgen.random_raw(steps - step).tolist(), 0
+        word = words[i]
+        i += 1
+        if (word >> 11) * 2.0**-53 >= epsilon or n_actions == 1:
+            action = greedy[state]
+        else:
+            while True:
+                if has_half:
+                    u, has_half = half, 0
+                else:
+                    if i == len(words):
+                        words, i = bitgen.random_raw(steps - step).tolist(), 0
+                    word = words[i]
+                    i += 1
+                    u, half, has_half = word & 0xFFFFFFFF, word >> 32, 1
+                m = u * n_actions
+                if m & 0xFFFFFFFF >= threshold:
+                    break
+            action = m >> 32
+        nxt = rows[state][action]
+        cells.append(state * n_actions + action)
+        episode_steps += 1
+        if nxt == TERMINAL or episode_steps >= cap:
+            state, episode_steps = 0, 0
+        else:
+            state = nxt
+    if (has_half, half) != kept:
+        st = bitgen.state
+        st["has_uint32"], st["uinteger"] = has_half, half
+        bitgen.state = st
+    return cells, state, episode_steps
+
+
 def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
     """Epsilon-greedy replay Q-learning; deterministic given cfg.seed.
 
-    Each epoch acts for ``steps_per_epoch`` steps, storing the visited cells
-    in a replay ring, then runs ``updates_per_epoch`` updates on batches of
-    ``batch_size`` cells.  All of an epoch's batches come from one draw of
+    Each epoch acts for ``steps_per_epoch`` steps, then runs
+    ``updates_per_epoch`` updates on batches of ``batch_size`` cells.  An
+    epoch's acting draws are one block of raw Philox words, decoded as
+    ``Generator.random`` and ``Generator.integers`` decode them (``_act``),
+    and its visited cells go into the replay ring at once, in at most two
+    slices.  All of an epoch's batches come from one draw of
     replay indices, which gives the same values, in the same order, as one
     draw per update; ``make_update`` gathers their rewards and successors
     once per epoch.  The updates write their TD errors into one
@@ -293,19 +355,15 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
             epsilon = cfg.epsilon_start + (cfg.epsilon_final - cfg.epsilon_start) * frac
             greedy = policy.tolist()
 
-            for _ in range(cfg.steps_per_epoch):
-                if rng.random() < epsilon:
-                    action = int(rng.integers(n_actions))
-                else:
-                    action = greedy[state]
-                nxt = rows[state][action]
-                replay[written % capacity] = state * n_actions + action
-                written += 1
-                episode_steps += 1
-                if nxt == TERMINAL or episode_steps >= cap:
-                    state, episode_steps = 0, 0
-                else:
-                    state = nxt
+            cells, state, episode_steps = _act(rng, greedy, rows, n_actions, epsilon, state,
+                                               episode_steps, cap, cfg.steps_per_epoch)
+            # the epoch's cells in at most two slices: to the ring's end, then
+            # from its start
+            pos = written % capacity
+            head = cells[:capacity - pos]
+            replay[pos:pos + len(head)] = head
+            replay[:len(cells) - len(head)] = cells[len(head):]
+            written += len(cells)
 
             epoch_errors = np.zeros(0)
             fill = min(written, capacity)

@@ -213,6 +213,15 @@ def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch):
     assert read_json(tmp_path / "run_manifest.json")["argv"] == argv
 
 
+def test_manifest_records_the_versions_outputs_depend_on(tmp_path):
+    assert main(["train", "--env", "chain:3", "--epochs", "2", "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "run_manifest.json")["environment"] == {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "platform": sys.platform,
+    }
+
+
 # Runs that must not import scipy: its import costs more than everything else
 # these commands do.  scipy.special is imported only inside the functions
 # that call it.

@@ -192,6 +192,14 @@ def test_example1_rows_stay_zero_beyond_the_horizon():
     assert not rows.eps_gap.any() and not rows.bellman_err.any()
 
 
+def test_error_snapshot_repr_names_the_size_of_a_huge_t():
+    # the dataclass repr raised ValueError on an int of more than 4,300 digits
+    text = repr(example1_row_errors(HUGE, 0))
+    assert isinstance(text, str)
+    assert text.startswith(f"ErrorSnapshot(t=an integer of {HUGE.bit_length()} bits, eps_gap=")
+    assert repr(example1_row_errors(3, 0)).startswith("ErrorSnapshot(t=3, eps_gap=array(")
+
+
 def _bits(value):
     # a result as comparable data: its type and every float's exact bits
     if isinstance(value, np.ndarray):

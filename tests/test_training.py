@@ -25,6 +25,7 @@ from belldist.training import (
     LOSS_MSE,
     MlpQ,
     TrainConfig,
+    _act,
     compare_losses,
     greedy_return,
     make_qfunc,
@@ -125,7 +126,9 @@ def test_one_replay_draw_per_epoch_equals_one_per_update(high):
     # digests only because numpy fills bounded integers in order from the
     # generator's stream: 32-bit draws (Lemire rejections frequent at 3e9)
     # come from Philox's own half-word buffer, which the acting phase's
-    # scalar draws leave set, and 64-bit ones from its 4-word buffer
+    # draws (decoded from a block of raw words, with the half word written
+    # back, as test_act_equals_per_step_generator_calls checks) leave set,
+    # and 64-bit ones from its 4-word buffer
     batched, single = (np.random.Generator(np.random.Philox(key=13)) for _ in range(2))
     for _ in range(3):
         for rng in (batched, single):  # the acting phase's per-step pair
@@ -135,6 +138,87 @@ def test_one_replay_draw_per_epoch_equals_one_per_update(high):
         assert np.array_equal(rows, [single.integers(high, size=256) for _ in range(16)])
     assert philox_state(batched) == philox_state(single)
     assert batched.random() == single.random()
+
+
+def act_reference(rng, greedy, rows, n_actions, epsilon, state, episode_steps, cap, steps):
+    """One epoch of acting with a Generator call per draw: the loop whose
+    draws ``_act`` decodes from raw Philox words."""
+    cells = []
+    for _ in range(steps):
+        if rng.random() < epsilon:
+            action = int(rng.integers(n_actions))
+        else:
+            action = greedy[state]
+        nxt = rows[state][action]
+        cells.append(state * n_actions + action)
+        episode_steps += 1
+        if nxt == TERMINAL or episode_steps >= cap:
+            state, episode_steps = 0, 0
+        else:
+            state = nxt
+    return cells, state, episode_steps
+
+
+def words_drawn(rng: np.random.Generator) -> int:
+    """Raw 64-bit words a Philox generator has handed out since its key was
+    set: four per counter step, less those still in its buffer."""
+    st = rng.bit_generator.state
+    return 4 * int(st["state"]["counter"][0]) - (4 - st["buffer_pos"])
+
+
+def assert_acts_alike(seed: int, buffered: bool, *args) -> None:
+    decoded, reference = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(2))
+    for rng in (decoded, reference):
+        rng.standard_normal(3)  # as the nets' init does
+        if buffered:
+            rng.integers(7)  # takes the low half of a word and keeps the high
+        assert rng.bit_generator.state["has_uint32"] == buffered
+    assert _act(decoded, *args) == act_reference(reference, *args)
+    assert philox_state(decoded) == philox_state(reference)
+    # the epoch's replay draw and the next epoch's first draw
+    assert np.array_equal(decoded.integers(300, size=(16, 256)),
+                          reference.integers(300, size=(16, 256)))
+    assert decoded.random() == reference.random()
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("epsilon", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("n_actions", [1, 2, 3, 5, 7])
+def test_act_equals_per_step_generator_calls(n_actions, epsilon, buffered):
+    # the decoder must match numpy's Generator bit for bit: cells, the Philox
+    # state after the epoch (counter, word buffer and half word) and the
+    # draws after it; a numpy that decodes its draws otherwise fails here
+    env = make_random_dag(9, n_actions, seed=n_actions)
+    rows = env.transition.tolist()
+    cap = 4 * env.n_states
+    for seed in range(4):
+        pick = np.random.default_rng(seed)
+        greedy = pick.integers(n_actions, size=env.n_states).tolist()
+        state, episode_steps = int(pick.integers(env.n_states)), int(pick.integers(cap))
+        assert_acts_alike(seed, buffered, greedy, rows, n_actions, epsilon, state,
+                          episode_steps, cap, TrainConfig.steps_per_epoch)
+
+
+class EndsEveryAction:
+    """A transition row in which every action ends the episode."""
+
+    def __getitem__(self, action):
+        return TERMINAL
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_act_decodes_lemire_rejections_as_numpy(buffered):
+    # with A <= 12 Lemire's method rejects a half word with probability below
+    # 2**-29, so no seed reaches that branch; a bound of 3 * 2**30 rejects a
+    # quarter of them, and every step explores at epsilon 1
+    bound, steps = 3 * 2**30, 64
+    args = ([0], [EndsEveryAction()], bound, 1.0, 0, 0, 1, steps)
+    assert_acts_alike(5, buffered, *args)
+    rng = np.random.Generator(np.random.Philox(key=5))
+    _act(rng, *args)
+    # without a rejection the epoch takes a uniform's word per step and a
+    # word per two actions
+    assert words_drawn(rng) > steps + steps // 2
 
 
 def test_bit_reproducible_per_seed():
