@@ -30,14 +30,14 @@ import numpy as np
 from . import __version__
 from . import gof
 from .distributions import DistSpec, Family, SampleBatch, normal_max_quantile, uniform_open
-from .errors import BelldistError, DomainError
+from .errors import BelldistError, DomainError, _check_count
 from .gumbel_algebra import kl_bound
 from .losses import LN4, LOSS_NAMES, LossConfig, l_loss, mse_loss
 from .mdp import TabularMdp, example1_row_errors, make_chain, make_example1, make_random_dag
 from .normal_max import normal_max_gumbel
 from .order_stats import sampling_error
 from .scaling import RewardSample, scaling_curve
-from .training import TrainConfig, compare_losses, run_training
+from .training import APPROXIMATORS, TrainConfig, compare_losses, run_training
 
 
 def _write(path: Path, text: str) -> None:
@@ -109,12 +109,13 @@ def parse_env(spec: str, seed: int) -> TabularMdp:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, steps = text.split(":")
-        lo, hi = float(lo), float(hi)
-        if np.isfinite(lo) and np.isfinite(hi):
-            return np.linspace(lo, hi, int(steps))
+        lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise BelldistError(f"grid must be lo:hi:steps, got {text!r}") from exc
-    raise BelldistError(f"grid ends must be finite, got {text!r}")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise BelldistError(f"grid ends must be finite, got {text!r}")
+    _check_count(steps, "grid steps", 1)
+    return np.linspace(lo, hi, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +123,7 @@ def _parse_grid(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_example1(args) -> dict[str, str]:
+    _check_count(args.iters, "--iters", 1)
     init = DistSpec(Family(args.init), 0.0, 1.0)
     files = {}
     for t in range(1, args.iters + 1):
@@ -167,8 +169,7 @@ def cmd_klbound(args) -> dict[str, str]:
 
 
 def cmd_normal_max(args) -> dict[str, str]:
-    if args.mc < 0:
-        raise BelldistError(f"--mc must be >= 0, got {args.mc}")
+    _check_count(args.mc, "--mc", 0)
     params = normal_max_gumbel(args.n)
     payload = asdict(params)
     if args.mc:
@@ -270,7 +271,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=TrainConfig.tau)
     p.add_argument("--reward-scale", type=float, default=TrainConfig.reward_scale)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--approximator", choices=["tabular", "mlp"], default=TrainConfig.approximator)
+    p.add_argument("--approximator", choices=list(APPROXIMATORS), default=TrainConfig.approximator)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -143,7 +143,10 @@ def cdf(d: DistSpec, x):
 
 
 def quantile(d: DistSpec, p):
-    """Inverse CDF of ``d``; defined for p strictly inside (0, 1)."""
+    """Inverse CDF of ``d``; defined for p strictly inside (0, 1).
+
+    A quantile beyond float64 is -inf or +inf, its rounded value.
+    """
     from scipy.special import logit, ndtri
 
     p_arr = _real_values(p, "p")
@@ -166,7 +169,10 @@ def quantile(d: DistSpec, p):
             o += d.location
         return ()
 
-    _halves(fill, p_arr, out)
+    # scale times the standard quantile, or its sum with the location,
+    # overflows to +-inf far out in either tail, as in pdf and cdf
+    with np.errstate(over="ignore"):
+        _halves(fill, p_arr, out)
     return out if out.ndim else float(out)
 
 

@@ -7,13 +7,14 @@ move with the bin count, which is why both are reported side by side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import distributions as dist
 from .distributions import DistSpec, Family, SampleBatch
-from .errors import DegenerateDataError, _check_count, _check_elements
+from .errors import DegenerateDataError, DomainError, _check_count, _check_elements
 
 
 # Batches above _KS_DIRECT points are cut into blocks of _KS_BLOCK sorted
@@ -53,11 +54,11 @@ def ks_statistic(data: SampleBatch, d: DistSpec) -> float:
     of sorted points a to b (counting from 1) has a gap above
     max(b/n - F(x_(a)), F(x_(b)) - (a-1)/n); float subtraction and division
     round monotonically, so this bound holds for the computed gaps too, not
-    just for the exact ones.  F is then evaluated at every point only of the
-    blocks whose bound reaches the largest gap found so far, less 1e-12 for
-    ulp-level rounding in ``cdf``.  The block holding the largest gap is
-    always among them, so the result is the same float as the max over all
-    points.
+    just for the exact ones.  F is then evaluated at every point of the
+    candidates, 64 blocks at a time: the blocks whose bound reaches the
+    largest gap at the block ends and the tail, less 1e-12 for ulp-level
+    rounding in ``cdf``.  The block holding the largest gap is always among
+    them, so the result is the same float as the max over all points.
     """
     x = data.sorted
     n = x.size
@@ -75,20 +76,22 @@ def ks_statistic(data: SampleBatch, d: DistSpec) -> float:
     candidates = np.flatnonzero(bound >= best - _KS_SLACK)
     for start in range(0, candidates.size, _KS_CHUNK):
         chunk = candidates[start:start + _KS_CHUNK]
-        chunk = chunk[bound[chunk] >= best - _KS_SLACK]
-        if chunk.size:
-            best = max(best, _max_gap(dist.cdf(d, blocks[chunk]), first[chunk, None] + lane, n))
+        best = max(best, _max_gap(dist.cdf(d, blocks[chunk]), first[chunk, None] + lane, n))
     return best
 
 
 def freedman_diaconis_bins(values: np.ndarray) -> int:
-    q75, q25 = np.percentile(values, [75, 25])
+    # on a quarter of the values, whose quartile gap, twice that gap and range
+    # stay within float64 however wide the data; a power-of-two scaling is
+    # exact above 2**-1020, so the ratio below keeps the unscaled one's bits
+    quarter = np.multiply(values, 0.25)
+    q75, q25 = np.percentile(quarter, [75, 25])
     iqr = q75 - q25
     if iqr <= 0:
         return 50
     n = len(values)
     width = 2.0 * iqr / n ** (1.0 / 3.0)
-    span = values.max() - values.min()
+    span = quarter.max() - quarter.min()
     # quartiles far inside the range make span / width huge, even infinite:
     # the count is capped at one bin per value while it is still a float
     with np.errstate(over="ignore", divide="ignore"):
@@ -104,16 +107,28 @@ def histogram_fit_metrics(
     r2 is the coefficient of determination against the histogram's own mean.
     """
     values = data.values
-    if float(values.max() - values.min()) == 0.0:
-        raise DegenerateDataError("histogram metrics require data with spread")
-    _check_count(n_bins, "n_bins", 2)
-    _check_elements(n_bins + 1, "n_bins")  # the bin edges
-    heights, edges = np.histogram(values, bins=int(n_bins), density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    model = np.asarray(dist.pdf(d, centers))
-    sse = float(np.sum((heights - model) ** 2))
+    # the span overflows for data wider than float64, and the heights scale as
+    # 1 / span: for a tiny span they, their squares or the model density
+    # overflow; numpy's refusal to bin and the finite check below report them
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = float(values.max() - values.min())
+        if span == 0.0:
+            raise DegenerateDataError("histogram metrics require data with spread")
+        _check_count(n_bins, "n_bins", 2)
+        _check_elements(n_bins + 1, "n_bins")  # the bin edges
+        try:
+            heights, edges = np.histogram(values, bins=int(n_bins), density=True)
+        except ValueError as exc:  # a span beyond float64, or too narrow to part
+            raise DomainError(f"numpy cannot cut the data range {span!r} into {n_bins} "
+                              "finite bins") from exc
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        model = np.asarray(dist.pdf(d, centers))
+        sse = float(np.sum((heights - model) ** 2))
+        denom = float(np.sum((heights - heights.mean()) ** 2))
+    if not (math.isfinite(sse) and math.isfinite(denom)):
+        raise DomainError("histogram metrics overflow float64: the density heights are too "
+                          "large to square")
     rmse = float(np.sqrt(sse / n_bins))
-    denom = float(np.sum((heights - heights.mean()) ** 2))
     r2 = 1.0 - sse / denom if denom > 0 else float("-inf")
     return sse, rmse, r2
 

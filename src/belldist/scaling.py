@@ -41,11 +41,18 @@ _BLOCK = 1 << 16
 
 def _expectations(sample: RewardSample, phi: np.ndarray) -> np.ndarray:
     # -beta * logsumexp(phi * r / beta) for each phi of a 1-D grid, one
-    # (grid x rewards) log-sum-exp per block of grid points
+    # (grid x rewards) log-sum-exp per block of grid points.  A product
+    # phi * r beyond float64 is +-inf, which the log-sum-exp kernel reports;
+    # an expectation beyond float64 is -inf, reported here
     r, beta = sample.rewards, sample.beta
     rows = max(1, _BLOCK // r.size)
-    return np.concatenate([-beta * _logsumexp(np.multiply.outer(phi[i:i + rows], r), beta)
-                           for i in range(0, phi.size, rows)])
+    with np.errstate(over="ignore"):
+        out = np.concatenate([-beta * _logsumexp(np.multiply.outer(phi[i:i + rows], r), beta)
+                              for i in range(0, phi.size, rows)])
+    if np.isinf(out).any():
+        raise DomainError(f"the expected error -beta * logsumexp(phi * r / beta) overflows "
+                          f"float64 at beta = {beta}")
+    return out
 
 
 def expected_error(sample: RewardSample, phi: float) -> float:
@@ -88,7 +95,9 @@ def find_phi_star(sample: RewardSample) -> float:
     exists, so once G'(1) < 0 a sign change is guaranteed and bisection
     cannot fail.  Bisection stops at a bracket narrower than 1e-10, or once
     the bracket ends are adjacent floats (phi* above about 2**19, where the
-    float spacing exceeds 1e-10) and the midpoint equals one of them.
+    float spacing exceeds 1e-10) and the midpoint equals one of them.  A
+    phi* above 2**1023, where the next bracket end would pass float64's
+    largest value, raises DomainError.
     """
     cond1, cond2, gprime1 = check_conditions(sample)
     if not cond1:
@@ -104,6 +113,8 @@ def _bisect_phi_star(sample: RewardSample) -> float:
     # find_phi_star's search, for a sample already known to meet both conditions
     lo, hi = 1.0, 2.0
     while _gprime(sample, hi) < 0.0:
+        if hi == 2.0**1023:
+            raise DomainError("phi* lies above 2**1023, beyond float64's range")
         lo, hi = hi, 2.0 * hi
     while True:
         mid = 0.5 * (lo + hi)

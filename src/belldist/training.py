@@ -38,7 +38,7 @@ class TrainConfig:
     reward_scale: float = 1.0
     epochs: int = 200
     early_stop_patience: int = 50
-    approximator: str = "tabular"  # "tabular" | "mlp"
+    approximator: str = "tabular"
     seed: int = 0
 
     # fixed schedule, not fields: environment steps and gradient updates per
@@ -62,8 +62,8 @@ class TrainConfig:
             object.__setattr__(self, name, _check_positive(getattr(self, name), name))
         object.__setattr__(self, "tau", _check_positive(self.tau, "tau", 1.0, closed=True))
         _check_seed(self.seed)
-        if self.approximator not in ("tabular", "mlp"):
-            raise DomainError("approximator must be 'tabular' or 'mlp'")
+        if self.approximator not in APPROXIMATORS:
+            raise DomainError(f"approximator must be {' or '.join(map(repr, APPROXIMATORS))}")
         if self.batch_size > self.replay_capacity:
             # the replay never holds a full batch, so no gradient update runs
             raise DomainError(f"batch_size {self.batch_size} exceeds replay_capacity "
@@ -160,7 +160,8 @@ class MlpQ(QFunction):
     so the forward and backward passes run over the S rows of w1.
     """
 
-    def __init__(self, n_states: int, n_actions: int, hidden: int, rng: np.random.Generator):
+    def __init__(self, n_states: int, n_actions: int, rng: np.random.Generator):
+        hidden = TrainConfig.hidden
         w1 = rng.standard_normal((n_states, hidden)) / math.sqrt(n_states)
         w2 = rng.standard_normal((hidden, n_actions)) / math.sqrt(hidden)
         theta = np.concatenate((w1.ravel(), np.zeros(hidden), w2.ravel(), np.zeros(n_actions)))
@@ -184,10 +185,12 @@ class MlpQ(QFunction):
         return self._grad
 
 
+# each approximator by its TrainConfig name
+APPROXIMATORS = {"tabular": TabularQ, "mlp": MlpQ}
+
+
 def make_qfunc(env: TabularMdp, cfg: TrainConfig, rng: np.random.Generator) -> QFunction:
-    if cfg.approximator == "tabular":
-        return TabularQ(env.n_states, env.n_actions, rng)
-    return MlpQ(env.n_states, env.n_actions, cfg.hidden, rng)
+    return APPROXIMATORS[cfg.approximator](env.n_states, env.n_actions, rng)
 
 
 def greedy_return(env: TabularMdp, policy: np.ndarray) -> float:
@@ -258,17 +261,17 @@ def _act(rng: np.random.Generator, greedy: list, rows: list, n_actions: int, eps
     stream: the low half of a fresh word first, the high half kept for the
     next draw (the bit generator's ``has_uint32`` and ``uinteger``), each
     half ``u`` rejected while ``(u * A) % 2**32 < 2**32 % A``; A = 1 takes no
-    word.  The words come in blocks: ``steps`` of them, then, when a block
-    runs out, one for each step still to go.  Every step takes at least one
-    word, so no block reaches past where the per-step calls would stop, and
-    with the half word written back, the stream stands exactly where they
-    would leave it.
+    word.  The words come in blocks: each block holds one word per step still
+    to go, drawn when the last runs out.  Every step takes at least one word,
+    so no block reaches past where the per-step calls would stop, and with
+    the half word written back, the stream stands exactly where they would
+    leave it.
     """
     bitgen = rng.bit_generator
     st = bitgen.state
     kept = has_half, half = st["has_uint32"], st["uinteger"]
     threshold = 2**32 % n_actions
-    words, i = bitgen.random_raw(steps).tolist(), 0
+    words, i = [], 0
     cells = []
     for step in range(steps):
         if i == len(words):
@@ -310,13 +313,13 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
 
     Each epoch acts for ``steps_per_epoch`` steps, then runs
     ``updates_per_epoch`` updates on batches of ``batch_size`` cells.  An
-    epoch's acting draws are one block of raw Philox words, decoded as
+    epoch's acting draws are blocks of raw Philox words, decoded as
     ``Generator.random`` and ``Generator.integers`` decode them (``_act``),
-    and its visited cells go into the replay ring at once, in at most two
-    slices.  All of an epoch's batches come from one draw of
-    replay indices, which gives the same values, in the same order, as one
-    draw per update; ``make_update`` gathers their rewards and successors
-    once per epoch.  The updates write their TD errors into one
+    and its visited cells go into the replay ring at once, in one ``put``
+    that wraps at the ring's end.  All of an epoch's batches come from one
+    draw of replay indices, which gives the same values, in the same order,
+    as one draw per update; ``make_update`` gathers their rewards and
+    successors once per epoch.  The updates write their TD errors into one
     (updates_per_epoch, batch_size) block, and one finite check of that block
     after the epoch's updates detects divergence; the last row is the epoch's
     logged error batch.
@@ -357,12 +360,7 @@ def run_training(env: TabularMdp, cfg: TrainConfig) -> TrainLog:
 
             cells, state, episode_steps = _act(rng, greedy, rows, n_actions, epsilon, state,
                                                episode_steps, cap, cfg.steps_per_epoch)
-            # the epoch's cells in at most two slices: to the ring's end, then
-            # from its start
-            pos = written % capacity
-            head = cells[:capacity - pos]
-            replay[pos:pos + len(head)] = head
-            replay[:len(cells) - len(head)] = cells[len(head):]
+            replay.put(np.arange(written, written + len(cells)), cells, mode="wrap")
             written += len(cells)
 
             epoch_errors = np.zeros(0)

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from belldist import DistSpec, SampleBatch
+from belldist import DistSpec, Family, SampleBatch
 from belldist.gof import ks_statistic
 from belldist.mdp import TabularMdp
 
@@ -11,6 +12,23 @@ from belldist.mdp import TabularMdp
 def ks_against(values: np.ndarray, law: DistSpec) -> float:
     """Two-sided KS of raw values against a DistSpec law."""
     return ks_statistic(SampleBatch(np.asarray(values, dtype=float)), law)
+
+
+def magnitudes():
+    """Floats 10**e for e in [-300, 308]: positive magnitudes from 1e-300 up to
+    float64's last decade."""
+    return st.floats(-300.0, 308.0).map(lambda e: 10.0**e)
+
+
+def signed_magnitudes():
+    """Magnitudes of either sign, and zero."""
+    return st.one_of(st.just(0.0), magnitudes(), magnitudes().map(lambda m: -m))
+
+
+def laws():
+    """A law of each family with a signed magnitude (or zero) for its
+    location and a magnitude for its scale."""
+    return st.builds(DistSpec, st.sampled_from(list(Family)), signed_magnitudes(), magnitudes())
 
 
 def logs_equal(a, b) -> bool:

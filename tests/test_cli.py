@@ -83,6 +83,10 @@ def test_contract_violation_exit_code_one(tmp_path, capsys, argv):
     ["sampling-error", "--n", "2", "--a", "nan"],
     ["train", "--env", "foo"],
     ["losscheck", "--t-grid=1:3"],  # two fields, not lo:hi:steps
+    ["example1", "--iters", "0"],  # would write only the manifest
+    ["losscheck", "--t-grid=0:1:0"],  # would write a header-only CSV
+    ["fit", "--input", "{tiny-spread}"],  # the squared density heights overflow
+    ["scaling", "--rewards", "{huge-rewards}", "--beta", "1.0"],  # 3 * -1.7e308 overflows
 ], ids=["sampling-error-n", "train-chain", "train-dag", "normal-max-mc", "fit-input",
         "compare-seeds", "train-json-missing", "train-json-fields", "train-json-fractional",
         "train-json-string-gamma", "fit-input-non-numeric", "fit-input-empty-row", "fit-input-no-header", "scaling-tiny-beta",
@@ -90,7 +94,8 @@ def test_contract_violation_exit_code_one(tmp_path, capsys, argv):
         "train-batch-exceeds-replay", "example1-negative-seed", "normal-max-negative-seed",
         "train-negative-seed", "compare-negative-seed", "train-infinite-lr",
         "scaling-infinite-beta", "sampling-error-nan-location", "train-unknown-env",
-        "losscheck-two-field-grid"])
+        "losscheck-two-field-grid", "example1-zero-iters", "losscheck-zero-steps",
+        "fit-input-tiny-spread", "scaling-huge-rewards"])
 def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
     files = {
         "{missing}": tmp_path / "no-such-file",
@@ -101,6 +106,8 @@ def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
         "{empty-row}": tmp_path / "empty-row.csv",
         "{no-header}": tmp_path / "no-header.csv",
         "{rewards}": tmp_path / "rewards.csv",
+        "{tiny-spread}": tmp_path / "tiny-spread.csv",
+        "{huge-rewards}": tmp_path / "huge-rewards.csv",
     }
     files["{partial}"].write_text('{"n_states": 2}')
     files["{fractional}"].write_text('{"n_states": 2.7, "n_actions": 1, "transitions": [[1], [-1]],'
@@ -111,6 +118,9 @@ def test_malformed_input_exit_code_one(tmp_path, capsys, argv):
     files["{empty-row}"].write_text("value\n1.5\n\n2.5\n")
     files["{no-header}"].write_text("1.5\n2.5\n")
     write_values(files["{rewards}"], [1.0, -1.0, -2.0])
+    write_values(files["{tiny-spread}"],
+                 sample(DistSpec(Family.LOGISTIC, 0.0, 1.0), 2000, seed=0).values * 1e-156)
+    write_values(files["{huge-rewards}"], [1e308, -1.7e308])
     for key, path in files.items():
         argv = [a.replace(key, str(path)) for a in argv]
     assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1

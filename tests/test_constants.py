@@ -1,8 +1,9 @@
 """Settings the paper fixes are constants, not options.
 
 No keyword sets them any more, and each keeps the value it had as a default:
-the replay schedule, replay size and MLP width of training, the 0.99 discount
-and the benchmark's five states of the built-in environments, the random-DAG
+the replay schedule and replay size of training, the MLP's width (a
+TrainConfig field once, then an ``MlpQ`` parameter), the 0.99 discount and
+the benchmark's five states of the built-in environments, the random-DAG
 reward range, and the stopping rules of value iteration, of the phi*
 bisection and of the equal-scale check of ``gumbel_difference``.
 """
@@ -27,7 +28,7 @@ from belldist.mdp import (
     solve_qstar,
 )
 from belldist.scaling import RewardSample, ScalingCurve, _gprime, find_phi_star
-from belldist.training import TrainConfig, TrainLog
+from belldist.training import MlpQ, TrainConfig, TrainLog
 
 SELF_LOOP = TabularMdp(1, 1, np.array([[0]]), np.ones((1, 1)), 0.9)
 GRID = np.linspace(0.5, 2.0, 7)
@@ -90,6 +91,11 @@ def equal_scale_tolerance_is_1e_12() -> bool:
     return True
 
 
+def fresh_mlp(**kw) -> MlpQ:
+    # params[1] is the hidden layer's bias, one entry per hidden unit
+    return MlpQ(3, 2, rng=np.random.Generator(np.random.Philox(key=0)), **kw)
+
+
 def curve(**kw) -> ScalingCurve:
     return ScalingCurve(phi_grid=GRID, expectations=-GRID, cond1=True, cond2=True, **kw)
 
@@ -105,6 +111,7 @@ REMOVED = {
     "TrainConfig.epsilon_final": (lambda **kw: TrainConfig(**kw), 0.05,
                                   lambda: TrainConfig().epsilon_final == 0.05),
     "TrainConfig.hidden": (lambda **kw: TrainConfig(**kw), 32, lambda: TrainConfig().hidden == 32),
+    "MlpQ.hidden": (fresh_mlp, 32, lambda: fresh_mlp().params[1].shape == (32,)),
     "TrainConfig.replay_capacity": (lambda **kw: TrainConfig(**kw), 10_000,
                                     lambda: TrainConfig().replay_capacity == 10_000),
     "solve_qstar.tol": (lambda **kw: solve_qstar(SELF_LOOP, **kw), 1e-12,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import gumbel_r, logistic
@@ -36,7 +36,7 @@ from belldist import (
 from belldist import distributions
 from belldist.distributions import uniform_open
 from belldist.gof import ks_statistic
-from conftest import ks_against
+from conftest import ks_against, laws
 
 PARAM_GRID = [
     (Family.GUMBEL, 0.0, 1.0),
@@ -866,3 +866,21 @@ def test_logsumexp_callers_never_import_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@given(law=laws(), p=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                              min_size=1, max_size=20))
+@example(law=DistSpec(Family.NORMAL, -1e308, 1e308), p=[0.001])
+def test_quantile_is_monotone_and_never_nan_at_every_magnitude(law, p):
+    # a quantile beyond float64 is -inf or +inf, its rounded value, without a warning
+    q = quantile(law, np.sort(p))
+    assert not np.isnan(q).any()
+    assert (q[:-1] <= q[1:]).all()
+
+
+def test_quantile_beyond_float64_is_infinite_and_sample_refuses_it():
+    # -1e308 - 3.09 * 1e308 rounds to -inf; sample refuses it only as non-finite
+    law = DistSpec(Family.NORMAL, -1e308, 1e308)
+    assert quantile(law, [0.001]).tolist() == [-math.inf]
+    with pytest.raises(DomainError, match="finite"):
+        sample(law, 100, seed=0)

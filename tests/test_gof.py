@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from belldist import (
+    BelldistError,
     DegenerateDataError,
     DistSpec,
     DomainError,
@@ -21,6 +22,7 @@ from belldist import (
 from belldist.distributions import uniform_open
 from belldist.gof import freedman_diaconis_bins, histogram_fit_metrics, ks_statistic, rank_families
 from belldist.mdp import example1_row_errors
+from conftest import laws, magnitudes, signed_magnitudes
 
 
 def test_ks_evenly_spread_construction():
@@ -255,3 +257,42 @@ def test_report_fields_complete():
         "family", "location", "scale", "ks", "sse", "rmse", "r2", "n_bins", "n_samples",
     }
     assert d["n_samples"] == 4000
+
+
+@st.composite
+def scaled_batches(draw):
+    """Batches of 2 to 200 standard draws of a family, times a magnitude, plus
+    a signed magnitude (or zero); a batch that leaves float64 is rejected."""
+    law = DistSpec(draw(st.sampled_from(list(Family))), 0.0, 1.0)
+    base = sample(law, draw(st.integers(2, 200)), seed=draw(st.integers(0, 2**32))).values
+    with np.errstate(over="ignore"):
+        values = base * draw(magnitudes()) + draw(signed_magnitudes())
+    assume(np.isfinite(values).all())
+    return SampleBatch(values)
+
+
+@given(batch=scaled_batches(), law=laws(), n_bins=st.integers(2, 100))
+@example(batch=SampleBatch(sample(DistSpec(Family.LOGISTIC, 0.0, 1.0), 2000, seed=0).values * 1e-156),
+         law=DistSpec(Family.LOGISTIC, 0.0, 1e-156), n_bins=50)
+def test_histogram_fit_metrics_are_finite_or_refuse(batch, law, n_bins):
+    # every magnitude gives finite metrics or a BelldistError, never a warning
+    try:
+        sse, rmse, r2 = histogram_fit_metrics(batch, law, n_bins)
+    except BelldistError:
+        return
+    assert 0.0 <= sse < math.inf and 0.0 <= rmse < math.inf
+    assert r2 <= 1.0  # -inf when the heights have no spread of their own
+
+
+@given(batch=scaled_batches())
+@example(batch=SampleBatch([-1.5e308, 0.0, 1.5e308]))
+def test_freedman_diaconis_bins_at_every_magnitude(batch):
+    bins = freedman_diaconis_bins(batch.values)
+    assert type(bins) is int and 2 <= bins <= max(50, len(batch))
+
+
+@given(batch=scaled_batches(), law=laws())
+def test_ks_direct_path_matches_full_evaluation_at_every_magnitude(batch, law):
+    ks = ks_statistic(batch, law)
+    assert ks == ks_oracle(batch, law)
+    assert 0.0 <= ks <= 1.0

@@ -3,19 +3,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from belldist import DomainError, PreconditionError
+from belldist import BelldistError, DomainError, PreconditionError
 from belldist.distributions import uniform_open
 from belldist.scaling import (
     RewardSample,
+    _gprime,
     check_conditions,
     expected_error,
     find_phi_star,
     scaling_curve,
 )
+from conftest import magnitudes, signed_magnitudes
 
 # Frozen via 30-digit evaluation of -log(e + 10/e).
 NEG_LSE_REFERENCE = -1.8558410485107007
@@ -264,3 +266,45 @@ def test_reward_sample_counts_and_validation():
         RewardSample(np.array([]), beta=1.0)
     with pytest.raises(DomainError):
         RewardSample(np.array([1.0]), beta=0.0)
+
+
+REWARDS = st.lists(signed_magnitudes(), min_size=1, max_size=12).map(np.array)
+
+
+@given(rewards=REWARDS, beta=magnitudes(), phi=magnitudes())
+@example(rewards=np.array([1e308, -1.7e308]), beta=1.0, phi=3.0)
+@example(rewards=np.array([1.797e308, 1.797e308]), beta=1e306, phi=1.0)
+def test_expected_error_is_finite_or_refuses_at_every_magnitude(rewards, beta, phi):
+    try:
+        error = expected_error(RewardSample(rewards, beta), phi)
+    except BelldistError:
+        return
+    assert type(error) is float and math.isfinite(error)
+
+
+@given(rewards=REWARDS, beta=magnitudes(),
+       grid=st.lists(magnitudes(), min_size=1, max_size=8, unique=True))
+@example(rewards=np.array([1e308, -1.7e308]), beta=1.0, grid=[1.0, 3.0])
+def test_scaling_curve_is_finite_or_refuses_at_every_magnitude(rewards, beta, grid):
+    try:
+        curve = scaling_curve(RewardSample(rewards, beta), np.sort(grid))
+    except BelldistError:
+        return
+    assert curve.expectations.shape == (len(grid),) and np.isfinite(curve.expectations).all()
+    assert curve.cond1 == bool((rewards > 0).any())
+    assert (curve.phi_star is not None) == (curve.cond1 and curve.cond2)
+    if curve.phi_star is not None:
+        assert 1.0 < curve.phi_star < math.inf
+
+
+@given(rewards=REWARDS, beta=magnitudes())
+@example(rewards=np.array([1e-9, -1e-8]), beta=1e300)  # phi* is about 2e308
+def test_find_phi_star_is_finite_or_refuses_at_every_magnitude(rewards, beta):
+    sample = RewardSample(rewards, beta)
+    try:
+        phi = find_phi_star(sample)
+    except BelldistError:
+        return
+    assert 1.0 < phi < math.inf
+    # G' is increasing, and phi is within the bisection's tolerance of its root
+    assert _gprime(sample, phi * (1.0 - 1e-6) - 1e-6) < 0.0 <= _gprime(sample, phi * (1.0 + 1e-6) + 1e-6)

@@ -425,15 +425,16 @@ def test_compare_losses_needs_two_seeds():
 
 @pytest.mark.parametrize("loss", [LOSS_MSE, LOSS_LLOSS])
 def test_mlp_gradient_matches_finite_differences(loss):
-    # 4 states, 3 actions, 5 hidden units: no parameter shape is square or
-    # shared with another, so a transposed or mis-scattered gradient fails.
+    # 4 states, 3 actions, 32 hidden units: none of the parameter shapes
+    # (4, 32), (32,), (32, 3) and (3,) is square or shared with another, so
+    # a transposed or mis-scattered gradient fails.
     # At lr = 1 the step make_update takes is the analytic gradient, to
     # within rounding at the size of the parameters
     rng = np.random.Generator(np.random.Philox(key=11))
     n_states, n_actions, n = 4, 3, 12
-    net = MlpQ(n_states, n_actions, hidden=5, rng=rng)
+    net = MlpQ(n_states, n_actions, rng=rng)
     target_net = net.clone()
-    target_net.mix_from(MlpQ(n_states, n_actions, hidden=5, rng=rng), 0.5)
+    target_net.mix_from(MlpQ(n_states, n_actions, rng=rng), 0.5)
     cfg = TrainConfig(loss=loss, sigma=0.8, batch_size=n, lr=1.0, reward_scale=1.5)
     # random successors, with a TERMINAL entry in every state's row
     trans = rng.integers(n_states, size=(n_states, n_actions))
